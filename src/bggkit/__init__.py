@@ -2,9 +2,9 @@
 
 Root and Weyl combinatorics, Chevalley bases with verified integer
 structure constants, PBW normal ordering over exact rationals, p-adic
-Gauss norms, Harish-Chandra central characters, Shapovalov-rank simple
-multiplicities, and per-block decomposition/Cartan matrices realizing
-BGG reciprocity.
+Gauss norms, Harish-Chandra central characters, simple multiplicities
+by the radical recursion on Verma modules, Shapovalov forms, and
+per-block decomposition/Cartan matrices realizing BGG reciprocity.
 """
 
 from .errors import (BGGKitError, ConsistencyError, DepthOverflowError,
@@ -18,7 +18,7 @@ from .liealg import (LieAlgebraData, UEAElement, bracket, build_chevalley,
 from .gaussnorm import LogNorm, NormParam, check_submultiplicative, log_norm, vp
 from .harish import (CentralCharacter, central_character, gamma_twist, hc_psi,
                      is_linked)
-from .category import (BlockReport, DecompositionMatrix, VermaSlice,
+from .category import (BlockReport, DecompositionMatrix, VermaModule, VermaSlice,
                        block_report, cartan_matrix, decomposition_matrix,
                        maximal_vectors, projective_filtration_matrix,
                        shapovalov_matrix, simple_weight_mult,
@@ -37,7 +37,8 @@ __all__ = [
     "LogNorm", "NormParam", "check_submultiplicative", "log_norm", "vp",
     "CentralCharacter", "central_character", "gamma_twist", "hc_psi",
     "is_linked",
-    "BlockReport", "DecompositionMatrix", "VermaSlice", "block_report",
+    "BlockReport", "DecompositionMatrix", "VermaModule", "VermaSlice",
+    "block_report",
     "cartan_matrix", "decomposition_matrix", "maximal_vectors",
     "projective_filtration_matrix", "shapovalov_matrix", "simple_weight_mult",
     "standard_filtration_mult", "verma_is_simple", "verma_slice",

@@ -1,27 +1,30 @@
-"""Truncated Verma modules, the Shapovalov rank oracle, and block data.
+"""Verma modules, simple multiplicities, the Shapovalov form, and block data.
 
-Simple multiplicities come from exact ranks of the contravariant form on
-weight spaces (the radical of the form is the maximal submodule, so the
-rank at depth nu is dim L(lambda)_{lambda-nu}).  Block decomposition
-matrices are then solved from the unitriangular character system
+Simple multiplicities come from the radical recursion: for nu != 0, a
+vector of M(lambda)_{lambda-nu} lies in the maximal submodule exactly
+when every simple x_i sends it there, so dim L(lambda)_{lambda-nu} is
+the rank of the x_i matrices composed with the quotient maps one level
+up (``VermaModule``).  The x_i matrices are affine in lambda and cached
+per algebra.  Block decomposition matrices are then solved from the
+unitriangular character system
 
     dim M(lam_i)_{mu_j} = sum_k D[i][k] * dim L(mu_k)_{mu_j}
 
 in the deterministic block ordering, and the projective/Cartan data
 follows by reciprocity: (P(mu) : M(lam)) = D[lam][mu] and C = D^T D.
 
-Shapovalov entries are cached per algebra as polynomials in U(h), so
-scanning many highest weights only costs evaluations and small exact
-rank computations.
+The Shapovalov form (whose radical is the same maximal submodule) is
+kept for the ``shapovalov`` subcommand and as an independent oracle;
+its entries are cached per algebra as polynomials in U(h).
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from math import lcm
+from operator import mul
+from typing import Dict, List, Optional, Tuple
 
 from . import exactla
 from .errors import ConsistencyError, DepthOverflowError, DomainError
@@ -30,23 +33,6 @@ from .rootdata import STRICT, Weight
 
 RootVec = Tuple[int, ...]
 YMono = Tuple[int, ...]
-
-
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("BGGKIT_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
-def _parallel_map(fn, items):
-    """Map preserving input order; fans out when BGGKIT_WORKERS > 1."""
-    items = list(items)
-    workers = _worker_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
 
 
 def _gamma_coords(alg: LieAlgebraData, diff: Weight) -> Optional[RootVec]:
@@ -210,7 +196,8 @@ def maximal_vectors(alg: LieAlgebraData, lam: Weight, nu, depth: Optional[int] =
                     ) -> List[VermaVector]:
     """Basis of {v in M(lam)_{lam-nu} : n . v = 0} by exact linear algebra.
 
-    Killing the simple generators x_i suffices since they generate n.
+    Killing the simple generators x_i suffices since they generate n, so
+    this is the nullspace of the stacked x_i matrices at nu.
     """
     nu = tuple(int(c) for c in nu)
     height = sum(nu)
@@ -222,31 +209,165 @@ def maximal_vectors(alg: LieAlgebraData, lam: Weight, nu, depth: Optional[int] =
     basis = vslice.bases.get(nu, ())
     if not basis:
         return []
-    rows: List[List[Fraction]] = []
-    for i in range(alg.l):
-        alpha = alg.rs.simple_roots()[i]
-        target = tuple(a - b for a, b in zip(nu, alpha))
-        if any(c < 0 for c in target):
-            target_basis: Sequence[YMono] = ()
-        else:
-            target_basis = vslice.bases.get(target, ())
-        index = {mono: r for r, mono in enumerate(target_basis)}
-        xi = alg.simple_x(i)
-        images = []
-        for mono in basis:
-            img = vslice.act(xi, vslice.vector({mono: 1}))
-            for key in img.terms:
-                if key not in index:
-                    raise ConsistencyError("action left the expected weight space")
-            images.append(img)
-        for r in range(len(target_basis)):
-            row = [img.terms.get(target_basis[r], Fraction(0)) for img in images]
-            rows.append(row)
+    module = VermaModule(alg, lam)
+    rows = [row for i in range(alg.l) if _lower(nu, i) is not None
+            for row in module.raising_rows(i, nu)]
     if not rows:
         return [vslice.vector({mono: 1}) for mono in basis]
     kernel = exactla.nullspace(rows, width=len(basis))
     return [vslice.vector({mono: coef for mono, coef in zip(basis, vec)})
             for vec in kernel]
+
+
+# -- the simple quotient -------------------------------------------------------
+
+
+def _lower(nu: RootVec, i: int) -> Optional[RootVec]:
+    """nu - alpha_i when it lies in Gamma, else None.
+
+    Simple roots are the unit vectors of the simple-root coordinates.
+    """
+    if not nu[i]:
+        return None
+    return nu[:i] + (nu[i] - 1,) + nu[i + 1:]
+
+
+def raising_matrix(alg: LieAlgebraData, i: int, nu: RootVec):
+    """The simple x_i from M_{lam-nu} to M_{lam-nu+alpha_i}, for every lam.
+
+    Column c is the pair (rows, forms) of the nonzero entries of
+    x_i . y^{A_c} v on the PBW y-bases of ``weight_space_basis``.  Each
+    entry is an affine integer form (f_0, f_1, ..., f_l) standing for
+    f_0 + sum_j f_j lam(h_j).  Affine suffices: x_i y^A is the sum, over
+    the factors y of y^A, of y^A with that factor replaced by [x_i, y],
+    plus y^A x_i, so its U(h) part has degree at most one; a higher
+    degree raises ConsistencyError.  Cached per algebra, keyed by (i, nu).
+    """
+    cache = getattr(alg, "_raising_cache", None)
+    if cache is None:
+        cache = {}
+        alg._raising_cache = cache
+    nu = tuple(int(c) for c in nu)
+    key = (i, nu)
+    got = cache.get(key)
+    if got is not None:
+        return got
+    target = _lower(nu, i)
+    if target is None:
+        raise DomainError(f"nu - alpha_{i + 1} is not in Gamma")
+    m, l = alg.m, alg.l
+    index = {mono: r for r, mono in enumerate(weight_space_basis(alg, target))}
+    x_exps = [0] * alg.d
+    x_exps[alg.x_index(alg.root_position(alg.rs.simple_roots()[i]))] = 1
+    x_exps = tuple(x_exps)
+    pad = (0,) * (l + m)
+    kernel = alg.kernel
+    columns = []
+    for mono in weight_space_basis(alg, nu):
+        col: Dict[int, List[int]] = {}
+        for exps, c in kernel.multiply_monomials(x_exps, mono + pad).items():
+            if any(exps[m + l:]):
+                continue  # x-factors annihilate the maximal vector
+            h_part = exps[m:m + l]
+            degree = sum(h_part)
+            if degree > 1:
+                raise ConsistencyError(
+                    f"x_{i + 1} . y^A has U(h) degree {degree} > 1 at {nu}")
+            row = index.get(exps[:m])
+            if row is None:
+                raise ConsistencyError("action left the expected weight space")
+            form = col.setdefault(row, [0] * (l + 1))
+            form[h_part.index(1) + 1 if degree else 0] += c
+        entries = [(row, tuple(form)) for row, form in sorted(col.items())
+                   if any(form)]
+        columns.append((tuple(row for row, _ in entries),
+                        tuple(form for _, form in entries)))
+    result = tuple(columns)
+    cache[key] = result
+    return result
+
+
+class VermaModule:
+    """M(lam) with its quotient maps onto the simple module L(lam).
+
+    For nu != 0, v in M_{lam-nu} lies in the maximal submodule exactly
+    when x_i . v does for every simple i (Jantzen, LNM 750).  So
+    dim L(lam)_{lam-nu} is the rank of the stacked map
+    M_{lam-nu} -> sum_i L_{lam-nu+alpha_i}: the x_i matrices followed by
+    the quotient maps already found one level up.  Each quotient map is
+    kept as a primitive integer row basis (``exactla.row_basis``); lam is
+    scaled by the lcm of its denominators, which leaves every rank as it
+    is, so the recursion never builds a Fraction.
+    """
+
+    def __init__(self, alg: LieAlgebraData, lam: Weight):
+        self.alg = alg
+        self.lam = lam
+        scale = lcm(*(c.denominator for c in lam.coords))
+        # homogeneous coordinates: form . point = scale * form(lam)
+        self._point = (scale,) + tuple(int(c * scale) for c in lam.coords)
+        self._quotients: Dict[RootVec, List[List[int]]] = {(0,) * alg.l: [[1]]}
+
+    def _columns(self, i: int, nu: RootVec):
+        """The x_i matrix at nu evaluated at lam (scaled), as sparse
+        columns (rows, values)."""
+        point = self._point
+        return [(targets, [sum(map(mul, form, point)) for form in forms])
+                for targets, forms in raising_matrix(self.alg, i, nu)]
+
+    def raising_rows(self, i: int, nu: RootVec) -> List[List[int]]:
+        """The x_i matrix at nu evaluated at lam (scaled), as dense rows."""
+        columns = self._columns(i, nu)
+        size = len(weight_space_basis(self.alg, _lower(nu, i)))
+        rows = [[0] * len(columns) for _ in range(size)]
+        for c, (targets, values) in enumerate(columns):
+            for r, value in zip(targets, values):
+                rows[r][c] = value
+        return rows
+
+    def _stacked(self, nu: RootVec) -> List[List[int]]:
+        """Rows of the map M_{lam-nu} -> sum_i L_{lam-nu+alpha_i}."""
+        out = []
+        for i in range(self.alg.l):
+            target = _lower(nu, i)
+            quotient = self._quotients[target] if target is not None else None
+            if not quotient:
+                continue
+            columns = self._columns(i, nu)
+            for q in quotient:
+                pick = q.__getitem__
+                out.append([sum(map(mul, map(pick, targets), values))
+                            for targets, values in columns])
+        return out
+
+    def _quotient(self, nu: RootVec) -> List[List[int]]:
+        """Row basis of the quotient map M_{lam-nu} -> L(lam)_{lam-nu}.
+
+        Its kernel is the maximal submodule at nu.  The maps one level
+        up are found first, depth first, with an explicit stack.
+        """
+        quotients = self._quotients
+        stack = [nu]
+        while stack:
+            mu = stack[-1]
+            if mu in quotients:
+                stack.pop()
+                continue
+            missing = [up for up in (_lower(mu, i) for i in range(self.alg.l))
+                       if up is not None and up not in quotients]
+            if missing:
+                stack.extend(missing)
+                continue
+            quotients[mu] = exactla.row_basis(self._stacked(mu))
+            stack.pop()
+        return quotients[nu]
+
+    def simple_mult(self, nu) -> int:
+        """dim L(lam)_{lam-nu}; 0 off Gamma."""
+        nu = tuple(int(c) for c in nu)
+        if any(c < 0 for c in nu):
+            return 0
+        return len(self._quotient(nu))
 
 
 # -- Shapovalov form ---------------------------------------------------------
@@ -284,13 +405,8 @@ def shapovalov_matrix(alg: LieAlgebraData, lam: Weight, nu) -> List[List[Fractio
 
 
 def simple_weight_mult(alg: LieAlgebraData, lam: Weight, nu) -> int:
-    """dim L(lam)_{lam-nu} = rank of the Shapovalov form at nu."""
-    nu = tuple(int(c) for c in nu)
-    if any(c < 0 for c in nu):
-        return 0
-    if not any(nu):
-        return 1
-    return exactla.rank(shapovalov_matrix(alg, lam, nu))
+    """dim L(lam)_{lam-nu}, by the radical recursion of ``VermaModule``."""
+    return VermaModule(alg, lam).simple_mult(nu)
 
 
 @dataclass(frozen=True)
@@ -313,17 +429,19 @@ class SimplicityReport:
 def verma_is_simple(alg: LieAlgebraData, lam: Weight, depth: int) -> SimplicityReport:
     """Antidominance verdict plus a depth-limited nondegeneracy audit.
 
-    The verdict is the STRICT antidominance test; the audit records the
-    Shapovalov rank at every nu up to the depth.  An antidominant
-    verdict with a rank drop is impossible and raises ConsistencyError.
+    The verdict is the STRICT antidominance test; the audit records
+    dim L(lam)_{lam-nu} (the rank of the contravariant form) at every nu
+    up to the depth.  An antidominant verdict with a rank drop is
+    impossible and raises ConsistencyError.
     """
     verdict = alg.rs.is_antidominant(lam, STRICT)
+    module = VermaModule(alg, lam)
     ranks = []
     for nu in gamma_elements(alg, depth):
         if not any(nu):
             continue
         dim = alg.rs.kostant_p(nu)
-        rank = simple_weight_mult(alg, lam, nu)
+        rank = module.simple_mult(nu)
         ranks.append((nu, rank, dim))
     report = SimplicityReport(verdict, depth, tuple(ranks))
     if verdict and not report.nondegenerate:
@@ -338,11 +456,16 @@ def verma_is_simple(alg: LieAlgebraData, lam: Weight, depth: int) -> SimplicityR
 
 @dataclass(frozen=True)
 class DecompositionMatrix:
-    """[M(lam) : L(mu)] over a linkage class, rows and columns in block order."""
+    """[M(lam) : L(mu)] over a linkage class, rows and columns in block order.
+
+    ``modules`` holds the Verma module of each class member, whose cached
+    quotient maps ``block_report`` reuses; it takes no part in equality.
+    """
 
     class_weights: Tuple[Weight, ...]
     entries: Tuple[Tuple[int, ...], ...]
     depth: int
+    modules: Tuple[VermaModule, ...] = field(default=(), compare=False, repr=False)
 
     @property
     def size(self) -> int:
@@ -370,19 +493,13 @@ def decomposition_matrix(alg: LieAlgebraData, lam: Weight,
     auto_depth = int(rs.weight_height(cls[0] - cls[-1]))
     n = auto_depth if depth is None else max(depth, auto_depth)
 
-    # dim L(mu_k)_{mu_j}: Shapovalov ranks at the pairwise differences
-    pairs = [(k, j) for k in range(s) for j in range(s)]
-
-    def rank_for(pair):
-        k, j = pair
-        diff = _class_difference(alg, cls[k], cls[j])
-        if diff is None:
-            return 0
-        return simple_weight_mult(alg, cls[k], diff)
-
+    # dim L(mu_k)_{mu_j}: simple multiplicities at the pairwise differences
+    modules = tuple(VermaModule(alg, w) for w in cls)
     sm = {}
-    for pair, value in zip(pairs, _parallel_map(rank_for, pairs)):
-        sm[pair] = value
+    for k in range(s):
+        for j in range(s):
+            diff = _class_difference(alg, cls[k], cls[j])
+            sm[(k, j)] = modules[k].simple_mult(diff) if diff is not None else 0
 
     kostant = {}
     for i in range(s):
@@ -415,7 +532,7 @@ def decomposition_matrix(alg: LieAlgebraData, lam: Weight,
             if lhs != rhs:
                 raise ConsistencyError("character identity fails after solve")
 
-    return DecompositionMatrix(cls, tuple(rows), n)
+    return DecompositionMatrix(cls, tuple(rows), n, modules)
 
 
 def standard_filtration_mult(alg: LieAlgebraData, n: int, mu: Weight,
@@ -485,6 +602,7 @@ def block_report(alg: LieAlgebraData, lam: Weight,
     """Assemble the full per-block report for an integral weight."""
     dec = decomposition_matrix(alg, lam, depth)
     cls = dec.class_weights
+    modules = dec.modules
     s = len(cls)
     proj = projective_filtration_matrix(dec)
     cart = cartan_matrix(dec)
@@ -493,14 +611,14 @@ def block_report(alg: LieAlgebraData, lam: Weight,
             if proj[j][i] != dec.entries[i][j]:
                 raise ConsistencyError("reciprocity identity broken in report")
 
-    # table rows: for each nu among the pairwise differences, the rank
+    # table rows: for each nu among the pairwise differences,
     # dim L(mu_k)_{mu_k - nu} for every class member k
     nus = sorted({d for d in (
         _class_difference(alg, cls[k], cls[j])
         for k in range(s) for j in range(s)) if d is not None},
         key=lambda v: (sum(v), v))
     tables = tuple(
-        (nu, tuple(simple_weight_mult(alg, cls[k], nu) for k in range(s)))
+        (nu, tuple(module.simple_mult(nu) for module in modules))
         for nu in nus)
 
     findim = tuple(w.is_dominant_integral for w in cls)
@@ -513,7 +631,7 @@ def block_report(alg: LieAlgebraData, lam: Weight,
         if span is None:
             raise ConsistencyError("support of a finite-dimensional simple "
                                    "is not in the root lattice")
-        total = sum(simple_weight_mult(alg, w, nu)
+        total = sum(modules[k].simple_mult(nu)
                     for nu in gamma_elements(alg, sum(span)))
         expected = alg.rs.weyl_dimension(w)
         if total != expected:

@@ -1,15 +1,15 @@
 """Exact linear algebra over the rationals.
 
 Everything here works on lists of lists of Fraction (or int) and never
-touches floating point: ranks use fraction-free Bareiss elimination on
-integer-scaled rows, kernels and inverses use plain Gauss-Jordan with
+touches floating point: row bases and ranks use fraction-free elimination
+on integer-scaled rows, kernels and inverses use plain Gauss-Jordan with
 exact division.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import DomainError
 
@@ -24,32 +24,44 @@ def _integer_rows(matrix):
     return rows
 
 
-def rank(matrix) -> int:
-    """Rank of a rational matrix via fraction-free Bareiss elimination."""
-    rows = _integer_rows(matrix)
-    n = len(rows)
-    if n == 0:
-        return 0
-    m = len(rows[0])
-    r = 0
-    prev = 1
-    col = 0
-    while r < n and col < m:
-        pivot_row = next((i for i in range(r, n) if rows[i][col] != 0), None)
-        if pivot_row is None:
-            col += 1
+def row_basis(rows):
+    """Echelon basis of the row space of an integer matrix, fraction-free.
+
+    Each row is reduced at its leading column against the basis row with
+    that pivot, by integer cross-multiplication, until its leading column
+    is a new pivot; it is then divided by the gcd of its entries.  The
+    result is a list of primitive integer rows with distinct pivots, in
+    ascending pivot order, each with a positive pivot entry; no Fraction
+    is created.
+    """
+    by_pivot = {}
+    width = None
+    for row in rows:
+        if width is None:
+            width = len(row)
+        lead = next((j for j, x in enumerate(row) if x), None)
+        while lead in by_pivot:
+            b = by_pivot[lead]
+            g = gcd(row[lead], b[lead])
+            sa, sb = b[lead] // g, row[lead] // g
+            # both rows vanish before lead, and the difference vanishes at it
+            row = [0] * (lead + 1) + [sa * x - sb * y
+                                      for x, y in zip(row[lead + 1:], b[lead + 1:])]
+            lead = next((j for j in range(lead + 1, width) if row[j]), None)
+        if lead is None:
             continue
-        if pivot_row != r:
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pivot = rows[r][col]
-        for i in range(r + 1, n):
-            head = rows[i][col]
-            for j in range(col, m):
-                rows[i][j] = (pivot * rows[i][j] - head * rows[r][j]) // prev
-        prev = pivot
-        r += 1
-        col += 1
-    return r
+        g = gcd(*row)
+        if row[lead] < 0:
+            g = -g
+        by_pivot[lead] = [x // g for x in row]
+        if len(by_pivot) == width:
+            break  # full rank: the remaining rows add nothing
+    return [by_pivot[j] for j in sorted(by_pivot)]
+
+
+def rank(matrix) -> int:
+    """Rank of a rational matrix: the length of its fraction-free row basis."""
+    return len(row_basis(_integer_rows(matrix)))
 
 
 def nullspace(matrix, width=None):
