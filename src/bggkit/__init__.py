@@ -14,7 +14,7 @@ from .rootdata import (STRICT, WIDE, CartanMatrixInput, RootSystem, Weight,
                        WeylElement, WeylGroup, build_root_system,
                        cached_root_system)
 from .liealg import (LieAlgebraData, UEAElement, bracket, build_chevalley,
-                     casimir, evaluate_at, hc_project, multiply, transpose)
+                     casimir, evaluate_at, hc_project, transpose)
 from .gaussnorm import LogNorm, NormParam, check_submultiplicative, log_norm, vp
 from .harish import (CentralCharacter, central_character, gamma_twist, hc_psi,
                      is_linked)
@@ -33,7 +33,7 @@ __all__ = [
     "STRICT", "WIDE", "CartanMatrixInput", "RootSystem", "Weight",
     "WeylElement", "WeylGroup", "build_root_system", "cached_root_system",
     "LieAlgebraData", "UEAElement", "bracket", "build_chevalley", "casimir",
-    "evaluate_at", "hc_project", "multiply", "transpose",
+    "evaluate_at", "hc_project", "transpose",
     "LogNorm", "NormParam", "check_submultiplicative", "log_norm", "vp",
     "CentralCharacter", "central_character", "gamma_twist", "hc_psi",
     "is_linked",

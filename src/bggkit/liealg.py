@@ -633,10 +633,6 @@ def bracket(u: UEAElement, v: UEAElement) -> UEAElement:
     return UEAElement(alg, out)
 
 
-def multiply(u: UEAElement, v: UEAElement) -> UEAElement:
-    return u * v
-
-
 def transpose(u: UEAElement) -> UEAElement:
     return u.transpose()
 

@@ -543,44 +543,6 @@ class WeylGroup:
         return False
 
 
-# -- module-level operation surface ------------------------------------
-
-def rho(rs: RootSystem) -> Weight:
-    return rs.rho()
-
-
-def pairing(rs: RootSystem, lam: Weight, alpha) -> Fraction:
-    return rs.pairing_root(lam, alpha)
-
-
-def dot_action(rs: RootSystem, w: WeylElement, lam: Weight) -> Weight:
-    return rs.dot_action(w, lam)
-
-
-def dot_orbit(rs: RootSystem, lam: Weight):
-    return rs.dot_orbit(lam)
-
-
-def leq(rs: RootSystem, mu: Weight, lam: Weight) -> bool:
-    return rs.leq(mu, lam)
-
-
-def block_ordering(rs: RootSystem, weights) :
-    return rs.block_ordering(weights)
-
-
-def is_antidominant(rs: RootSystem, lam: Weight, convention: str = STRICT) -> bool:
-    return rs.is_antidominant(lam, convention)
-
-
-def kostant_p(rs: RootSystem, nu) -> int:
-    return rs.kostant_p(nu)
-
-
-def weyl_dimension(rs: RootSystem, lam: Weight) -> int:
-    return rs.weyl_dimension(lam)
-
-
 @lru_cache(maxsize=None)
 def cached_root_system(label: str) -> RootSystem:
     """Shared per-label root systems for the CLI and test suites."""

@@ -6,8 +6,7 @@ import pytest
 
 from bggkit.errors import DomainError
 from bggkit.liealg import (UEAElement, bracket, build_chevalley, casimir,
-                           evaluate_at, h_substitute, hc_project, multiply,
-                           transpose)
+                           evaluate_at, h_substitute, hc_project, transpose)
 from bggkit.rootdata import Weight, cached_root_system
 
 

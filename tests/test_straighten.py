@@ -1,32 +1,18 @@
-"""Kernel-level tests, including pure/compiled twin equivalence."""
+"""Kernel-level tests of PBW straightening."""
 
 import random
 
 import pytest
 
-from bggkit import _straighten_py
-from bggkit.liealg import build_chevalley
-from bggkit.rootdata import cached_root_system
-
-try:
-    from bggkit import _straighten_cy
-except ImportError:
-    _straighten_cy = None
+from bggkit.pbw import StraightenKernel
 
 
+# sl2 in the ordered basis (y, h, x): [h, y] = -2y, [x, y] = h, [x, h] = -2x
 A1_TABLE = {(1, 0): ((0, -2),), (2, 0): ((1, 1),), (2, 1): ((2, -2),)}
 
 
-def both_kernels(dim, table):
-    kernels = [_straighten_py.StraightenKernel(dim, table)]
-    if _straighten_cy is not None:
-        kernels.append(_straighten_cy.StraightenKernel(dim, table))
-    return kernels
-
-
-@pytest.mark.parametrize("kernel", both_kernels(3, A1_TABLE),
-                         ids=lambda k: k.impl)
-def test_sl2_relations(kernel):
+def test_sl2_relations():
+    kernel = StraightenKernel(3, A1_TABLE)
     # x*y = y*x + h
     assert kernel.multiply_monomials((0, 0, 1), (1, 0, 0)) == {
         (1, 0, 1): 1, (0, 1, 0): 1}
@@ -38,9 +24,8 @@ def test_sl2_relations(kernel):
     assert kernel.multiply_monomials((0, 0, 0), (1, 2, 3)) == {(1, 2, 3): 1}
 
 
-@pytest.mark.parametrize("kernel", both_kernels(3, A1_TABLE),
-                         ids=lambda k: k.impl)
-def test_kernel_is_associative_on_words(kernel):
+def test_kernel_is_associative_on_words():
+    kernel = StraightenKernel(3, A1_TABLE)
     rng = random.Random(5)
     for _ in range(50):
         monos = []
@@ -67,25 +52,42 @@ def test_kernel_is_associative_on_words(kernel):
         assert left == right
 
 
-def test_pair_cache_respects_bound():
-    kernel = _straighten_py.StraightenKernel(3, A1_TABLE)
-    kernel.multiply_monomials((0, 0, 10), (10, 0, 0))
-    assert all(a <= _straighten_py.CACHE_BOUND and b <= _straighten_py.CACHE_BOUND
-               for (_, _, a, b) in kernel._pair_cache)
+def _matmul(a, b):
+    cols = list(zip(*b))
+    return [[sum(p * q for p, q in zip(row, col)) for col in cols] for row in a]
 
 
-@pytest.mark.skipif(_straighten_cy is None, reason="compiled kernel not built")
-def test_twin_kernels_agree_on_b2():
-    alg = build_chevalley(cached_root_system("B2"))
-    kpy = _straighten_py.StraightenKernel(alg.d, alg._table)
-    kcy = _straighten_cy.StraightenKernel(alg.d, alg._table)
-    rng = random.Random(11)
-    for _ in range(150):
-        a = [0] * alg.d
-        b = [0] * alg.d
-        for _ in range(rng.randint(0, 5)):
-            a[rng.randrange(alg.d)] += 1
-        for _ in range(rng.randint(0, 5)):
-            b[rng.randrange(alg.d)] += 1
-        assert kpy.multiply_monomials(tuple(a), tuple(b)) == \
-            kcy.multiply_monomials(tuple(a), tuple(b))
+def _sl2_irrep(m):
+    """Integer matrices of y, h, x on V(m) in the basis v_0, ..., v_m."""
+    dim = m + 1
+    y = [[0] * dim for _ in range(dim)]
+    h = [[0] * dim for _ in range(dim)]
+    x = [[0] * dim for _ in range(dim)]
+    for j in range(dim):
+        h[j][j] = m - 2 * j
+        if j + 1 < dim:
+            y[j + 1][j] = 1
+        if j:
+            x[j - 1][j] = j * (m - j + 1)
+    return y, h, x
+
+
+@pytest.mark.parametrize("n", [8, 12, 14])
+def test_high_powers_agree_with_sl2_representation(n):
+    # x^n y^n acts nonzero on V(2n), so every normal-form term is tested
+    terms = StraightenKernel(3, A1_TABLE).multiply_monomials((0, 0, n), (n, 0, 0))
+    gens = _sl2_irrep(2 * n)
+    dim = 2 * n + 1
+    powers = [[[[int(i == j) for j in range(dim)] for i in range(dim)]]
+              for _ in gens]
+    for g, mat in zip(powers, gens):
+        for _ in range(n):
+            g.append(_matmul(g[-1], mat))
+    ys, hs, xs = powers
+    total = [[0] * dim for _ in range(dim)]
+    for (a, b, c), coef in terms.items():
+        term = _matmul(_matmul(ys[a], hs[b]), xs[c])
+        for i in range(dim):
+            for j in range(dim):
+                total[i][j] += coef * term[i][j]
+    assert total == _matmul(xs[n], ys[n])
