@@ -14,10 +14,9 @@ from .rootdata import (STRICT, WIDE, CartanMatrixInput, RootSystem, Weight,
                        WeylElement, WeylGroup, build_root_system,
                        cached_root_system)
 from .liealg import (LieAlgebraData, UEAElement, bracket, build_chevalley,
-                     casimir, evaluate_at, hc_project, transpose)
+                     casimir)
 from .gaussnorm import LogNorm, NormParam, check_submultiplicative, log_norm, vp
-from .harish import (CentralCharacter, central_character, gamma_twist, hc_psi,
-                     is_linked)
+from .harish import CentralCharacter, central_character, gamma_twist, hc_psi
 from .category import (BlockReport, DecompositionMatrix, VermaModule, VermaSlice,
                        block_report, cartan_matrix, decomposition_matrix,
                        maximal_vectors, projective_filtration_matrix,
@@ -33,10 +32,8 @@ __all__ = [
     "STRICT", "WIDE", "CartanMatrixInput", "RootSystem", "Weight",
     "WeylElement", "WeylGroup", "build_root_system", "cached_root_system",
     "LieAlgebraData", "UEAElement", "bracket", "build_chevalley", "casimir",
-    "evaluate_at", "hc_project", "transpose",
     "LogNorm", "NormParam", "check_submultiplicative", "log_norm", "vp",
     "CentralCharacter", "central_character", "gamma_twist", "hc_psi",
-    "is_linked",
     "BlockReport", "DecompositionMatrix", "VermaModule", "VermaSlice",
     "block_report",
     "cartan_matrix", "decomposition_matrix", "maximal_vectors",

@@ -45,10 +45,7 @@ def _gamma_coords(alg: LieAlgebraData, diff: Weight) -> Optional[RootVec]:
 
 def weight_space_basis(alg: LieAlgebraData, nu: RootVec) -> Tuple[YMono, ...]:
     """Monomials y^A of weight -nu, lexicographically sorted; cached."""
-    cache = getattr(alg, "_wspace_cache", None)
-    if cache is None:
-        cache = {}
-        alg._wspace_cache = cache
+    cache = alg._wspace_cache
     nu = tuple(int(c) for c in nu)
     got = cache.get(nu)
     if got is not None:
@@ -243,10 +240,7 @@ def raising_matrix(alg: LieAlgebraData, i: int, nu: RootVec):
     plus y^A x_i, so its U(h) part has degree at most one; a higher
     degree raises ConsistencyError.  Cached per algebra, keyed by (i, nu).
     """
-    cache = getattr(alg, "_raising_cache", None)
-    if cache is None:
-        cache = {}
-        alg._raising_cache = cache
+    cache = alg._raising_cache
     nu = tuple(int(c) for c in nu)
     key = (i, nu)
     got = cache.get(key)
@@ -379,10 +373,7 @@ def shapovalov_polynomial_matrix(alg: LieAlgebraData, nu: RootVec):
     Entry (A, B) is the Harish-Chandra projection of sigma(y^A) y^B; its
     evaluation at lambda is the contravariant form on M(lambda).
     """
-    cache = getattr(alg, "_shap_cache", None)
-    if cache is None:
-        cache = {}
-        alg._shap_cache = cache
+    cache = alg._shap_cache
     nu = tuple(int(c) for c in nu)
     got = cache.get(nu)
     if got is not None:

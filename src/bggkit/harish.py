@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .liealg import LieAlgebraData, UEAElement, casimir, h_substitute
-from .rootdata import RootSystem, Weight
+from .rootdata import Weight
 
 
 def gamma_twist(p: UEAElement) -> UEAElement:
@@ -36,10 +36,7 @@ def is_central(z: UEAElement) -> bool:
     cache is safe under concurrent use.
     """
     alg = z.alg
-    cache = getattr(alg, "_central_cache", None)
-    if cache is None:
-        cache = {}
-        alg._central_cache = cache
+    cache = alg._central_cache
     cached = cache.get(z)
     if cached is not None:
         return cached
@@ -58,10 +55,6 @@ def central_character(lam: Weight, z: UEAElement) -> Fraction:
     if not is_central(z):
         raise DomainError("argument is not central")
     return z.hc_project().evaluate_at(lam)
-
-
-def is_linked(rs: RootSystem, lam: Weight, mu: Weight) -> bool:
-    return rs.is_linked(lam, mu)
 
 
 class CentralCharacter:

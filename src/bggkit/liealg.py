@@ -8,11 +8,13 @@ ascending root order.  Index layout for dimension d = 2m + l:
     m .. m+l-1      h_1 .. h_l
     m+l .. d-1      x's, index m+l+p holding the root at position p
 
-Structure constants are determined by the extraspecial-pair convention
-(the earliest positive summand of each non-simple root gets coefficient
-p+1 > 0) and sign propagation through Jacobi identities; the finished
-table is re-verified exhaustively before use, so a convention bug cannot
-escape as silent wrong arithmetic.
+Structure constants follow the extraspecial-pair convention: the
+earliest positive summand of each non-simple root gets coefficient
+p+1 > 0, and every other N_{a,b} follows in closed form from those
+(Carter, *Simple Groups of Lie Type*, 4.1-4.2), one height at a time.
+The finished table is re-verified against the Jacobi identity over every
+basis triple before use, so a convention bug cannot escape as silent
+wrong arithmetic.
 """
 
 from __future__ import annotations
@@ -20,226 +22,116 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from . import exactla
 from .errors import ConsistencyError, DomainError
 from .pbw import StraightenKernel
-from .rootdata import RootSystem, Weight
+from .rootdata import Root, RootSystem, Weight
 
 Exps = Tuple[int, ...]
 
 
-def _root_key(r):
-    return (sum(r), r)
+def _root_lengths(rs: RootSystem) -> Dict[Root, Fraction]:
+    """(r, r) for every root r, from the symmetrized Cartan matrix.
 
-
-class _SignSolver:
-    """Resolve the signs of all structure constants N_{a,b}.
-
-    Unknowns are one sign per unordered root pair {a,b} with a+b a root,
-    stored on the canonical orientation (the one whose sum is positive,
-    ordered by the deterministic root order).  Extraspecial pairs seed
-    the system with +1; every Jacobi identity over a root triple then
-    becomes a relation between at most a few signs with known integer
-    magnitudes, and repeated propagation (with a tiny branching fallback)
-    fixes the rest.
+    With d_i = (alpha_i, alpha_i)/2 the form is (alpha_i, alpha_j) =
+    d_i C[i][j]; d is fixed along the Dynkin diagram from d = 1 on one
+    node of each component.
     """
+    cart = rs.cartan.entries
+    l = rs.rank
+    half = [None] * l
+    for start in range(l):
+        if half[start] is not None:
+            continue
+        half[start] = Fraction(1)
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for j in range(l):
+                if half[j] is None and cart[i][j]:
+                    half[j] = half[i] * cart[i][j] / cart[j][i]
+                    stack.append(j)
+    for i, j in itertools.product(range(l), repeat=2):
+        if half[i] * cart[i][j] != half[j] * cart[j][i]:
+            raise ConsistencyError("Cartan matrix is not symmetrizable")
+    return {r: sum(r[i] * r[j] * half[i] * cart[i][j]
+                   for i in range(l) for j in range(l))
+            for r in rs.roots}
 
-    def __init__(self, rs: RootSystem):
-        self.rs = rs
-        self.roots = sorted(rs.roots, key=_root_key)
-        self.root_set = rs.roots
-        self.mag = {}
-        self.sign = {}
-        self.keys = []
-        for a, b in itertools.combinations(self.roots, 2):
-            s = tuple(x + y for x, y in zip(a, b))
-            if s not in self.root_set or all(c == 0 for c in s):
-                continue
-            if not all(c >= 0 for c in s):
-                continue  # canonical orientation has positive sum
-            p = self._string_p(a, b)
-            q = self._string_p(b, a)
-            if p != q:
-                raise ConsistencyError(f"asymmetric root string for {a},{b}")
-            self.mag[(a, b)] = p + 1
-            self.keys.append((a, b))
-        self._seed_extraspecial()
-        self.equations = self._jacobi_equations()
 
-    def _string_p(self, a, b):
-        """Largest k with b - k*a a root."""
-        k = 0
-        cur = b
-        while True:
-            cur = tuple(x - y for x, y in zip(cur, a))
-            if cur in self.root_set:
-                k += 1
-            else:
-                return k
+def _structure_constants(rs: RootSystem) -> Dict[Tuple[Root, Root], int]:
+    """N_{a,b} with [x_a, x_b] = N_{a,b} x_{a+b}, for all roots a, b, a+b.
 
-    def _seed_extraspecial(self):
-        positives = self.rs.positive_roots
-        pos_set = set(positives)
-        for gamma in positives:
-            if sum(gamma) == 1:
-                continue
-            for alpha in positives:
-                beta = tuple(g - a for g, a in zip(gamma, alpha))
-                if beta in pos_set:
-                    key = (alpha, beta) if _root_key(alpha) < _root_key(beta) else (beta, alpha)
-                    self.sign[key] = 1
-                    break
+    Closed form in the extraspecial-pair convention (Carter, *Simple
+    Groups of Lie Type*, 4.1-4.2).  Positive roots xi are taken in the
+    deterministic order; the special pairs of xi are the (r, s) with
+    r < s positive and r + s = xi.  The first, (r1, s1), is extraspecial
+    and gets p + 1, p the largest integer with s1 - p r1 a root.  Every
+    other special pair follows from lower heights by
 
-    def n_symbol(self, a, b):
-        """Symbolic N_{a,b} as (rational coefficient, unknown key or None)."""
-        s = tuple(x + y for x, y in zip(a, b))
-        coeff = 1
-        if not all(c >= 0 for c in s):
-            a, b = tuple(-c for c in a), tuple(-c for c in b)
-            coeff = -coeff
-        if _root_key(a) > _root_key(b):
-            a, b = b, a
-            coeff = -coeff
-        key = (a, b)
-        coeff *= self.mag[key]
-        known = self.sign.get(key)
-        if known is not None:
-            return (coeff * known, None)
-        return (coeff, key)
+        N_{r,s} = (xi,xi)/N_{r1,s1} [N_{s,-r1} N_{r,-s1} / (s-r1, s-r1)
+                                    + N_{-r1,r} N_{s,-s1} / (r-r1, r-r1)],
 
-    def _bracket_symbolic(self, a, b):
-        """[x_a, x_b] as ('h', coroot coeffs, scalar) or ('x', root, symbol)."""
-        s = tuple(x + y for x, y in zip(a, b))
-        if all(c == 0 for c in s):
-            if all(c >= 0 for c in a) and any(a):
-                return ("h", self.rs.coroot(a), 1)
-            return ("h", self.rs.coroot(tuple(-c for c in a)), -1)
-        if s in self.root_set:
-            return ("x", s, self.n_symbol(a, b))
-        return None
+    a term being zero when its difference is not a root, and must come
+    out as +-(p+1).  Each value then fixes the rest of its orbit under
+    N_{b,a} = -N_{a,b}, N_{-a,-b} = -N_{a,b} and, for a + b + c = 0,
+    N_{a,b}/(c,c) = N_{b,c}/(a,a) = N_{c,a}/(b,b); those must be integers.
+    """
+    roots = rs.roots
+    order = rs._root_index
+    norm = _root_lengths(rs)
+    n: Dict[Tuple[Root, Root], int] = {}
 
-    def _root_pairing(self, r, hvec):
-        """r(h) for h given by integer coroot coefficients."""
-        cart = self.rs.cartan.entries
-        l = self.rs.rank
-        return sum(hvec[i] * sum(cart[i][j] * r[j] for j in range(l))
-                   for i in range(l))
+    def sub(a, b):
+        return tuple(x - y for x, y in zip(a, b))
 
-    def _jacobi_equations(self):
-        """One symbolic identity per root triple, grouped by target.
+    def neg(a):
+        return tuple(-x for x in a)
 
-        Each equation is a list of terms (coeff, keys) with keys a tuple
-        of 0..2 unknown pair-keys; the identity asserts the sum is zero.
-        """
-        equations = []
-        for a, b, c in itertools.combinations(self.roots, 3):
-            targets = {}
+    def string_p(r, s):
+        p = 0
+        while sub(s, r) in roots:
+            s = sub(s, r)
+            p += 1
+        return p
 
-            def add(target, coeff, keys):
-                if coeff == 0:
-                    return
-                keys = tuple(k for k in keys if k is not None)
-                if len(keys) == 2 and keys[0] == keys[1]:
-                    keys = ()  # sign squared is 1
-                targets.setdefault(target, []).append((coeff, keys))
+    def term(u, v, w, z, diff):
+        """N_{u,v} N_{w,z} / (diff, diff), zero when diff is not a root."""
+        if diff not in roots:
+            return 0
+        return Fraction(n[(u, v)] * n[(w, z)]) / norm[diff]
 
-            for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
-                inner = self._bracket_symbolic(u, v)
-                if inner is None:
-                    continue
-                if inner[0] == "h":
-                    _, hvec, sgn = inner
-                    add(("x", w), sgn * self._root_pairing(w, hvec), ())
-                    continue
-                _, mid, (co1, k1) = inner
-                out = self._bracket_symbolic(mid, w)
-                if out is None:
-                    continue
-                if out[0] == "h":
-                    _, hvec, sgn = out
-                    for i, hv in enumerate(hvec):
-                        add(("h", i), co1 * sgn * hv, (k1,))
-                else:
-                    _, tgt, (co2, k2) = out
-                    add(("x", tgt), co1 * co2, (k1, k2))
+    def record(a, b, value):
+        c = sub(neg(a), b)
+        for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
+            rotated = value * norm[w] / norm[c]
+            if rotated.denominator != 1:
+                raise ConsistencyError(
+                    f"structure constant N_{{{u},{v}}} = {rotated} is not an integer")
+            rotated = int(rotated)
+            n[(u, v)] = rotated
+            n[(v, u)] = -rotated
+            n[(neg(u), neg(v))] = -rotated
+            n[(neg(v), neg(u))] = rotated
 
-            for terms in targets.values():
-                if any(keys for _, keys in terms):
-                    equations.append(terms)
-                else:
-                    if sum(coeff for coeff, _ in terms) != 0:
-                        raise ConsistencyError("Jacobi fails on known constants")
-        return equations
-
-    def _try_equation(self, terms, sign):
-        """Return set of determined assignments, None if no info, or raise."""
-        known = 0
-        by_key = {}
-        for coeff, keys in terms:
-            val = coeff
-            unknown = None
-            for k in keys:
-                s = sign.get(k)
-                if s is None:
-                    if unknown is not None:
-                        return None  # two unknowns in one term: defer
-                    unknown = k
-                else:
-                    val *= s
-            if unknown is None:
-                known += val
-            else:
-                by_key[unknown] = by_key.get(unknown, 0) + val
-        by_key = {k: v for k, v in by_key.items() if v != 0}
-        if not by_key:
-            if known != 0:
-                raise ConsistencyError("inconsistent sign system")
-            return None
-        if len(by_key) > 1:
-            return None
-        (key, coeff), = by_key.items()
-        fits = [s for s in (1, -1) if known + coeff * s == 0]
-        if not fits:
-            raise ConsistencyError("no sign satisfies a Jacobi relation")
-        if len(fits) == 2:
-            return None
-        return {key: fits[0]}
-
-    def solve(self):
-        sign = dict(self.sign)
-        self._propagate(sign)
-        if len(sign) < len(self.keys):
-            sign = self._branch(sign)
-        self.sign = sign
-        return {key: sign[key] * self.mag[key] for key in self.keys}
-
-    def _propagate(self, sign):
-        progress = True
-        while progress:
-            progress = False
-            for terms in self.equations:
-                got = self._try_equation(terms, sign)
-                if got:
-                    for k, v in got.items():
-                        if sign.setdefault(k, v) != v:
-                            raise ConsistencyError("conflicting sign assignment")
-                    progress = True
-
-    def _branch(self, sign):
-        missing = next(k for k in self.keys if k not in sign)
-        for guess in (1, -1):
-            trial = dict(sign)
-            trial[missing] = guess
-            try:
-                self._propagate(trial)
-                if len(trial) < len(self.keys):
-                    trial = self._branch(trial)
-                return trial
-            except ConsistencyError:
-                continue
-        raise ConsistencyError("sign system has no consistent completion")
+    for xi in rs.positive_roots:
+        special = [(r, sub(xi, r)) for r in rs.positive_roots
+                   if order.get(sub(xi, r), -1) > order[r]]
+        if not special:
+            continue
+        (r1, s1), others = special[0], special[1:]
+        first = string_p(r1, s1) + 1
+        record(r1, s1, Fraction(first))
+        for r, s in others:
+            value = norm[xi] / first * (term(s, neg(r1), r, neg(s1), sub(s, r1))
+                                        + term(neg(r1), r, s, neg(s1), sub(r, r1)))
+            if abs(value) != string_p(r, s) + 1:
+                raise ConsistencyError(
+                    f"special pair {r},{s} gets {value}, not +-(p+1)")
+            record(r, s, value)
+    return n
 
 
 class LieAlgebraData:
@@ -261,17 +153,18 @@ class LieAlgebraData:
         weights.extend(positives)
         self.index_weights: Tuple[Exps, ...] = tuple(weights)
 
-        solver = _SignSolver(rs)
-        constants = solver.solve()
-        self._n_sign = solver  # retains the resolved orientation logic
-        self._constants = constants
-
+        self._n = _structure_constants(rs)
         self._table = self._build_table()
         self._verify_jacobi()
         self.kernel = StraightenKernel(self.d, self._table)
+        self._one_exps = (0,) * self.d
 
-        one = (0,) * self.d
-        self._one_exps = one
+        # idempotent per-algebra caches, filled by category, harish, casimir
+        self._wspace_cache = {}
+        self._raising_cache = {}
+        self._shap_cache = {}
+        self._central_cache = {}
+        self._casimir = None
 
     # -- index bookkeeping ------------------------------------------------
 
@@ -319,12 +212,6 @@ class LieAlgebraData:
         neg = tuple(-c for c in r)
         return self.y_index(self.rs._root_index[neg])
 
-    def _n_value(self, a, b) -> int:
-        coeff, key = self._n_sign.n_symbol(a, b)
-        if key is not None:
-            raise ConsistencyError("unresolved structure constant")
-        return coeff
-
     def _root_bracket(self, a, b) -> Dict[int, int]:
         """[x_a, x_b] over basis indices, for roots a, b."""
         s = tuple(x + y for x, y in zip(a, b))
@@ -334,7 +221,7 @@ class LieAlgebraData:
             return {self.h_index(i): sgn * c
                     for i, c in enumerate(self.rs.coroot(pos)) if c}
         if s in self.rs.roots:
-            return {self._basis_of_root(s): self._n_value(a, b)}
+            return {self._basis_of_root(s): self._n[(a, b)]}
         return {}
 
     def _pair_bracket(self, i, j) -> Dict[int, int]:
@@ -424,11 +311,6 @@ class LieAlgebraData:
     def y_of_root(self, root) -> "UEAElement":
         return self.y(self.root_position(root))
 
-    def simple_x(self, i: int) -> "UEAElement":
-        """Raising generator of the i-th simple root (careful: the
-        positive-root order does not list simple roots by index)."""
-        return self.x_of_root(self.rs.simple_roots()[i])
-
     def simple_y(self, i: int) -> "UEAElement":
         return self.y_of_root(self.rs.simple_roots()[i])
 
@@ -446,11 +328,9 @@ class LieAlgebraData:
 
 def build_chevalley(rs: RootSystem) -> LieAlgebraData:
     """Chevalley basis for a root system, cached on the root system."""
-    cached = getattr(rs, "_chevalley", None)
-    if cached is None:
-        cached = LieAlgebraData(rs)
-        rs._chevalley = cached
-    return cached
+    if rs._chevalley is None:
+        rs._chevalley = LieAlgebraData(rs)
+    return rs._chevalley
 
 
 class UEAElement:
@@ -526,11 +406,6 @@ class UEAElement:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    @property
-    def degree(self) -> int:
-        """Maximal total PBW degree over the support; -1 for zero."""
-        return max((sum(e) for e in self.terms), default=-1)
 
     # -- weights ----------------------------------------------------------
 
@@ -633,18 +508,6 @@ def bracket(u: UEAElement, v: UEAElement) -> UEAElement:
     return UEAElement(alg, out)
 
 
-def transpose(u: UEAElement) -> UEAElement:
-    return u.transpose()
-
-
-def hc_project(u: UEAElement) -> UEAElement:
-    return u.hc_project()
-
-
-def evaluate_at(p: UEAElement, lam: Weight) -> Fraction:
-    return p.evaluate_at(lam)
-
-
 def h_substitute(p: UEAElement, shifts) -> UEAElement:
     """Substitute h_i -> h_i + shift_i in an element of U(h), exactly."""
     alg = p.alg
@@ -674,9 +537,8 @@ def h_substitute(p: UEAElement, shifts) -> UEAElement:
 
 def casimir(alg: LieAlgebraData) -> UEAElement:
     """Casimir element from Killing-form dual bases, verified central."""
-    cached = getattr(alg, "_casimir", None)
-    if cached is not None:
-        return cached
+    if alg._casimir is not None:
+        return alg._casimir
     d = alg.d
     ad = []
     for i in range(d):

@@ -200,6 +200,7 @@ class RootSystem:
         self._cartan_inv = exactla.invert(cartan.entries)
         self._kostant_cache = {(0,) * self.rank: 1}
         self._weyl = None
+        self._chevalley = None
         for alpha in self.positive_roots:
             if self.pairing_root(self.root_to_weight(alpha), alpha) != 2:
                 raise ConsistencyError(f"alpha(h_alpha) != 2 for {alpha}")
@@ -209,9 +210,6 @@ class RootSystem:
     def simple_roots(self) -> Tuple[Root, ...]:
         l = self.rank
         return tuple(tuple(int(i == j) for j in range(l)) for i in range(l))
-
-    def is_root(self, vec) -> bool:
-        return tuple(vec) in self.roots
 
     def coroot(self, alpha) -> Tuple[int, ...]:
         """h_alpha in the basis H, as integer coefficients."""
@@ -442,9 +440,6 @@ class WeylElement:
     def act(self, lam: Weight) -> Weight:
         """Ordinary linear action on H-coordinates."""
         return Weight(exactla.mat_vec(self.matrix, list(lam.coords)))
-
-    def dot(self, lam: Weight) -> Weight:
-        return self.group.rs.dot_action(self, lam)
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         mat = tuple(tuple(r) for r in exactla.mat_mul(self.matrix, other.matrix))

@@ -6,7 +6,7 @@ import pytest
 from bggkit.category import verma_slice
 from bggkit.errors import DomainError
 from bggkit.harish import (CentralCharacter, central_character, gamma_twist,
-                           hc_psi, is_central, is_linked)
+                           hc_psi, is_central)
 from bggkit.liealg import casimir
 from bggkit.rootdata import Weight
 
@@ -52,9 +52,9 @@ def test_is_central(a1):
 
 def test_linkage_examples(a1):
     rs = a1.rs
-    assert is_linked(rs, Weight([3]), Weight([3]))
-    assert is_linked(rs, Weight([3]), Weight([-5]))
-    assert not is_linked(rs, Weight([3]), Weight([-4]))
+    assert rs.is_linked(Weight([3]), Weight([3]))
+    assert rs.is_linked(Weight([3]), Weight([-5]))
+    assert not rs.is_linked(Weight([3]), Weight([-4]))
 
 
 def test_linkage_is_equivalence(a2):
@@ -63,12 +63,12 @@ def test_linkage_is_equivalence(a2):
     sample = [Weight([F(rng.randint(-6, 6), rng.choice((1, 2))) for _ in range(2)])
               for _ in range(8)]
     for u in sample:
-        assert is_linked(rs, u, u)
+        assert rs.is_linked(u, u)
         for v in sample:
-            assert is_linked(rs, u, v) == is_linked(rs, v, u)
+            assert rs.is_linked(u, v) == rs.is_linked(v, u)
             for w in sample:
-                if is_linked(rs, u, v) and is_linked(rs, v, w):
-                    assert is_linked(rs, u, w)
+                if rs.is_linked(u, v) and rs.is_linked(v, w):
+                    assert rs.is_linked(u, w)
 
 
 def test_character_invariance_small(b2):

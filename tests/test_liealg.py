@@ -1,13 +1,14 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from bggkit.errors import DomainError
-from bggkit.liealg import (UEAElement, bracket, build_chevalley, casimir,
-                           evaluate_at, h_substitute, hc_project, transpose)
-from bggkit.rootdata import Weight, cached_root_system
+from bggkit import liealg
+from bggkit.errors import ConsistencyError, DomainError
+from bggkit.liealg import UEAElement, bracket, build_chevalley, casimir, h_substitute
+from bggkit.rootdata import Weight, build_root_system, cached_root_system
 
 
 def random_element(alg, rng, max_degree=3, max_terms=3):
@@ -92,6 +93,60 @@ def test_g2_has_magnitude_three_constant():
     assert 3 in magnitudes  # the long root string in G2
 
 
+# sha256 of repr(sorted(alg._table.items())), recorded from the earlier
+# solver that fixed the signs by propagating Jacobi identities
+TABLE_DIGESTS = {
+    "A1": "fff2127b852c3a1be9de4db84a11bfa0b3229c75a35caf0a7355abb483e560f1",
+    "A2": "9bbb968926874c28c9218dce23098671e6266c8f45939306a0ce5d702e1645fd",
+    "B2": "98cda2fbf41adf7ca1513c2d28f51f158ab21ec0fa2f65f49667cae2b013494b",
+    "C2": "f1f7ce4248c987807b7f2f12333fd8ac96c9da1ceb3eac75bfe8d6f22b3d3a9e",
+    "G2": "dd8e0d4114f7c4d22ed251e93d5fa25a02d1df308dcb32d42ab149af99d01802",
+    "A3": "b3b7b5c45113143b4c2e2682870f0a4f6767c1e3fba8648f2371515091b402c1",
+    "B3": "56e46dfbe1b1270bafc996d8658a26fba5503ca5673339dbcf101daed94156c2",
+    "C3": "b20449567930015fb2fff22836c2938e4993c02d7dc41b748901f627a0fd2892",
+    "D4": "174b9ecdfbae95a3533506266991e363ced6fa79293e04d8b537a54c6d7e4f5f",
+    "F4": "95691718ec983d05f00377072fd4ce06b13f0575c59c491363963c52134f2ef5",
+    "E6": "d90debba55c809113ec4f190faa57d5e22896fd0960a8ea69f2a5d6e9990e2ca",
+}
+
+
+@pytest.mark.parametrize("label", sorted(TABLE_DIGESTS))
+def test_structure_constants_match_recorded_tables(label):
+    alg = build_chevalley(cached_root_system(label))
+    digest = hashlib.sha256(repr(sorted(alg._table.items())).encode()).hexdigest()
+    assert digest == TABLE_DIGESTS[label]
+    rs = alg.rs
+    for xi in rs.positive_roots[alg.l:]:
+        r = next(r for r in rs.positive_roots
+                 if tuple(a - b for a, b in zip(xi, r)) in rs._root_index)
+        s = tuple(a - b for a, b in zip(xi, r))
+        p = 0
+        while tuple(a - (p + 1) * b for a, b in zip(s, r)) in rs.roots:
+            p += 1
+        assert bracket(alg.x_of_root(r), alg.x_of_root(s)) == (p + 1) * alg.x_of_root(xi)
+
+
+def _swap_long_and_short(lengths, rs):
+    lo, hi = min(lengths.values()), max(lengths.values())
+    return {r: lo + hi - v for r, v in lengths.items()}
+
+
+def _double_highest(lengths, rs):
+    return {**lengths, rs.positive_roots[-1]: 2 * lengths[rs.positive_roots[-1]]}
+
+
+@pytest.mark.parametrize("label, corrupt, message", [
+    ("G2", _swap_long_and_short, "not an integer"),
+    ("A3", _double_highest, r"not \+-\(p\+1\)"),
+], ids=["G2-rotated", "A3-special"])
+def test_closed_form_rejects_inconsistent_root_lengths(monkeypatch, label, corrupt,
+                                                       message):
+    lengths = liealg._root_lengths
+    monkeypatch.setattr(liealg, "_root_lengths", lambda rs: corrupt(lengths(rs), rs))
+    with pytest.raises(ConsistencyError, match=message):
+        liealg.LieAlgebraData(build_root_system(label))
+
+
 def test_bracket_rejects_higher_degree(a1):
     with pytest.raises(DomainError):
         bracket(a1.x(0) * a1.y(0), a1.h(0))
@@ -168,10 +223,10 @@ def test_mixed_algebra_rejected(a1, a2):
 
 def test_transpose_examples(a1):
     x, y, h = a1.x(0), a1.y(0), a1.h(0)
-    assert transpose(x) == y
-    assert transpose(y) == x
-    assert transpose(h) == h
-    assert transpose(x * y) == transpose(y) * transpose(x)
+    assert x.transpose() == y
+    assert y.transpose() == x
+    assert h.transpose() == h
+    assert (x * y).transpose() == y.transpose() * x.transpose()
 
 
 def test_transpose_involution_and_antiautomorphism():
@@ -181,18 +236,18 @@ def test_transpose_involution_and_antiautomorphism():
         for _ in range(10):
             u = random_element(alg, rng)
             v = random_element(alg, rng)
-            assert transpose(transpose(u)) == u
-            assert transpose(u * v) == transpose(v) * transpose(u)
+            assert u.transpose().transpose() == u
+            assert (u * v).transpose() == v.transpose() * u.transpose()
 
 
 # -- Harish-Chandra projection -------------------------------------------------------
 
 def test_hc_project_examples(a1):
     x, y, h = a1.x(0), a1.y(0), a1.h(0)
-    assert hc_project(x * y) == h
-    assert hc_project(y * x).is_zero()
+    assert (x * y).hc_project() == h
+    assert (y * x).hc_project().is_zero()
     p = h * h + 2 * h
-    assert hc_project(p) == p
+    assert p.hc_project() == p
 
 
 def test_hc_project_multiplicative_on_weight_zero():
@@ -202,16 +257,16 @@ def test_hc_project_multiplicative_on_weight_zero():
         for _ in range(8):
             u = random_weight_zero(alg, rng)
             v = random_weight_zero(alg, rng)
-            assert hc_project(u * v) == hc_project(u) * hc_project(v)
+            assert (u * v).hc_project() == u.hc_project() * v.hc_project()
 
 
 def test_evaluate_examples(a1):
     h = a1.h(0)
-    assert evaluate_at(h, a1.rs.rho()) == 1
-    assert evaluate_at(h * h + 2 * h, Weight([3])) == 15
-    assert evaluate_at(a1.one(), Weight([3])) == 1
+    assert h.evaluate_at(a1.rs.rho()) == 1
+    assert (h * h + 2 * h).evaluate_at(Weight([3])) == 15
+    assert a1.one().evaluate_at(Weight([3])) == 1
     with pytest.raises(DomainError):
-        evaluate_at(a1.x(0), Weight([3]))
+        a1.x(0).evaluate_at(Weight([3]))
 
 
 def test_h_substitute_shifts(a2):
