@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -220,7 +221,10 @@ def cmd_norm(cfg: RunConfig, elements: Sequence[str]) -> int:
     for u in parsed:
         ln = gaussnorm.log_norm(u, np)
         display = "0" if ln.is_bottom else f"{np.p}^({ln.value})"
-        approx = 0.0 if ln.is_bottom else float(np.p) ** float(ln.value)
+        try:
+            approx = 0.0 if ln.is_bottom else float(np.p) ** float(ln.value)
+        except OverflowError:
+            approx = None  # p^value is past the float range; log_norm is exact
         out.append({"log_norm": None if ln.is_bottom else
                     jsonio.frac_to_json(ln.value),
                     "norm": display, "norm_decimal": approx})
@@ -233,8 +237,11 @@ def cmd_norm(cfg: RunConfig, elements: Sequence[str]) -> int:
         _emit(result)
         return EXIT_OK
     for row in out:
+        approx = row["norm_decimal"]
+        if approx is None:
+            approx = math.inf
         print(f"log_{np.p}|u| = {row['log_norm']}  "
-              f"(|u| = {row['norm']} ~ {row['norm_decimal']:.6g})")
+              f"(|u| = {row['norm']} ~ {approx:.6g})")
     if "submultiplicative" in result:
         print(f"submultiplicative: {result['submultiplicative']}")
     return EXIT_OK

@@ -6,10 +6,16 @@ working with log_p of the norm: the value is max_A(-v_p(d_A) + |A| s),
 a rational number, with a bottom element standing in for the norm 0 of
 the zero element.  Radii with s <= 0 are rejected; submultiplicativity
 only holds for r > 1.
+
+The maximum is taken on integers, in units of 1/b for s = a/b: a term
+with coefficient n/m and degree |A| scores |A| a - b (v_p(n) - v_p(m)),
+and one Fraction is built from the best score.  The prime is checked
+once, when the NormParam is made.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -29,22 +35,33 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _checked_prime(p) -> int:
+    """p as an int, or DomainError unless it is an integer and prime."""
+    try:
+        n = operator.index(p)
+    except TypeError:
+        raise DomainError(f"{p!r} is not an integer prime") from None
+    if not is_prime(n):
+        raise DomainError(f"{n} is not prime")
+    return n
+
+
+def _vp_int(n: int, p: int) -> int:
+    """Exponent of the prime p in the nonzero integer n."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
 def vp(c, p: int) -> int:
     """p-adic valuation of a nonzero rational; |c| = p^(-vp(c))."""
     c = Fraction(c)
     if c == 0:
         raise DomainError("valuation of zero is undefined")
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
-    v = 0
-    num, den = c.numerator, c.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+    p = _checked_prime(p)
+    return _vp_int(c.numerator, p) - _vp_int(c.denominator, p)
 
 
 @dataclass(frozen=True)
@@ -55,8 +72,7 @@ class NormParam:
     s: Fraction
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise DomainError(f"{self.p} is not prime")
+        object.__setattr__(self, "p", _checked_prime(self.p))
         object.__setattr__(self, "s", Fraction(self.s))
         if self.s <= 0:
             raise DomainError("log-radius must be positive (r > 1)")
@@ -108,12 +124,11 @@ def log_norm(u: UEAElement, np: NormParam) -> LogNorm:
     """max over the support of (-vp(coefficient) + degree * s)."""
     if u.is_zero():
         return LogNorm.bottom()
-    best: Optional[Fraction] = None
-    for exps, coef in u.terms.items():
-        val = -vp(coef, np.p) + sum(exps) * np.s
-        if best is None or val > best:
-            best = val
-    return LogNorm(best)
+    p, a, b = np.p, np.s.numerator, np.s.denominator
+    best = max(sum(exps) * a - b * (_vp_int(coef.numerator, p)
+                                    - _vp_int(coef.denominator, p))
+               for exps, coef in u.terms.items())
+    return LogNorm(Fraction(best, b))
 
 
 def check_submultiplicative(u: UEAElement, v: UEAElement, np: NormParam) -> bool:

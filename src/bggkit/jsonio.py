@@ -72,7 +72,10 @@ def element_from_json(alg: LieAlgebraData, obj) -> UEAElement:
     for row in obj:
         if not isinstance(row, dict) or "exps" not in row or "coef" not in row:
             raise UsageError("element rows need 'exps' and 'coef' fields")
-        exps = tuple(int(e) for e in row["exps"])
+        try:
+            exps = tuple(int(e) for e in row["exps"])
+        except (TypeError, ValueError, OverflowError):
+            raise UsageError(f"bad exponent vector {row['exps']!r}") from None
         if len(exps) != alg.d or any(e < 0 for e in exps):
             raise UsageError(f"exponent vector must have length {alg.d} "
                              "with nonnegative entries")

@@ -344,7 +344,8 @@ class UEAElement:
     def __init__(self, alg: LieAlgebraData, terms):
         clean = {}
         for exps, coef in terms.items():
-            coef = Fraction(coef)
+            if type(coef) is not Fraction:
+                coef = Fraction(coef)
             if coef:
                 clean[tuple(exps)] = coef
         object.__setattr__(self, "alg", alg)
@@ -363,7 +364,7 @@ class UEAElement:
         self._check_same(other)
         out = dict(self.terms)
         for exps, coef in other.terms.items():
-            out[exps] = out.get(exps, Fraction(0)) + coef
+            out[exps] = out[exps] + coef if exps in out else coef
         return UEAElement(self.alg, out)
 
     def __sub__(self, other: "UEAElement") -> "UEAElement":
@@ -386,7 +387,8 @@ class UEAElement:
             for eb, cb in other.terms.items():
                 scale = ca * cb
                 for mono, c in kernel.multiply_monomials(ea, eb).items():
-                    out[mono] = out.get(mono, Fraction(0)) + scale * c
+                    x = scale * c
+                    out[mono] = out[mono] + x if mono in out else x
         return UEAElement(self.alg, out)
 
     def __pow__(self, n: int) -> "UEAElement":

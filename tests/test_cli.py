@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bggkit import cli
 
@@ -195,3 +199,61 @@ def test_json_outputs_are_deterministic(capsys):
     _, out2, _ = run_cli(capsys, "block", "--type", "A2", "--weight", "0,0",
                          "--json")
     assert out1 == out2
+
+
+# -- norm: large values and random input ----------------------------------------
+
+def test_norm_beyond_float_range(capsys):
+    # 5^1000 does not fit in a float; the exact log norm is still reported
+    element = json.dumps([{"exps": [0, 0, 1], "coef": "1"}])
+    argv = ["norm", "--type", "A1", "--prime", "5", "--log-radius", "1000",
+            "--element", element]
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    row = json.loads(out)["norms"][0]
+    assert row["log_norm"] == 1000
+    assert row["norm_decimal"] is None
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == "log_5|u| = 1000  (|u| = 5^(1000) ~ inf)\n"
+
+
+_ALGEBRA_DIM = {"A1": 3, "A2": 8, "B2": 10}
+_COEFS = st.one_of(st.integers(-30, 30),
+                   st.sampled_from(["1/2", "-25/3", "10007", "0", "x", "1/0"]),
+                   st.floats(allow_nan=False, allow_infinity=False),
+                   st.none(), st.booleans())
+
+
+@st.composite
+def _norm_argv(draw):
+    label = draw(st.sampled_from(sorted(_ALGEBRA_DIM)))
+    d = _ALGEBRA_DIM[label]
+    exps = st.one_of(
+        st.lists(st.integers(0, 3), min_size=d, max_size=d),
+        st.lists(st.integers(-1, 3), min_size=d - 1, max_size=d + 1),
+        st.integers(), st.text(max_size=3),
+        st.lists(st.one_of(st.text(max_size=2), st.none()), max_size=3))
+    row = st.one_of(st.fixed_dictionaries({"exps": exps, "coef": _COEFS}),
+                    st.integers(), st.dictionaries(st.text(max_size=4),
+                                                   st.integers(), max_size=2))
+    element = st.one_of(st.lists(row, max_size=4).map(json.dumps),
+                        st.text(max_size=6))
+    argv = ["norm", "--type", label,
+            "--prime=%d" % draw(st.sampled_from([0, 1, 2, 4, 5, -3, 10007])),
+            "--log-radius=" + draw(st.sampled_from(
+                ["1/2", "3", "0", "-1/2", "abc", "1/0", "1000"]))]
+    for text in draw(st.lists(element, min_size=1, max_size=2)):
+        argv.append("--element=" + text)
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(_norm_argv())
+def test_norm_exit_codes_on_random_input(argv):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    assert code in (0, 1, 2)

@@ -32,6 +32,14 @@ def test_norm_param_validation():
         NormParam(5, F(-1, 2))
 
 
+@pytest.mark.parametrize("p", [5.0, F(5), F(5, 2), 2.5, "5", None])
+def test_norm_param_rejects_non_integer_prime(p):
+    with pytest.raises(DomainError):
+        NormParam(p, F(1))
+    with pytest.raises(DomainError):
+        vp(25, p)
+
+
 def test_log_norm_examples(a1):
     np = NormParam(5, F(1, 2))
     assert log_norm(a1.one(), np) == LogNorm.of(0)
@@ -95,3 +103,49 @@ def test_monotone_in_s(a1):
     for s in (F(1, 2), F(1), F(2)):
         values.append(log_norm(u, NormParam(3, s)).value)
     assert values == sorted(values)
+
+
+def _valuation_by_division(c, p):
+    """v_p(c) by dividing (or multiplying) the Fraction c by p."""
+    v = 0
+    while (c / p).denominator % p:  # c / p is still p-integral
+        c /= p
+        v += 1
+    while c.denominator % p == 0:
+        c *= p
+        v -= 1
+    return v
+
+
+def _random_element(alg, rng, p):
+    terms = {}
+    for _ in range(rng.randint(0, 5)):
+        exps = [0] * alg.d
+        for _ in range(rng.randint(0, 4)):
+            exps[rng.randrange(alg.d)] += 1
+        num = rng.choice([-1, 1]) * rng.randint(0, 40) * p ** rng.randint(0, 3)
+        terms[tuple(exps)] = F(num, rng.randint(1, 30) * p ** rng.randint(0, 2))
+    return UEAElement(alg, terms)
+
+
+@pytest.mark.parametrize("label", ["A1", "B2", "G2"])
+def test_log_norm_matches_division_oracle(label):
+    alg = build_chevalley(cached_root_system(label))
+    rng = random.Random(17)
+    cases = 0
+    for p in (2, 3, 5, 7):
+        elements = [alg.zero()]
+        elements += [_random_element(alg, rng, p) for _ in range(12)]
+        elements.append(elements[-1] * elements[-2])
+        for s in (F(1, 3), F(1, 2), F(1), F(5, 2), F(7)):
+            np = NormParam(p, s)
+            for u in elements:
+                got = log_norm(u, np)
+                if u.is_zero():
+                    assert got.is_bottom
+                    continue
+                expected = max(-_valuation_by_division(c, p) + sum(e) * s
+                               for e, c in u.terms.items())
+                assert got == LogNorm.of(expected), (label, p, s, u)
+                cases += 1
+    assert cases > 150
