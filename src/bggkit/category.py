@@ -47,6 +47,8 @@ def weight_space_basis(alg: LieAlgebraData, nu: RootVec) -> Tuple[YMono, ...]:
     """Monomials y^A of weight -nu, lexicographically sorted; cached."""
     cache = alg._wspace_cache
     nu = tuple(int(c) for c in nu)
+    if len(nu) != alg.l:
+        raise DomainError("coordinate vector has wrong rank")
     got = cache.get(nu)
     if got is not None:
         return got

@@ -96,6 +96,26 @@ def _emit(obj):
 # -- subcommand implementations ---------------------------------------------
 
 
+def _check_rank(rs: RootSystem, option: str, text: str, coords) -> None:
+    if len(coords) != rs.rank:
+        raise DomainError(f"{option} {text} has wrong rank: expected "
+                          f"{rs.rank} coordinates, got {len(coords)}")
+
+
+def _weight(rs: RootSystem, text: str, option: str = "--weight") -> Weight:
+    """Parse a weight and check it against the rank."""
+    lam = jsonio.parse_weight(text)
+    _check_rank(rs, option, text, lam.coords)
+    return lam
+
+
+def _nu(rs: RootSystem, text: str):
+    """Parse an integer vector and check it against the rank."""
+    vec = jsonio.parse_int_vector(text)
+    _check_rank(rs, "--nu", text, vec)
+    return vec
+
+
 def cmd_roots(cfg: RunConfig) -> int:
     rs = cfg.root_system()
     if cfg.json_output:
@@ -115,7 +135,7 @@ def cmd_roots(cfg: RunConfig) -> int:
 
 def cmd_weyl_orbit(cfg: RunConfig, weight: str) -> int:
     rs = cfg.root_system()
-    lam = jsonio.parse_weight(weight)
+    lam = _weight(rs, weight)
     orbit = rs.dot_orbit(lam)
     anti = rs.is_antidominant(lam, cfg.convention)
     if cfg.json_output:
@@ -134,9 +154,10 @@ def cmd_weyl_orbit(cfg: RunConfig, weight: str) -> int:
 
 def cmd_kostant(cfg: RunConfig, nu: str) -> int:
     rs = cfg.root_system()
-    value = rs.kostant_p(jsonio.parse_int_vector(nu))
+    vec = _nu(rs, nu)
+    value = rs.kostant_p(vec)
     if cfg.json_output:
-        _emit({"nu": list(jsonio.parse_int_vector(nu)), "kostant": value})
+        _emit({"nu": list(vec), "kostant": value})
     else:
         print(value)
     return EXIT_OK
@@ -144,9 +165,9 @@ def cmd_kostant(cfg: RunConfig, nu: str) -> int:
 
 def cmd_verma_mult(cfg: RunConfig, weight: str, nu: Optional[str]) -> int:
     alg = cfg.algebra()
-    lam = jsonio.parse_weight(weight)
+    lam = _weight(alg.rs, weight)
     if nu is not None:
-        vec = jsonio.parse_int_vector(nu)
+        vec = _nu(alg.rs, nu)
         depth = max(sum(vec), cfg.depth or 0)
         vslice = category.verma_slice(alg, lam, depth)
         dim = vslice.dimension(vec)
@@ -174,7 +195,7 @@ def cmd_verma_mult(cfg: RunConfig, weight: str, nu: Optional[str]) -> int:
 
 def cmd_central_char(cfg: RunConfig, weight: str) -> int:
     alg = cfg.algebra()
-    lam = jsonio.parse_weight(weight)
+    lam = _weight(alg.rs, weight)
     omega = liealg.casimir(alg)
     chi = harish.central_character(lam, omega)
     psi = harish.hc_psi(omega)
@@ -192,7 +213,8 @@ def cmd_central_char(cfg: RunConfig, weight: str) -> int:
 
 def cmd_linked(cfg: RunConfig, weights: str) -> int:
     rs = cfg.root_system()
-    items = [jsonio.parse_weight(part) for part in weights.split(";") if part]
+    items = [_weight(rs, part, "--weights member") for part in weights.split(";")
+             if part]
     if not items:
         raise UsageError("no weights given")
     classes = []
@@ -249,8 +271,8 @@ def cmd_norm(cfg: RunConfig, elements: Sequence[str]) -> int:
 
 def cmd_shapovalov(cfg: RunConfig, weight: str, nu: str) -> int:
     alg = cfg.algebra()
-    lam = jsonio.parse_weight(weight)
-    vec = jsonio.parse_int_vector(nu)
+    lam = _weight(alg.rs, weight)
+    vec = _nu(alg.rs, nu)
     matrix = category.shapovalov_matrix(alg, lam, vec)
     rank = category.simple_weight_mult(alg, lam, vec)
     if cfg.json_output:
@@ -269,8 +291,8 @@ def cmd_shapovalov(cfg: RunConfig, weight: str, nu: str) -> int:
 
 def cmd_maximal_vectors(cfg: RunConfig, weight: str, nu: str) -> int:
     alg = cfg.algebra()
-    lam = jsonio.parse_weight(weight)
-    vec = jsonio.parse_int_vector(nu)
+    lam = _weight(alg.rs, weight)
+    vec = _nu(alg.rs, nu)
     depth = cfg.depth if cfg.depth is not None else sum(vec)
     found = category.maximal_vectors(alg, lam, vec, depth)
     rows = [[{"exps": list(mono), "coef": jsonio.frac_to_json(c)}
@@ -295,7 +317,7 @@ def _decomposition_json(dec: category.DecompositionMatrix):
 
 def cmd_decomp(cfg: RunConfig, weight: str) -> int:
     alg = cfg.algebra()
-    lam = jsonio.parse_weight(weight)
+    lam = _weight(alg.rs, weight)
     dec = category.decomposition_matrix(alg, lam, cfg.depth)
     if cfg.json_output:
         _emit(_decomposition_json(dec))
@@ -311,7 +333,7 @@ def cmd_decomp(cfg: RunConfig, weight: str) -> int:
 
 def cmd_block(cfg: RunConfig, weight: str) -> int:
     alg = cfg.algebra()
-    lam = jsonio.parse_weight(weight)
+    lam = _weight(alg.rs, weight)
     report = category.block_report(alg, lam, cfg.depth)
     if cfg.json_output:
         _emit({

@@ -129,12 +129,5 @@ def invert(matrix):
     return [row[n:] for row in rows]
 
 
-def mat_mul(a, b):
-    """Matrix product with exact entries."""
-    return [[sum(a[i][k] * b[k][j] for k in range(len(b)))
-             for j in range(len(b[0]))]
-            for i in range(len(a))]
-
-
 def mat_vec(a, v):
     return [sum(row[k] * v[k] for k in range(len(v))) for row in a]

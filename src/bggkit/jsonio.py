@@ -72,10 +72,12 @@ def element_from_json(alg: LieAlgebraData, obj) -> UEAElement:
     for row in obj:
         if not isinstance(row, dict) or "exps" not in row or "coef" not in row:
             raise UsageError("element rows need 'exps' and 'coef' fields")
-        try:
-            exps = tuple(int(e) for e in row["exps"])
-        except (TypeError, ValueError, OverflowError):
-            raise UsageError(f"bad exponent vector {row['exps']!r}") from None
+        exps = row["exps"]
+        if not isinstance(exps, list) or not all(
+                isinstance(e, int) and not isinstance(e, bool) for e in exps):
+            raise UsageError(f"exponent vector must be an array of integers, "
+                             f"got {exps!r}")
+        exps = tuple(exps)
         if len(exps) != alg.d or any(e < 0 for e in exps):
             raise UsageError(f"exponent vector must have length {alg.d} "
                              "with nonnegative entries")

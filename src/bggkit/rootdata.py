@@ -10,14 +10,23 @@ Conventions used throughout bggkit:
 
 Roots convert to weights through the Cartan matrix: the weight
 coordinates of ``alpha = sum_j c_j alpha_j`` are ``C . c``.
+
+The Weyl group rests on one primitive, the simple reflection of a
+coordinate tuple (``RootSystem.reflect``).  An element w is a reduced
+word plus its key w^{-1} rho, an integer tuple that determines w because
+rho is regular; the key of w s_i is s_i of the key of w, and s_i is a
+right descent of w exactly when the i-th entry of the key is negative.
+The Bruhat order uses the lifting property (Bjorner-Brenti, GTM 231,
+2.2.7): for a right descent s of w, u <= w iff us <= ws when s is also a
+right descent of u, and iff u <= ws when it is not.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import ConsistencyError, DomainError, NotARootError, NotFiniteTypeError
@@ -198,6 +207,7 @@ class RootSystem:
         self._coroot = dict(coroots)
         self._root_index = {r: i for i, r in enumerate(self.positive_roots)}
         self._cartan_inv = exactla.invert(cartan.entries)
+        self._cartan_columns = tuple(zip(*cartan.entries))
         self._kostant_cache = {(0,) * self.rank: 1}
         self._weyl = None
         self._chevalley = None
@@ -262,12 +272,12 @@ class RootSystem:
 
     # -- Weyl group -----------------------------------------------------
 
-    def simple_reflection_matrix(self, i: int):
-        """Matrix of s_i on H-coordinates: (s_i lam)_j = lam_j - C[j][i] lam_i."""
-        cart = self.cartan.entries
-        l = self.rank
-        return tuple(tuple((1 if j == k else 0) - (cart[j][i] if k == i else 0)
-                           for k in range(l)) for j in range(l))
+    def reflect(self, v, *indices) -> tuple:
+        """s_i for each i in turn on H-coordinates: (s_i v)_j = v_j - C[j][i] v_i."""
+        for i in indices:
+            vi = v[i]
+            v = tuple(x - c * vi for x, c in zip(v, self._cartan_columns[i]))
+        return v
 
     def weyl_group(self) -> "WeylGroup":
         if self._weyl is None:
@@ -279,23 +289,26 @@ class RootSystem:
         return w.act(lam + rho) - rho
 
     def dot_orbit(self, lam: Weight):
-        """{w . lam : w in W}, deduplicated, in block ordering."""
-        rho = self.rho()
-        shifted = lam + rho
-        seen = {shifted.coords}
-        frontier = [shifted]
-        mats = [self.simple_reflection_matrix(i) for i in range(self.rank)]
+        """{w . lam : w in W}, deduplicated, in block ordering.
+
+        lam + rho is scaled by the lcm of its denominators and closed
+        under the simple reflections as an integer tuple.
+        """
+        scale = lcm(*(c.denominator for c in lam.coords))
+        start = tuple(int((c + 1) * scale) for c in lam.coords)
+        seen = {start}
+        frontier = [start]
         while frontier:
             nxt = []
             for v in frontier:
-                for mat in mats:
-                    img = Weight(exactla.mat_vec(mat, list(v.coords)))
-                    if img.coords not in seen:
-                        seen.add(img.coords)
+                for i in range(self.rank):
+                    img = self.reflect(v, i)
+                    if img not in seen:
+                        seen.add(img)
                         nxt.append(img)
             frontier = nxt
-        orbit = [Weight(c) - rho for c in sorted(seen)]
-        return self.block_ordering(orbit)
+        return self.block_ordering(
+            [Weight(Fraction(x, scale) - 1 for x in v) for v in seen])
 
     def is_linked(self, lam: Weight, mu: Weight) -> bool:
         """True iff mu lies in the dot orbit of lam (same fiber of pi)."""
@@ -424,14 +437,14 @@ def build_root_system(source) -> RootSystem:
 
 
 class WeylElement:
-    """Group element stored as a reduced word plus its action matrix."""
+    """Group element stored as a reduced word plus its key w^{-1} rho."""
 
-    __slots__ = ("group", "word", "matrix")
+    __slots__ = ("group", "word", "key")
 
-    def __init__(self, group: "WeylGroup", word: Tuple[int, ...], matrix):
+    def __init__(self, group: "WeylGroup", word: Tuple[int, ...], key):
         self.group = group
         self.word = word
-        self.matrix = matrix
+        self.key = key
 
     @property
     def length(self) -> int:
@@ -439,28 +452,28 @@ class WeylElement:
 
     def act(self, lam: Weight) -> Weight:
         """Ordinary linear action on H-coordinates."""
-        return Weight(exactla.mat_vec(self.matrix, list(lam.coords)))
+        return Weight(self.group.rs.reflect(lam.coords, *reversed(self.word)))
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
-        mat = tuple(tuple(r) for r in exactla.mat_mul(self.matrix, other.matrix))
-        return self.group.element_by_matrix(mat)
+        # (u v)^{-1} rho = v^{-1} (u^{-1} rho): the word of v, left to right
+        return self.group._by_key[self.group.rs.reflect(self.key, *other.word)]
 
     def inverse(self) -> "WeylElement":
-        mat = tuple(tuple(r) for r in exactla.invert(self.matrix))
-        return self.group.element_by_matrix(mat)
+        rho = self.group.identity.key
+        return self.group._by_key[self.group.rs.reflect(rho, *reversed(self.word))]
 
     def __eq__(self, other):
-        return isinstance(other, WeylElement) and self.matrix == other.matrix
+        return isinstance(other, WeylElement) and self.key == other.key
 
     def __hash__(self):
-        return hash(self.matrix)
+        return hash(self.key)
 
     def __repr__(self):
         return "W[%s]" % ("".join(f"s{i + 1}" for i in self.word) or "e")
 
 
 class WeylGroup:
-    """Full enumeration of W by breadth-first search over reduced words.
+    """Full enumeration of W by breadth-first search over the keys w^{-1} rho.
 
     Only sensible for small-rank systems (the enumeration cap guards
     against accidental use on huge groups).  Elements come out ordered
@@ -470,26 +483,24 @@ class WeylGroup:
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
-        l = rs.rank
-        gens = [rs.simple_reflection_matrix(i) for i in range(l)]
-        identity = tuple(tuple(int(i == j) for j in range(l)) for i in range(l))
-        found = {identity: ()}
-        frontier = [identity]
+        rho = (1,) * rs.rank
+        found = {rho: ()}
+        frontier = [rho]
         while frontier:
             nxt = []
-            for mat in frontier:
-                word = found[mat]
-                for i in range(l):
-                    prod = tuple(tuple(r) for r in exactla.mat_mul(mat, gens[i]))
-                    if prod not in found:
-                        found[prod] = word + (i,)
-                        nxt.append(prod)
+            for key in frontier:
+                word = found[key]
+                for i in range(rs.rank):
+                    img = rs.reflect(key, i)
+                    if img not in found:
+                        found[img] = word + (i,)
+                        nxt.append(img)
                         if len(found) > WEYL_ENUMERATION_CAP:
                             raise DomainError("Weyl group too large to enumerate")
             frontier = nxt
         ordered = sorted(found.items(), key=lambda kv: (len(kv[1]), kv[1]))
-        self.elements = tuple(WeylElement(self, w, m) for m, w in ordered)
-        self._by_matrix = {e.matrix: e for e in self.elements}
+        self.elements = tuple(WeylElement(self, w, k) for k, w in ordered)
+        self._by_key = {e.key: e for e in self.elements}
 
     def __len__(self):
         return len(self.elements)
@@ -502,18 +513,11 @@ class WeylGroup:
         return self.elements[0]
 
     def simple_reflection(self, i: int) -> WeylElement:
-        mat = self.rs.simple_reflection_matrix(i)
-        return self._by_matrix[tuple(tuple(r) for r in mat)]
+        return self._by_key[self.rs.reflect(self.identity.key, i)]
 
     @property
     def longest_element(self) -> WeylElement:
         return self.elements[-1]
-
-    def element_by_matrix(self, mat) -> WeylElement:
-        try:
-            return self._by_matrix[mat]
-        except KeyError:
-            raise DomainError("matrix is not a Weyl group element") from None
 
     def from_word(self, word: Iterable[int]) -> WeylElement:
         elt = self.identity
@@ -522,19 +526,19 @@ class WeylGroup:
         return elt
 
     def bruhat_leq(self, u: WeylElement, w: WeylElement) -> bool:
-        """Subword characterization: u <= w iff some subword of a reduced
-        word of w is a reduced word for u."""
-        if u.length > w.length:
-            return False
-        word = w.word
-        target = u.matrix
-        for k in range(len(word) + 1):
-            if k != u.length:
-                continue
-            for sub in itertools.combinations(word, k):
-                elt = self.from_word(sub)
-                if elt.length == k and elt.matrix == target:
-                    return True
+        """u <= w in the Bruhat order, by the lifting property in ell(w) steps."""
+        reflect = self.rs.reflect
+        ku, kw = u.key, w.key
+        lu, lw = u.length, w.length
+        while lu <= lw:
+            if lw == 0:
+                return True
+            i = next(j for j, x in enumerate(kw) if x < 0)
+            kw = reflect(kw, i)
+            lw -= 1
+            if ku[i] < 0:
+                ku = reflect(ku, i)
+                lu -= 1
         return False
 
 

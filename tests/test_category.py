@@ -199,6 +199,49 @@ def test_decomposition_a1(a1):
     assert projective_filtration_matrix(sing) == ((1,),)
 
 
+def _kl_values_at_one(weyl):
+    """P_{x,w}(1) for x <= w, by the Kazhdan-Lusztig recursion.
+
+    For a left descent s of w and v = sw:
+    P_{x,w} = q^(1-c) P_{sx,v} + q^c P_{x,v}
+              - sum over z < v with sz < z of mu(z,v) q^((l(w)-l(z))/2) P_{x,z},
+    with c = 1 if sx < x and 0 otherwise, and mu(z,v) the coefficient of
+    q^((l(v)-l(z)-1)/2) in P_{z,v}.  Polynomials are {degree: coefficient}.
+    """
+    gens = [weyl.simple_reflection(i) for i in range(weyl.rs.rank)]
+    poly = {}
+
+    def get(x, w):
+        return poly.get((x, w), {})
+
+    def mu(z, v):
+        gap = v.length - z.length
+        return get(z, v).get((gap - 1) // 2, 0) if gap % 2 else 0
+
+    for w in weyl:  # by length, so every shorter P is known
+        if w.length == 0:
+            poly[(w, w)] = {0: 1}
+            continue
+        s = next(g for g in gens if (g * w).length < w.length)
+        v = s * w
+        corrections = [(z, mu(z, v)) for z in weyl
+                       if (s * z).length < z.length and mu(z, v)]
+        for x in weyl:
+            if not weyl.bruhat_leq(x, w):
+                continue
+            c = 1 if (s * x).length < x.length else 0
+            p = {}
+            for shift, term in ((1 - c, get(s * x, v)), (c, get(x, v))):
+                for d, a in term.items():
+                    p[d + shift] = p.get(d + shift, 0) + a
+            for z, m in corrections:
+                shift = (w.length - z.length) // 2
+                for d, a in get(x, z).items():
+                    p[d + shift] = p.get(d + shift, 0) - m * a
+            poly[(x, w)] = {d: a for d, a in p.items() if a}
+    return {key: sum(p.values()) for key, p in poly.items()}
+
+
 @pytest.mark.parametrize("label, weight, twos", [
     ("A2", (0, 0), 0), ("A2", (3, 2), 0), ("B2", (1, 1), 0), ("G2", (0, 0), 0),
     ("A3", (0, 0, 0), 6),
@@ -206,6 +249,7 @@ def test_decomposition_a1(a1):
 def test_decomposition_bruhat(label, weight, twos):
     """Regular integral blocks: [M(u.lam) : L(v.lam)] = P_{u,v}(1).
 
+    P comes from the Kazhdan-Lusztig recursion over the enumerated group.
     Every dihedral Kazhdan-Lusztig polynomial is 1, so in rank 2 D is the
     Bruhat incidence matrix; in S4 exactly six pairs have P = 1 + q.
     """
@@ -216,9 +260,11 @@ def test_decomposition_bruhat(label, weight, twos):
     by_weight = {alg.rs.dot_action(w, lam).coords: w for w in weyl}
     elements = [by_weight[w.coords] for w in dec.class_weights]
     assert dec.size == len(by_weight)
+    kl = _kl_values_at_one(weyl)
     for i in range(dec.size):
         for j in range(dec.size):
             assert (dec.entries[i][j] != 0) == weyl.bruhat_leq(elements[i], elements[j])
+            assert dec.entries[i][j] == kl.get((elements[i], elements[j]), 0)
     support = [x for row in dec.entries for x in row if x]
     assert set(support) <= {1, 2}
     assert support.count(2) == twos

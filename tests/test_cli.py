@@ -201,6 +201,38 @@ def test_json_outputs_are_deterministic(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("argv", [
+    ["weyl-orbit", "--weight", "1,2,3"],
+    ["weyl-orbit", "--weight", "1"],
+    ["block", "--weight", "0,0,0"],
+    ["central-char", "--weight", "1"],
+    ["decomp", "--weight", "0"],
+    ["linked", "--weights", "0,0;1"],
+    ["maximal-vectors", "--weight", "1,1", "--nu", "1,1,1"],
+    ["verma-mult", "--weight", "1,1", "--nu", "1,1,1"],
+    ["verma-mult", "--weight", "1,1,1"],
+    ["shapovalov", "--weight", "1,1", "--nu", "1"],
+    ["shapovalov", "--weight", "1", "--nu", "1,1"],
+    ["kostant", "--nu", "1,1,1"],
+], ids=lambda argv: "-".join(argv[::2]))
+def test_wrong_rank_is_domain_error(capsys, argv):
+    code, out, err = run_cli(capsys, argv[0], "--type", "A2", *argv[1:])
+    assert code == 1
+    assert "wrong rank" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("exps", ["001", [0, 0, 1.9], [0, 0, True], [0, 0, "1"]],
+                         ids=["string", "float", "bool", "string-entry"])
+def test_norm_rejects_non_integer_exponents(capsys, exps):
+    element = json.dumps([{"exps": exps, "coef": "5"}])
+    code, out, err = run_cli(capsys, "norm", "--type", "A1", "--prime", "5",
+                             "--element", element)
+    assert code == 2
+    assert "exponent" in err
+    assert out == ""
+
+
 # -- norm: large values and random input ----------------------------------------
 
 def test_norm_beyond_float_range(capsys):

@@ -1,9 +1,11 @@
+import hashlib
 import itertools
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bggkit import cli
 from bggkit.errors import DomainError, NotARootError, NotFiniteTypeError
 from bggkit.rootdata import (STRICT, WIDE, CartanMatrixInput, Weight,
                              build_root_system, cached_root_system)
@@ -180,6 +182,82 @@ def test_bruhat_order_on_a2(rs_a2):
     assert not weyl.bruhat_leq(s1, s0)
     assert weyl.bruhat_leq(s0, s0 * s1)
     assert weyl.bruhat_leq(s1, s0 * s1)
+
+
+def _subword_leq(rs, u, w):
+    """Reference Bruhat order: some subword of w's reduced word is a word for u.
+
+    Elements are compared by their action on rho, computed here from the
+    Cartan matrix: a word of length l(u) that acts like u is reduced.
+    """
+    cart = rs.cartan.entries
+
+    def acts_on_rho(word):
+        v = [1] * rs.rank
+        for i in reversed(word):
+            vi = v[i]
+            v = [x - cart[j][i] * vi for j, x in enumerate(v)]
+        return tuple(v)
+
+    target = acts_on_rho(u.word)
+    return any(acts_on_rho(sub) == target
+               for sub in itertools.combinations(w.word, u.length))
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "B3"])
+def test_bruhat_lifting_matches_subword_definition(label):
+    rs = build_root_system(label)
+    weyl = rs.weyl_group()
+    for u in weyl:
+        for w in weyl:
+            assert weyl.bruhat_leq(u, w) == _subword_leq(rs, u, w), (u, w)
+
+
+# sha256 of the reduced words, one "i,j,..." line per element in group order
+WORD_DIGESTS = {
+    "A1": "c7757c0896cbfe6182d8ea2bda4a8bf94addc428980eedab8609c57ca7ff1763",
+    "A2": "d920d6f79dfc349df7b933fd08eef76009b40537742deea07646f4149d4e6ffe",
+    "A3": "aa028b59dc6bd377029facba5790d51fbc3c8e3cf6253d04f0347e886fb63f36",
+    "A4": "f8f430f0ca0e15903ae064d3b36b29b7fb62e24b8caebbddac608aeb7184df1e",
+    "B2": "12fc614d609f7c9ad71f728ea11a58c1b59b279df75312b761cc97ece736e7ed",
+    "B3": "280309092363fbfe409a5cb32104209e1b7b9f005dc50447e94e90d15d89bbce",
+    "C3": "280309092363fbfe409a5cb32104209e1b7b9f005dc50447e94e90d15d89bbce",
+    "D4": "0f557c5e886141f476a5b821551eea5b8a45441a88c4906ef0caefe5d432d4b6",
+    "F4": "90f285954803f4dd90984f01c0488ef95cc1b331852cc81e4cba1cb85f01c81b",
+    "G2": "ed1b087277304659f38d8cb76f7490d04bc55b5c2a654bfaeca313a82b27fc22",
+}
+
+
+@pytest.mark.parametrize("label", sorted(WORD_DIGESTS))
+def test_weyl_words_match_recorded_digests(label):
+    weyl = build_root_system(label).weyl_group()
+    text = "\n".join(",".join(map(str, e.word)) for e in weyl)
+    assert hashlib.sha256(text.encode()).hexdigest() == WORD_DIGESTS[label]
+
+
+# sha256 of the concatenated `weyl-orbit --json` outputs: an integral, a
+# singular, a denominator-2 and a denominator-3 weight
+ORBIT_DIGESTS = {
+    "A2": (("0,0", "-1,0", "1/2,-1/2", "1/3,2/3"),
+           "7a604649d80a282ccb18e97dc9f1a16ad2886849eaa3e4434de139e0a2227e14"),
+    "B2": (("0,0", "0,-1", "1/2,1/2", "2/3,-1/3"),
+           "04a2c794a0dc5aa428ae96358601d399f96a3f39b55431f2fd7c6c442d8bd26d"),
+    "G2": (("0,0", "-1,1", "1/2,0", "1/3,-1/3"),
+           "f0f897edb09caeafb64bf6bc5417e2b97344747d1c898012b5a4e6e2610b05a3"),
+    "A3": (("0,0,0", "-1,0,2", "1/2,0,-1/2", "1/3,-2/3,0"),
+           "3ecfb1ec0460e0af0d645c7c1994be61b1612dc5f1b1d3515ebcc9019229c8cb"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(ORBIT_DIGESTS))
+def test_weyl_orbit_json_matches_recorded_digests(label, capsys):
+    weights, digest = ORBIT_DIGESTS[label]
+    out = ""
+    for w in weights:
+        assert cli.main(["weyl-orbit", "--type", label, "--weight=" + w,
+                         "--json"]) == 0
+        out += capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # -- orders ---------------------------------------------------------------------
