@@ -35,14 +35,6 @@ RootVec = Tuple[int, ...]
 YMono = Tuple[int, ...]
 
 
-def _gamma_coords(alg: LieAlgebraData, diff: Weight) -> Optional[RootVec]:
-    """Integer simple-root coordinates of a weight, or None if outside Gamma."""
-    coords = alg.rs.weight_root_coords(diff)
-    if any(c.denominator != 1 or c < 0 for c in coords):
-        return None
-    return tuple(int(c) for c in coords)
-
-
 def weight_space_basis(alg: LieAlgebraData, nu: RootVec) -> Tuple[YMono, ...]:
     """Monomials y^A of weight -nu, lexicographically sorted; cached."""
     cache = alg._wspace_cache
@@ -465,10 +457,6 @@ class DecompositionMatrix:
         return len(self.class_weights)
 
 
-def _class_difference(alg, lam, mu) -> Optional[RootVec]:
-    return _gamma_coords(alg, lam - mu)
-
-
 def decomposition_matrix(alg: LieAlgebraData, lam: Weight,
                          depth: Optional[int] = None) -> DecompositionMatrix:
     """Solve the block's character system for [M(lam_i) : L(mu_j)].
@@ -483,22 +471,23 @@ def decomposition_matrix(alg: LieAlgebraData, lam: Weight,
     rs = alg.rs
     cls = tuple(rs.dot_orbit(lam))
     s = len(cls)
-    auto_depth = int(rs.weight_height(cls[0] - cls[-1]))
+    # diffs[k][j]: mu_k - mu_j in simple-root coordinates, None off Gamma
+    diffs = [[rs.gamma_coords(a - b) for b in cls] for a in cls]
+    auto_depth = sum(diffs[0][-1])
     n = auto_depth if depth is None else max(depth, auto_depth)
 
-    # dim L(mu_k)_{mu_j}: simple multiplicities at the pairwise differences
+    # dim L(mu_k)_{mu_j} and dim M(mu_k)_{mu_j} at the pairwise differences
     modules = tuple(VermaModule(alg, w) for w in cls)
     sm = {}
+    kostant = {}
     for k in range(s):
         for j in range(s):
-            diff = _class_difference(alg, cls[k], cls[j])
-            sm[(k, j)] = modules[k].simple_mult(diff) if diff is not None else 0
-
-    kostant = {}
-    for i in range(s):
-        for j in range(s):
-            diff = _class_difference(alg, cls[i], cls[j])
-            kostant[(i, j)] = rs.kostant_p(diff) if diff is not None else 0
+            diff = diffs[k][j]
+            if diff is None:
+                sm[(k, j)] = kostant[(k, j)] = 0
+            else:
+                sm[(k, j)] = modules[k].simple_mult(diff)
+                kostant[(k, j)] = rs.kostant_p(diff)
 
     rows = []
     for i in range(s):
@@ -536,7 +525,7 @@ def standard_filtration_mult(alg: LieAlgebraData, n: int, mu: Weight,
     >= n, and the multiplicity statement beyond that range is an open
     question; such calls are refused rather than guessed.
     """
-    diff = _gamma_coords(alg, lam - mu)
+    diff = alg.rs.gamma_coords(lam - mu)
     if diff is None:
         return 0
     if sum(diff) >= n:
@@ -606,27 +595,27 @@ def block_report(alg: LieAlgebraData, lam: Weight,
 
     # table rows: for each nu among the pairwise differences,
     # dim L(mu_k)_{mu_k - nu} for every class member k
-    nus = sorted({d for d in (
-        _class_difference(alg, cls[k], cls[j])
-        for k in range(s) for j in range(s)) if d is not None},
-        key=lambda v: (sum(v), v))
+    rs = alg.rs
+    nus = sorted({d for d in (rs.gamma_coords(a - b) for a in cls for b in cls)
+                  if d is not None},
+                 key=lambda v: (sum(v), v))
     tables = tuple(
         (nu, tuple(module.simple_mult(nu) for module in modules))
         for nu in nus)
 
     findim = tuple(w.is_dominant_integral for w in cls)
     checks = []
-    w0 = alg.rs.weyl_group().longest_element
+    w0 = rs.weyl_group().longest_element
     for k, w in enumerate(cls):
         if not findim[k]:
             continue
-        span = _gamma_coords(alg, w - w0.act(w))
+        span = rs.gamma_coords(w - w0.act(w))
         if span is None:
             raise ConsistencyError("support of a finite-dimensional simple "
                                    "is not in the root lattice")
         total = sum(modules[k].simple_mult(nu)
                     for nu in gamma_elements(alg, sum(span)))
-        expected = alg.rs.weyl_dimension(w)
+        expected = rs.weyl_dimension(w)
         if total != expected:
             raise ConsistencyError(
                 f"rank sum {total} disagrees with Weyl dimension {expected}")

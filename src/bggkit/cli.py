@@ -55,8 +55,13 @@ class RunConfig:
             raise UsageError(f"bad JSON in {self.cartan_file}: {exc}") from None
         if not isinstance(data, dict) or "cartan" not in data:
             raise UsageError('Cartan file must be {"cartan": [[...], ...]}')
-        return build_root_system(CartanMatrixInput(
-            tuple(tuple(row) for row in data["cartan"])))
+        rows = data["cartan"]
+        if not isinstance(rows, list) or not all(
+                isinstance(row, list) and all(type(x) is int for x in row)
+                for row in rows):
+            raise UsageError("Cartan matrix must be an array of arrays of "
+                             f"integers, got {rows!r}")
+        return build_root_system(CartanMatrixInput(tuple(map(tuple, rows))))
 
     def algebra(self) -> liealg.LieAlgebraData:
         return liealg.build_chevalley(self.root_system())

@@ -1,9 +1,11 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, computed in integers.
 
-Everything here works on lists of lists of Fraction (or int) and never
-touches floating point: row bases and ranks use fraction-free elimination
-on integer-scaled rows, kernels and inverses use plain Gauss-Jordan with
-exact division.
+Inputs are lists of lists of Fraction (or int); no floating point.  There
+is one elimination: rows scaled to integers are reduced to a primitive
+echelon basis (``row_basis``) and then to reduced echelon form
+(``_reduced``), both by fraction-free cross-multiplication (Bareiss,
+Math. Comp. 22, 1968).  Ranks, kernels and inverses are read off these
+forms; Fractions appear only in the returned kernel and inverse entries.
 """
 
 from __future__ import annotations
@@ -18,9 +20,8 @@ def _integer_rows(matrix):
     """Scale each row by the lcm of its denominators; rank is unchanged."""
     rows = []
     for row in matrix:
-        fracs = [Fraction(x) for x in row]
-        scale = lcm(*(f.denominator for f in fracs)) if fracs else 1
-        rows.append([int(f * scale) for f in fracs])
+        scale = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (scale // x.denominator) for x in row])
     return rows
 
 
@@ -59,6 +60,30 @@ def row_basis(rows):
     return [by_pivot[j] for j in sorted(by_pivot)]
 
 
+def _reduced(basis):
+    """Back-eliminate a ``row_basis`` output to reduced echelon form.
+
+    From the bottom up, each row is cleared at every later pivot column
+    by integer cross-multiplication with that (reduced) row, then divided
+    by the gcd of its entries.  Row i is then its pivot entry times row i
+    of the unique rational reduced echelon form.  Returns (pivots, rows).
+    """
+    rows = [list(row) for row in basis]
+    pivots = [next(j for j, x in enumerate(row) if x) for row in rows]
+    for i in range(len(rows) - 2, -1, -1):
+        row = rows[i]
+        for k in range(i + 1, len(rows)):
+            c = row[pivots[k]]
+            if c:
+                b = rows[k]
+                g = gcd(c, b[pivots[k]])
+                sa, sb = b[pivots[k]] // g, c // g
+                row = [sa * x - sb * y for x, y in zip(row, b)]
+        g = gcd(*row)
+        rows[i] = [x // g for x in row]
+    return pivots, rows
+
+
 def rank(matrix) -> int:
     """Rank of a rational matrix: the length of its fraction-free row basis."""
     return len(row_basis(_integer_rows(matrix)))
@@ -68,66 +93,34 @@ def nullspace(matrix, width=None):
     """Basis of the right kernel of a rational matrix.
 
     Returns a list of vectors (lists of Fraction) spanning {v : Mv = 0},
-    echelon-normalized so the result is deterministic.  ``width`` must be
-    given when ``matrix`` has no rows.
+    one per free column of the reduced echelon form, read off that form;
+    the result is therefore deterministic.  ``width`` must be given when
+    ``matrix`` has no rows.
     """
-    n = len(matrix)
-    if n == 0:
-        if width is None:
-            raise DomainError("nullspace of empty matrix needs explicit width")
-        m = width
-        rows = []
-    else:
-        m = len(matrix[0])
-        rows = [[Fraction(x) for x in row] for row in matrix]
-
-    pivots = []
-    r = 0
-    for col in range(m):
-        pivot_row = next((i for i in range(r, n) if rows[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == n:
-            break
-
-    free_cols = [c for c in range(m) if c not in pivots]
+    if not matrix and width is None:
+        raise DomainError("nullspace of empty matrix needs explicit width")
+    m = len(matrix[0]) if matrix else width
+    pivots, rows = _reduced(row_basis(_integer_rows(matrix)))
     basis = []
-    for fc in free_cols:
+    for fc in sorted(set(range(m)) - set(pivots)):
         vec = [Fraction(0)] * m
         vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -rows[i][fc]
+        for pc, row in zip(pivots, rows):
+            vec[pc] = Fraction(-row[fc], row[pc])
         basis.append(vec)
     return basis
 
 
 def invert(matrix):
-    """Exact inverse of a square rational matrix; DomainError if singular."""
+    """Exact inverse of a square rational matrix; DomainError if singular.
+
+    The reduced echelon form of [M | I] is [I | M^{-1}] exactly when M is
+    invertible, that is when every pivot lies in the left half.
+    """
     n = len(matrix)
-    rows = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot_row = next((i for i in range(col, n) if rows[i][col] != 0), None)
-        if pivot_row is None:
-            raise DomainError("matrix is singular")
-        rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-        inv = 1 / rows[col][col]
-        rows[col] = [x * inv for x in rows[col]]
-        for i in range(n):
-            if i != col and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[col])]
-    return [row[n:] for row in rows]
-
-
-def mat_vec(a, v):
-    return [sum(row[k] * v[k] for k in range(len(v))) for row in a]
+    augmented = [list(row) + [int(i == j) for j in range(n)]
+                 for i, row in enumerate(matrix)]
+    pivots, rows = _reduced(row_basis(_integer_rows(augmented)))
+    if pivots != list(range(n)):
+        raise DomainError("matrix is singular")
+    return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(rows)]

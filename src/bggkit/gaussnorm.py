@@ -24,14 +24,38 @@ from .errors import DomainError
 from .liealg import UEAElement
 
 
+#: the first 13 primes; as Miller-Rabin bases they decide primality
+#: exactly below MILLER_RABIN_BOUND (Sorenson-Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; DomainError when it cannot decide n.
+
+    Multiples of a base are settled first, so only a number at or above
+    MILLER_RABIN_BOUND with no factor up to 41 is refused.
+    """
     if n < 2:
         return False
-    k = 2
-    while k * k <= n:
-        if n % k == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    if n >= MILLER_RABIN_BOUND:
+        raise DomainError(f"cannot decide whether {n} is prime: primality is "
+                          f"only decided below {MILLER_RABIN_BOUND}")
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # 2^r exactly divides n - 1
+    d = (n - 1) >> r
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        k += 1
     return True
 
 

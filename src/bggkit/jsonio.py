@@ -39,12 +39,6 @@ def weight_to_json(w: Weight):
     return [frac_to_json(c) for c in w.coords]
 
 
-def weight_from_json(obj) -> Weight:
-    if not isinstance(obj, (list, tuple)):
-        raise UsageError("weight must be an array of rationals")
-    return Weight([frac_from_json(c) for c in obj])
-
-
 def parse_weight(text: str) -> Weight:
     """Comma-separated rationals in H-coordinates, e.g. "1,-1/2"."""
     try:

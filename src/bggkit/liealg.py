@@ -305,15 +305,6 @@ class LieAlgebraData:
         except KeyError:
             raise DomainError(f"{tuple(root)} is not a positive root") from None
 
-    def x_of_root(self, root) -> "UEAElement":
-        return self.x(self.root_position(root))
-
-    def y_of_root(self, root) -> "UEAElement":
-        return self.y(self.root_position(root))
-
-    def simple_y(self, i: int) -> "UEAElement":
-        return self.y_of_root(self.rs.simple_roots()[i])
-
     def transpose_index(self, idx: int) -> int:
         """sigma on basis indices: swaps x and y of the same root."""
         if idx < self.m:
@@ -410,13 +401,6 @@ class UEAElement:
         return not self.terms
 
     # -- weights ----------------------------------------------------------
-
-    def homogeneous_weight(self) -> Optional[Tuple[int, ...]]:
-        """Common weight of all monomials (simple-root coords), or None."""
-        weights = {self.alg.monomial_weight(e) for e in self.terms}
-        if len(weights) == 1:
-            return next(iter(weights))
-        return None
 
     def is_weight_zero(self) -> bool:
         zero = (0,) * self.alg.l

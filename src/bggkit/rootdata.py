@@ -9,7 +9,13 @@ Conventions used throughout bggkit:
   downstream matrix inherits its reproducibility from this order.
 
 Roots convert to weights through the Cartan matrix: the weight
-coordinates of ``alpha = sum_j c_j alpha_j`` are ``C . c``.
+coordinates of ``alpha = sum_j c_j alpha_j`` are ``C . c``.  The way
+back is one integer root-lattice map M = D C^{-1}, D the lcm of the
+denominators of C^{-1}: an integral weight v has simple-root coordinates
+M v / D and height form . v / D, the height form being the column sums
+of M.  ``RootSystem.gamma_coords`` is the one test of mu <= lam, that is
+of lam - mu lying in Gamma, the nonnegative integer span of the simple
+roots.  Dot orbits come in block ordering, sorted by (-form . v, v).
 
 The Weyl group rests on one primitive, the simple reflection of a
 coordinate tuple (``RootSystem.reflect``).  An element w is a reduced
@@ -27,7 +33,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Iterable, Optional, Sequence, Tuple
+from operator import index, mul
+from typing import Iterable, Optional, Tuple
 
 from .errors import ConsistencyError, DomainError, NotARootError, NotFiniteTypeError
 from . import exactla
@@ -117,7 +124,11 @@ class CartanMatrixInput:
     label: Optional[str] = None
 
     def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in row) for row in self.entries)
+        try:
+            rows = tuple(tuple(index(x) for x in row)
+                         for row in self.entries)
+        except TypeError:
+            raise DomainError("Cartan matrix entries must be integers") from None
         object.__setattr__(self, "entries", rows)
         l = len(rows)
         if l == 0 or any(len(row) != l for row in rows):
@@ -206,7 +217,11 @@ class RootSystem:
         self.roots = frozenset(roots)
         self._coroot = dict(coroots)
         self._root_index = {r: i for i, r in enumerate(self.positive_roots)}
-        self._cartan_inv = exactla.invert(cartan.entries)
+        inverse = exactla.invert(cartan.entries)  # the root-lattice map
+        self._root_denominator = lcm(*(x.denominator for row in inverse for x in row))
+        self._root_map = tuple(tuple(int(x * self._root_denominator) for x in row)
+                               for row in inverse)
+        self._height_form = tuple(map(sum, zip(*self._root_map)))
         self._cartan_columns = tuple(zip(*cartan.entries))
         self._kostant_cache = {(0,) * self.rank: 1}
         self._weyl = None
@@ -238,12 +253,20 @@ class RootSystem:
         return Weight(sum(cart[i][j] * c[j] for j in range(self.rank))
                       for i in range(self.rank))
 
-    def weight_root_coords(self, lam: Weight) -> Tuple[Fraction, ...]:
-        """Coordinates of a weight in the simple-root basis (rational)."""
-        return tuple(exactla.mat_vec(self._cartan_inv, list(lam.coords)))
+    def gamma_coords(self, lam: Weight) -> Optional[Tuple[int, ...]]:
+        """Simple-root coordinates of lam if it lies in Gamma, else None.
 
-    def weight_height(self, lam: Weight) -> Fraction:
-        return sum(self.weight_root_coords(lam), Fraction(0))
+        mu <= lam exactly when lam - mu has coordinates here.  A weight
+        with a non-integral H-coordinate is outside the root lattice.
+        """
+        if not lam.is_integral:
+            return None
+        v = [c.numerator for c in lam.coords]
+        den = self._root_denominator
+        coords = [sum(map(mul, row, v)) for row in self._root_map]
+        if any(n < 0 or n % den for n in coords):
+            return None
+        return tuple(n // den for n in coords)
 
     def rho(self) -> Weight:
         """Half-sum of positive roots; equals (1,...,1) in H-coordinates."""
@@ -255,20 +278,6 @@ class RootSystem:
         """<lambda, alpha-check> = lambda(h_alpha)."""
         h = self.coroot(alpha)
         return sum(c * x for c, x in zip(h, lam.coords))
-
-    def leq(self, mu: Weight, lam: Weight) -> bool:
-        """mu <= lambda iff lambda - mu is a nonnegative-integer root combination."""
-        diff = self.weight_root_coords(lam - mu)
-        return all(c.denominator == 1 and c >= 0 for c in diff)
-
-    def block_ordering(self, weights: Sequence[Weight]):
-        """Total order refining the reverse of <=; higher weights first.
-
-        mu < lam forces lam before mu because the height of lam - mu is
-        then positive; ties are broken lexicographically on coordinates.
-        """
-        return sorted(weights,
-                      key=lambda w: (-self.weight_height(w), w.coords))
 
     # -- Weyl group -----------------------------------------------------
 
@@ -292,7 +301,10 @@ class RootSystem:
         """{w . lam : w in W}, deduplicated, in block ordering.
 
         lam + rho is scaled by the lcm of its denominators and closed
-        under the simple reflections as an integer tuple.
+        under the simple reflections as an integer tuple v.  Sorting by
+        (-form . v, v) sorts the weights v / scale - rho by (-height,
+        coordinates), as that map is increasing in v; mu < lam puts lam
+        first.
         """
         scale = lcm(*(c.denominator for c in lam.coords))
         start = tuple(int((c + 1) * scale) for c in lam.coords)
@@ -307,8 +319,9 @@ class RootSystem:
                         seen.add(img)
                         nxt.append(img)
             frontier = nxt
-        return self.block_ordering(
-            [Weight(Fraction(x, scale) - 1 for x in v) for v in seen])
+        form = self._height_form
+        ordered = sorted(seen, key=lambda v: (-sum(map(mul, form, v)), v))
+        return [Weight(Fraction(x, scale) - 1 for x in v) for v in ordered]
 
     def is_linked(self, lam: Weight, mu: Weight) -> bool:
         """True iff mu lies in the dot orbit of lam (same fiber of pi)."""
@@ -518,12 +531,6 @@ class WeylGroup:
     @property
     def longest_element(self) -> WeylElement:
         return self.elements[-1]
-
-    def from_word(self, word: Iterable[int]) -> WeylElement:
-        elt = self.identity
-        for i in word:
-            elt = elt * self.simple_reflection(i)
-        return elt
 
     def bruhat_leq(self, u: WeylElement, w: WeylElement) -> bool:
         """u <= w in the Bruhat order, by the lifting property in ell(w) steps."""

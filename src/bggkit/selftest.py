@@ -346,11 +346,11 @@ def criterion_8(types: Sequence[str], seed: int) -> CriterionResult:
     modules = [category.VermaModule(alg, w) for w in cls]
     for i in range(6):
         for j in range(6):
-            diff = category._class_difference(alg, cls[i], cls[j])
+            diff = alg.rs.gamma_coords(cls[i] - cls[j])
             lhs = alg.rs.kostant_p(diff) if diff is not None else 0
             rhs = 0
             for k in range(6):
-                dk = category._class_difference(alg, cls[k], cls[j])
+                dk = alg.rs.gamma_coords(cls[k] - cls[j])
                 if dk is not None:
                     rhs += dec.entries[i][k] * modules[k].simple_mult(dk)
             if lhs != rhs:
@@ -372,8 +372,7 @@ def criterion_9(types: Sequence[str], seed: int) -> CriterionResult:
         alg = _alg(label)
         w0 = alg.rs.weyl_group().longest_element
         for lam in grids.get(label, []):
-            span = alg.rs.weight_root_coords(lam - w0.act(lam))
-            height = int(sum(span))
+            height = sum(alg.rs.gamma_coords(lam - w0.act(lam)))
             module = category.VermaModule(alg, lam)
             total = sum(module.simple_mult(nu)
                         for nu in category.gamma_elements(alg, height))

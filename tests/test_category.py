@@ -46,10 +46,11 @@ def test_act_is_linear_and_compatible(a2):
     lam = Weight([1, 2])
     s = verma_slice(a2, lam, 4)
     v = s.highest_vector()
-    u1 = a2.simple_y(0) * a2.simple_y(1)
-    u2 = a2.simple_y(1) * a2.simple_y(0)
+    y1, y2 = (a2.y(a2.root_position(r)) for r in a2.rs.simple_roots())
+    u1 = y1 * y2
+    u2 = y2 * y1
     left = s.act(u1, v)
-    right = s.act(a2.simple_y(0), s.act(a2.simple_y(1), v))
+    right = s.act(y1, s.act(y2, v))
     assert left == right
     assert s.act(u1 + u2, v).terms == {
         k: left.terms.get(k, F(0)) + s.act(u2, v).terms.get(k, F(0))

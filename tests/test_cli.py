@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 
@@ -148,6 +149,20 @@ def test_cartan_file_input(tmp_path, capsys):
     assert json.loads(out)["num_positive"] == 3
 
 
+@pytest.mark.parametrize("cartan", [
+    5, "2,-1;-1,2", [[2, -1], 5], [[2, "x"], [-1, 2]], [[2.9, -1], [-1, 2]],
+    [[2, -1.5], [-1, 2]], [[2, False], [False, 2]], [[2, None], [-1, 2]],
+], ids=["int", "string", "row-int", "string-entry", "float-diagonal", "float",
+        "bool", "null"])
+def test_malformed_cartan_file_is_usage_error(tmp_path, capsys, cartan):
+    path = tmp_path / "cartan.json"
+    path.write_text(json.dumps({"cartan": cartan}))
+    code, out, err = run_cli(capsys, "roots", "--cartan-file", str(path))
+    assert code == 2
+    assert "integers" in err
+    assert out == ""
+
+
 # -- exit codes ---------------------------------------------------------------
 
 def test_usage_error_exit_code(capsys):
@@ -231,6 +246,64 @@ def test_norm_rejects_non_integer_exponents(capsys, exps):
     assert code == 2
     assert "exponent" in err
     assert out == ""
+
+
+def test_norm_large_primes(capsys):
+    element = json.dumps([{"exps": [1, 0, 1], "coef": 1}])
+    code, out, _ = run_cli(capsys, "norm", "--type", "A1", "--prime",
+                           str(2 ** 61 - 1), "--element", element)
+    assert code == 0
+    assert out.startswith("log_2305843009213693951|u| = 2 ")
+    bound = "3317044064679887385961981"
+    code, out, err = run_cli(capsys, "norm", "--type", "A1", "--prime", bound,
+                             "--element", element)
+    assert code == 1
+    assert out == ""
+    assert err == (f"error: cannot decide whether {bound} is prime: primality "
+                   f"is only decided below {bound}\n")
+
+
+# sha256 of the `--json` stdout of each command, recorded with the earlier
+# Fraction Gauss-Jordan kernels, inverse Cartan matrix and per-module
+# root-lattice tests
+JSON_DIGESTS = {
+    "block --type A1 --weight 10":
+        "9b6b6cbe0806933bc27051c617a6fdac49e798d6f7fcca8fbb660def4561bbad",
+    "block --type A2 --weight 0,0":
+        "df30eb6612e92e77216c47674c62feae7c7af91652a8d4fd0ee79dd6a837dfb0",
+    "block --type A2 --weight 3,2":
+        "2545921e759212689c71f18bbb47b99f2437297b5a67d3dad199fc28f061f83e",
+    "block --type B2 --weight 0,0":
+        "7c547872bd617fb72183229ab86958a1721782d8f8974afb44a888638a8a80a6",
+    "block --type B2 --weight 1,1":
+        "b22330b7a4fffbd783001bfea40722de0ea108283f7f5fc3f981fb8d3b31cdc4",
+    "block --type G2 --weight=0,-1":
+        "804eb6c9b3c324be8a4331ea69ee72ddeb41c0aadda2cac07cb9d97fb2cc799c",
+    "block --type A3 --weight 0,0,0":
+        "0eff8287334fad03c4cc5e9db43743ea36f51c16e0ce720ba6ca0c90bb8db28b",
+    "decomp --type B2 --weight 1,1":
+        "364493e9f823e91da969edcc069f3d78fcc8b49cb2fa5e23a9c51c36e940e2a4",
+    "maximal-vectors --type A2 --weight 1,1 --nu 2,2":
+        "a0e3997bedb8b2a0bb773b3fb6f7c727991da9a01d2c9cf278763cc55530c50e",
+    "maximal-vectors --type B2 --weight 1,0 --nu 2,2":
+        "fb6911dd642c5924b1e4f160a8dd44cf8a459cbfc3c37df4f012bcc64a43ddd6",
+    "maximal-vectors --type A2 --weight 0,0 --nu 2,2":
+        "dce033d260de296fc3880adb7c097d92ca3dee222fa74476e725fd30ceaa4ed1",
+    "maximal-vectors --type B2 --weight 0,0 --nu 3,4":
+        "dedf41852812d5ec0641e0fe60e67d314f5b75fdd7f753632a271f4805937e21",
+    "central-char --type B2 --weight 1/2,1":
+        "e5b30411e058f3877092fcb4d96bc4b5f568c59747b13d0c3d66b2d6b03cee29",
+    "central-char --type G2 --weight 0,0":
+        "391e75b98c4ae6c8aefe4ca665461d66547b91f7a50df213af389f6bd2f79cb2",
+}
+
+
+@pytest.mark.parametrize("command", sorted(JSON_DIGESTS))
+def test_json_output_matches_recorded_digest(capsys, command):
+    code, out, err = run_cli(capsys, *command.split(), "--json")
+    assert code == 0
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == JSON_DIGESTS[command]
 
 
 # -- norm: large values and random input ----------------------------------------

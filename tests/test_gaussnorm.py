@@ -4,8 +4,9 @@ from fractions import Fraction as F
 import pytest
 
 from bggkit.errors import DomainError
-from bggkit.gaussnorm import (LogNorm, NormParam, check_submultiplicative,
-                              check_ultrametric, log_norm, vp)
+from bggkit.gaussnorm import (MILLER_RABIN_BOUND, LogNorm, NormParam,
+                              check_submultiplicative, check_ultrametric,
+                              is_prime, log_norm, vp)
 from bggkit.liealg import UEAElement, build_chevalley
 from bggkit.rootdata import cached_root_system
 
@@ -38,6 +39,44 @@ def test_norm_param_rejects_non_integer_prime(p):
         NormParam(p, F(1))
     with pytest.raises(DomainError):
         vp(25, p)
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % k for k in range(2, int(n ** 0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(-5, 20000) if is_prime(n)] == \
+        [n for n in range(-5, 20000) if _trial_division(n)]
+
+
+@pytest.mark.parametrize("n", [561, 3215031751, 3825123056546413051],
+                         ids=["carmichael", "spsp-2-3-5-7", "spsp-2-to-23"])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_accepts_large_primes():
+    assert is_prime(2 ** 61 - 1)
+    assert is_prime(100000000000031)
+    assert not is_prime((2 ** 61 - 1) * 1000003)
+    assert NormParam(2 ** 61 - 1, F(1)).p == 2 ** 61 - 1
+
+
+def test_is_prime_refuses_at_the_bound():
+    # the bound itself is a strong pseudoprime to all thirteen bases,
+    # 1287836182261 * 2575672364521; bound + 6 has no factor up to 41
+    for n in (MILLER_RABIN_BOUND, MILLER_RABIN_BOUND + 6):
+        with pytest.raises(DomainError, match=str(MILLER_RABIN_BOUND)):
+            is_prime(n)
+    # a factor among the bases still decides: 2, 3, 17 and 41
+    for n in (MILLER_RABIN_BOUND + 1, MILLER_RABIN_BOUND + 2,
+              MILLER_RABIN_BOUND - 2, 41 * MILLER_RABIN_BOUND):
+        assert not is_prime(n)
+    # just below the bound: the largest prime there, and a composite
+    # (bound - 8) with no factor up to 41
+    assert is_prime(MILLER_RABIN_BOUND - 168)
+    assert not is_prime(MILLER_RABIN_BOUND - 8)
 
 
 def test_log_norm_examples(a1):

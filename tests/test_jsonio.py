@@ -28,12 +28,10 @@ def test_weight_round_trip():
     w = Weight([1, F(-3, 2)])
     encoded = jsonio.weight_to_json(w)
     assert encoded == [1, "-3/2"]
-    assert jsonio.weight_from_json(encoded) == w
+    assert Weight(map(jsonio.frac_from_json, encoded)) == w
     assert jsonio.parse_weight("1,-3/2") == w
     with pytest.raises(UsageError):
         jsonio.parse_weight("1,zzz")
-    with pytest.raises(UsageError):
-        jsonio.weight_from_json("nope")
 
 
 def test_element_round_trip(a2):

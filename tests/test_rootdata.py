@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -59,6 +60,15 @@ def test_cartan_validation():
         CartanMatrixInput(((2, -1), (0, 2)))
     with pytest.raises(DomainError):
         CartanMatrixInput.from_label("Z9")
+
+
+@pytest.mark.parametrize("entries", [((2.9, -1), (-1, 2)), ((2, -1.5), (-1, 2)),
+                                     ((2, "x"), (-1, 2)), ((2, None), (-1, 2))],
+                         ids=["float-diagonal", "float", "string", "none"])
+def test_cartan_entries_must_be_integers(entries):
+    # a float is refused, not truncated to an integer
+    with pytest.raises(DomainError):
+        CartanMatrixInput(entries)
 
 
 def test_custom_cartan_matrix_equals_label():
@@ -138,7 +148,9 @@ def test_dot_action_respects_composition(word, coords):
 def test_dot_action_inverse(word, coords):
     rs = cached_root_system("A2")
     weyl = rs.weyl_group()
-    w = weyl.from_word(word)
+    w = weyl.identity
+    for i in word:
+        w = w * weyl.simple_reflection(i)
     lam = Weight(coords)
     assert rs.dot_action(w, rs.dot_action(w.inverse(), lam)) == lam
 
@@ -150,16 +162,15 @@ def test_simple_reflection_permutes_other_positives():
         for i in range(rs.rank):
             s = weyl.simple_reflection(i)
             alpha_i = rs.simple_roots()[i]
-            others = [r for r in rs.positive_roots if r != alpha_i]
+            others = {rs.root_to_weight(r) for r in rs.positive_roots if r != alpha_i}
             images = set()
             for r in others:
-                img = rs.weight_root_coords(s.act(rs.root_to_weight(r)))
-                img = tuple(int(c) for c in img)
-                assert all(c >= 0 for c in img)
+                img = s.act(r)
+                assert img in others
                 images.add(img)
-            assert images == set(others)
-            img_i = rs.weight_root_coords(s.act(rs.root_to_weight(alpha_i)))
-            assert tuple(int(c) for c in img_i) == tuple(-c for c in alpha_i)
+            assert images == others
+            img_i = s.act(rs.root_to_weight(alpha_i))
+            assert img_i == rs.root_to_weight(tuple(-c for c in alpha_i))
 
 
 def test_weyl_group_sizes():
@@ -262,11 +273,16 @@ def test_weyl_orbit_json_matches_recorded_digests(label, capsys):
 
 # -- orders ---------------------------------------------------------------------
 
+def leq(rs, mu, lam):
+    """mu <= lam in the dominance order: lam - mu lies in Gamma."""
+    return rs.gamma_coords(lam - mu) is not None
+
+
 def test_leq_examples(rs_a1, rs_a2):
     lam = Weight([2, -3])
-    assert rs_a2.leq(lam, lam)
-    assert rs_a1.leq(Weight([-5]), Weight([3]))
-    assert not rs_a2.leq(Weight([1, -1]), Weight([0, 0]))
+    assert leq(rs_a2, lam, lam)
+    assert leq(rs_a1, Weight([-5]), Weight([3]))
+    assert not leq(rs_a2, Weight([1, -1]), Weight([0, 0]))
 
 
 @given(st.lists(st.integers(-6, 6), min_size=2, max_size=2),
@@ -275,17 +291,68 @@ def test_leq_examples(rs_a1, rs_a2):
 def test_leq_partial_order(a, b, c):
     rs = cached_root_system("A2")
     wa, wb, wc = Weight(a), Weight(b), Weight(c)
-    assert rs.leq(wa, wa)
-    if rs.leq(wa, wb) and rs.leq(wb, wa):
+    assert leq(rs, wa, wa)
+    if leq(rs, wa, wb) and leq(rs, wb, wa):
         assert wa == wb
-    if rs.leq(wa, wb) and rs.leq(wb, wc):
-        assert rs.leq(wa, wc)
+    if leq(rs, wa, wb) and leq(rs, wb, wc):
+        assert leq(rs, wa, wc)
+
+
+def _fraction_root_coords(rs, lam):
+    """Solve C x = lam over the rationals by Gauss-Jordan elimination."""
+    l = rs.rank
+    rows = [[F(x) for x in rs.cartan.entries[i]] + [lam.coords[i]] for i in range(l)]
+    for col in range(l):
+        piv = next(i for i in range(col, l) if rows[i][col])
+        rows[col], rows[piv] = rows[piv], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for i in range(l):
+            if i != col and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[col])]
+    return [row[l] for row in rows]
+
+
+GAMMA_TYPES = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "F4", "G2",
+               "E6", "E7", "E8")
+
+
+@pytest.mark.parametrize("label", GAMMA_TYPES)
+def test_gamma_coords_matches_fraction_solve(label):
+    rs = cached_root_system(label)
+    l = rs.rank
+    rng = random.Random(label)
+    for _ in range(40):
+        lam = Weight([F(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(l)])
+        low = rng.choice((0, -3))
+        c = [rng.randint(low, 3) for _ in range(l)]
+        mu = lam - rs.root_to_weight(c)
+        integral = Weight([rng.randint(-6, 6) for _ in range(l)])
+        for weight in (lam, lam - mu, mu - lam, integral):
+            x = _fraction_root_coords(rs, weight)
+            inside = all(v.denominator == 1 and v >= 0 for v in x)
+            expected = tuple(int(v) for v in x) if inside else None
+            assert rs.gamma_coords(weight) == expected
+        assert rs.gamma_coords(lam - mu) == (tuple(c) if min(c) >= 0 else None)
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "G2"])
+def test_dot_orbit_order_matches_fraction_heights(label):
+    rs = cached_root_system(label)
+    rng = random.Random(label)
+    for _ in range(4):
+        lam = Weight([F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(rs.rank)])
+        orbit = rs.dot_orbit(lam)
+        assert len(set(orbit)) == len(orbit)
+        expected = sorted(orbit, key=lambda w: (-sum(_fraction_root_coords(rs, w)),
+                                                w.coords))
+        assert orbit == expected
 
 
 def test_block_ordering_examples(rs_a1, rs_a2):
-    out = rs_a1.block_ordering([Weight([-2]), Weight([0])])
+    out = rs_a1.dot_orbit(Weight([-2]))
     assert [w.coords for w in out] == [(0,), (-2,)]
-    assert rs_a1.block_ordering([Weight([5])]) == [Weight([5])]
+    assert rs_a1.dot_orbit(Weight([-1])) == [Weight([-1])]
     orbit = rs_a2.dot_orbit(Weight([1, 0]))
     assert orbit[0] == Weight([1, 0])  # dominant first
     w0 = rs_a2.weyl_group().longest_element
@@ -294,10 +361,12 @@ def test_block_ordering_examples(rs_a1, rs_a2):
 
 def test_block_ordering_refines_reverse_leq(rs_b2):
     weights = [Weight([a, b]) for a in range(-2, 3) for b in range(-2, 3)]
-    out = rs_b2.block_ordering(weights)
-    for i, wi in enumerate(out):
-        for j in range(i + 1, len(out)):
-            assert not (rs_b2.leq(wi, out[j]) and wi != out[j])
+    weights += [Weight([F(a, 2), F(b, 3)]) for a in (-1, 1) for b in (-2, 1)]
+    for lam in weights:
+        out = rs_b2.dot_orbit(lam)
+        for i, wi in enumerate(out):
+            for j in range(i + 1, len(out)):
+                assert not (leq(rs_b2, wi, out[j]) and wi != out[j])
 
 
 # -- antidominance ----------------------------------------------------------------
