@@ -5,7 +5,8 @@ scalar by which a central element acts on a highest weight module of
 weight lambda; the rho-twisted psi = gamma o phi is the version that is
 invariant under the ordinary Weyl action.  Linkage classes are Weyl dot
 orbits, and CentralCharacter equality is decided by orbit membership of
-the representatives.
+the representatives.  is_central is re-exported from liealg, where the
+Casimir is verified with it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError
-from .liealg import LieAlgebraData, UEAElement, casimir, h_substitute
+from .liealg import LieAlgebraData, UEAElement, casimir, h_substitute, is_central
 from .rootdata import Weight
 
 
@@ -27,27 +28,6 @@ def hc_psi(z: UEAElement) -> UEAElement:
     if not z.is_weight_zero():
         raise DomainError("psi is defined on weight-zero elements only")
     return gamma_twist(z.hc_project())
-
-
-def is_central(z: UEAElement) -> bool:
-    """Commutes with every basis vector (hence with all of U(g)).
-
-    Verdicts are cached on the algebra; entries are idempotent, so the
-    cache is safe under concurrent use.
-    """
-    alg = z.alg
-    cache = alg._central_cache
-    cached = cache.get(z)
-    if cached is not None:
-        return cached
-    verdict = True
-    for i in range(alg.d):
-        b = alg.basis_element(i)
-        if z * b != b * z:
-            verdict = False
-            break
-    cache[z] = verdict
-    return verdict
 
 
 def central_character(lam: Weight, z: UEAElement) -> Fraction:

@@ -12,9 +12,15 @@ Structure constants follow the extraspecial-pair convention: the
 earliest positive summand of each non-simple root gets coefficient
 p+1 > 0, and every other N_{a,b} follows in closed form from those
 (Carter, *Simple Groups of Lie Type*, 4.1-4.2), one height at a time.
-The finished table is re-verified against the Jacobi identity over every
-basis triple before use, so a convention bug cannot escape as silent
-wrong arithmetic.
+The bracket table is read once off the index weights: the Cartan pairing
+for [h, b], the coroot for [x_a, y_a], and N_{a,b} for two roots whose
+sum is a root.  The finished table is re-verified against the Jacobi
+identity over every basis triple before use, so a convention bug cannot
+escape as silent wrong arithmetic.
+
+The Killing form is a sparse trace over that table, and the Casimir
+built from its dual bases is verified central once, by is_central, whose
+verdict cache the Harish-Chandra layer reads.
 """
 
 from __future__ import annotations
@@ -22,7 +28,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb
-from typing import Dict, Optional, Tuple
+from operator import index
+from typing import Dict, Tuple
 
 from . import exactla
 from .errors import ConsistencyError, DomainError
@@ -153,13 +160,13 @@ class LieAlgebraData:
         weights.extend(positives)
         self.index_weights: Tuple[Exps, ...] = tuple(weights)
 
-        self._n = _structure_constants(rs)
-        self._table = self._build_table()
+        self._table = self._build_table(_structure_constants(rs))
         self._verify_jacobi()
         self.kernel = StraightenKernel(self.d, self._table)
         self._one_exps = (0,) * self.d
 
-        # idempotent per-algebra caches, filled by category, harish, casimir
+        # idempotent per-algebra caches: category fills the first three,
+        # liealg's is_central and casimir the last two
         self._wspace_cache = {}
         self._raising_cache = {}
         self._shap_cache = {}
@@ -177,14 +184,6 @@ class LieAlgebraData:
 
     def x_index(self, pos: int) -> int:
         return self.m + self.l + pos
-
-    def index_root(self, idx: int) -> Optional[Tuple[int, ...]]:
-        """Signed root of a basis index, None for Cartan indices."""
-        if idx < self.m:
-            return self.index_weights[idx]
-        if idx < self.m + self.l:
-            return None
-        return self.index_weights[idx]
 
     def basis_label(self, idx: int) -> str:
         if idx < self.m:
@@ -206,48 +205,43 @@ class LieAlgebraData:
 
     # -- structure constants ----------------------------------------------
 
-    def _basis_of_root(self, r) -> int:
-        if all(c >= 0 for c in r):
-            return self.x_index(self.rs._root_index[tuple(r)])
-        neg = tuple(-c for c in r)
-        return self.y_index(self.rs._root_index[neg])
+    def _build_table(self, n):
+        """Nonzero [b_hi, b_lo] for hi > lo, read off the index weights.
 
-    def _root_bracket(self, a, b) -> Dict[int, int]:
-        """[x_a, x_b] over basis indices, for roots a, b."""
-        s = tuple(x + y for x, y in zip(a, b))
-        if all(c == 0 for c in s):
-            pos = a if all(c >= 0 for c in a) else b
-            sgn = 1 if pos is a else -1
-            return {self.h_index(i): sgn * c
-                    for i, c in enumerate(self.rs.coroot(pos)) if c}
-        if s in self.rs.roots:
-            return {self._basis_of_root(s): self._n[(a, b)]}
-        return {}
-
-    def _pair_bracket(self, i, j) -> Dict[int, int]:
-        """[b_i, b_j] over basis indices, any i != j."""
-        ri, rj = self.index_root(i), self.index_root(j)
-        if ri is None and rj is None:
-            return {}
-        if ri is None:
-            pair = self._root_pairing_h(rj, i - self.m)
-            return {j: pair} if pair else {}
-        if rj is None:
-            pair = self._root_pairing_h(ri, j - self.m)
-            return {i: -pair} if pair else {}
-        return self._root_bracket(ri, rj)
-
-    def _root_pairing_h(self, r, i) -> int:
+        [h_k, b] = <beta, h_k> b for b of weight beta, [x_a, y_a] = h_a,
+        and [b_a, b_b] = N_{a,b} b_{a+b} when a + b is a root.
+        """
+        weights = self.index_weights
+        basis_of = {w: k for k, w in enumerate(weights) if any(w)}
         cart = self.rs.cartan.entries
-        return sum(cart[i][j] * r[j] for j in range(self.l))
+        l = self.l
 
-    def _build_table(self):
+        def pairing(r, k):
+            return sum(cart[k][j] * r[j] for j in range(l))
+
         table = {}
-        for i in range(self.d):
-            for j in range(i):
-                entries = self._pair_bracket(i, j)
+        for hi in range(self.d):
+            a = weights[hi]
+            for lo in range(hi):
+                b = weights[lo]
+                if not any(a):
+                    if not any(b):
+                        continue
+                    entries = [(lo, pairing(b, hi - self.m))]
+                elif not any(b):
+                    entries = [(hi, -pairing(a, lo - self.m))]
+                else:
+                    s = tuple(x + y for x, y in zip(a, b))
+                    if not any(s):  # a is positive: x's follow y's
+                        entries = [(self.h_index(k), c)
+                                   for k, c in enumerate(self.rs.coroot(a))]
+                    elif s in basis_of:
+                        entries = [(basis_of[s], n[(a, b)])]
+                    else:
+                        continue
+                entries = tuple((k, c) for k, c in entries if c)
                 if entries:
-                    table[(i, j)] = tuple(sorted(entries.items()))
+                    table[(hi, lo)] = entries
         return table
 
     def bracket_basis(self, i: int, j: int) -> Dict[int, int]:
@@ -279,7 +273,10 @@ class LieAlgebraData:
         return UEAElement(self, {self._one_exps: Fraction(1)})
 
     def monomial(self, exps, coef=1) -> "UEAElement":
-        exps = tuple(int(e) for e in exps)
+        try:
+            exps = tuple(index(e) for e in exps)
+        except TypeError:
+            raise DomainError("bad exponent vector") from None
         if len(exps) != self.d or any(e < 0 for e in exps):
             raise DomainError("bad exponent vector")
         return UEAElement(self, {exps: Fraction(coef)})
@@ -521,20 +518,43 @@ def h_substitute(p: UEAElement, shifts) -> UEAElement:
     return UEAElement(alg, out)
 
 
+def is_central(z: UEAElement) -> bool:
+    """Commutes with every basis vector (hence with all of U(g)).
+
+    Verdicts are cached on the algebra; entries are idempotent, so the
+    cache is safe under concurrent use.
+    """
+    alg = z.alg
+    cache = alg._central_cache
+    cached = cache.get(z)
+    if cached is not None:
+        return cached
+    verdict = True
+    for i in range(alg.d):
+        b = alg.basis_element(i)
+        if z * b != b * z:
+            verdict = False
+            break
+    cache[z] = verdict
+    return verdict
+
+
 def casimir(alg: LieAlgebraData) -> UEAElement:
-    """Casimir element from Killing-form dual bases, verified central."""
+    """Casimir element from Killing-form dual bases, verified central.
+
+    The Killing form K(b_i, b_j) = tr(ad b_i ad b_j) is summed over the
+    sparse brackets: for each q, [b_j, b_q] = sum_p c_p b_p contributes
+    c_p times the b_q-coefficient of [b_i, b_p].
+    """
     if alg._casimir is not None:
         return alg._casimir
     d = alg.d
-    ad = []
-    for i in range(d):
-        mat = [[0] * d for _ in range(d)]
-        for j in range(d):
-            for k, c in alg.bracket_basis(i, j).items():
-                mat[k][j] = c
-        ad.append(mat)
-    killing = [[sum(ad[i][p][q] * ad[j][q][p] for p in range(d) for q in range(d))
-                for j in range(d)] for i in range(d)]
+    br = alg.bracket_basis
+    killing = []  # row j holds K(b_i, b_j) = K(b_j, b_i)
+    for j in range(d):
+        terms = [(q, p, c) for q in range(d) for p, c in br(j, q).items()]
+        killing.append([sum(c * br(i, p).get(q, 0) for q, p, c in terms)
+                        for i in range(d)])
     try:
         inv = exactla.invert(killing)
     except DomainError:
@@ -545,9 +565,7 @@ def casimir(alg: LieAlgebraData) -> UEAElement:
             tuple(int(r == k) for r in range(d)): inv[k][j]
             for k in range(d) if inv[k][j]})
         omega = omega + alg.basis_element(j) * dual
-    for i in range(d):
-        b = alg.basis_element(i)
-        if omega * b != b * omega:
-            raise ConsistencyError("constructed Casimir is not central")
+    if not is_central(omega):
+        raise ConsistencyError("constructed Casimir is not central")
     alg._casimir = omega
     return omega

@@ -295,6 +295,10 @@ JSON_DIGESTS = {
         "e5b30411e058f3877092fcb4d96bc4b5f568c59747b13d0c3d66b2d6b03cee29",
     "central-char --type G2 --weight 0,0":
         "391e75b98c4ae6c8aefe4ca665461d66547b91f7a50df213af389f6bd2f79cb2",
+    "central-char --type F4 --weight 1,0,0,1":
+        "99e72217af2e2a0523d50312763c9d76e668c95045ceb6b834be3ffa84ef75a4",
+    "central-char --type E6 --weight 0,0,0,0,0,0":
+        "55774c05295f39ad66080f0917c1435b904a20a2c5ce6308e036c670e3bb8427",
 }
 
 
@@ -358,6 +362,45 @@ def _norm_argv(draw):
 @settings(max_examples=100, deadline=None)
 @given(_norm_argv())
 def test_norm_exit_codes_on_random_input(argv):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
+
+
+_RANK = {"A1": 1, "A2": 2, "B2": 2, "G2": 2}
+_ATOMS = st.one_of(st.integers(-3, 4).map(str),
+                   st.sampled_from(["1/2", "-3/2", "2/3", "x", "", "1/0"]))
+
+
+@st.composite
+def _vector(draw, rank):
+    size = draw(st.one_of(st.just(rank), st.integers(0, 3)))
+    return ",".join(draw(st.lists(_ATOMS, min_size=size, max_size=size)))
+
+
+@st.composite
+def _small_argv(draw):
+    label = draw(st.sampled_from(sorted(_RANK)))
+    command = draw(st.sampled_from(
+        ["roots", "kostant", "weyl-orbit", "linked", "central-char"]))
+    argv = [command, "--type", label]
+    vector = _vector(_RANK[label])
+    if command == "kostant":
+        argv.append("--nu=" + draw(vector))
+    elif command == "linked":
+        argv.append("--weights=" + ";".join(
+            draw(st.lists(vector, min_size=1, max_size=3))))
+    elif command != "roots":
+        argv.append("--weight=" + draw(vector))
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_argv())
+def test_small_commands_exit_codes_on_random_input(argv):
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)

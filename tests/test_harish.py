@@ -3,12 +3,14 @@ from fractions import Fraction as F
 
 import pytest
 
+from bggkit import harish, liealg
 from bggkit.category import verma_slice
 from bggkit.errors import DomainError
 from bggkit.harish import (CentralCharacter, central_character, gamma_twist,
                            hc_psi, is_central)
-from bggkit.liealg import casimir
-from bggkit.rootdata import Weight
+from bggkit.liealg import LieAlgebraData, casimir
+from bggkit.pbw import StraightenKernel
+from bggkit.rootdata import Weight, cached_root_system
 
 
 def test_gamma_twist_examples(a1, a2):
@@ -48,6 +50,23 @@ def test_is_central(a1):
     assert is_central(a1.one())
     assert not is_central(a1.x(0))
     assert not is_central(a1.h(0))
+
+
+def test_casimir_centrality_is_checked_once(monkeypatch):
+    assert harish.is_central is liealg.is_central
+    alg = LieAlgebraData(cached_root_system("A2"))  # fresh verdict cache
+    omega = casimir(alg)
+    calls = []
+    multiply = StraightenKernel.multiply_monomials
+
+    def counted(self, *args):
+        calls.append(args)
+        return multiply(self, *args)
+
+    monkeypatch.setattr(StraightenKernel, "multiply_monomials", counted)
+    lam = Weight([1, 2])
+    assert central_character(lam, omega) == omega.hc_project().evaluate_at(lam)
+    assert calls == []
 
 
 def test_linkage_examples(a1):

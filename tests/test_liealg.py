@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from bggkit import liealg
+from bggkit import exactla, liealg
 from bggkit.errors import ConsistencyError, DomainError
 from bggkit.liealg import UEAElement, bracket, build_chevalley, casimir, h_substitute
 from bggkit.rootdata import Weight, build_root_system, cached_root_system
@@ -107,6 +107,9 @@ TABLE_DIGESTS = {
     "D4": "174b9ecdfbae95a3533506266991e363ced6fa79293e04d8b537a54c6d7e4f5f",
     "F4": "95691718ec983d05f00377072fd4ce06b13f0575c59c491363963c52134f2ef5",
     "E6": "d90debba55c809113ec4f190faa57d5e22896fd0960a8ea69f2a5d6e9990e2ca",
+    "B4": "4d7da34318c4b4729977348d2a9ea172e8a1fea488d989c62e47df39dbed070d",
+    "C4": "e91a599ac8271912e7660bd96e824d84b46a6376dc0d8cb69198ce90c7bd91df",
+    "D5": "a358771e56726cf21561471f7fb1a7f6fccb5a68b469ea784c1b88248098bf4f",
 }
 
 
@@ -297,6 +300,34 @@ def test_casimir_central_and_weight_zero():
             assert omega * xb == xb * omega
 
 
+def _dense_casimir(alg):
+    """Reference Casimir: dense ad matrices, inverted Killing form, dual basis."""
+    d = alg.d
+    ad = []
+    for i in range(d):
+        mat = [[0] * d for _ in range(d)]
+        for j in range(d):
+            for k, c in alg.bracket_basis(i, j).items():
+                mat[k][j] = c
+        ad.append(mat)
+    killing = [[sum(ad[i][p][q] * ad[j][q][p] for p in range(d) for q in range(d))
+                for j in range(d)] for i in range(d)]
+    inv = exactla.invert(killing)
+    omega = alg.zero()
+    for j in range(d):
+        dual = alg.zero()
+        for k in range(d):
+            dual = dual + inv[k][j] * alg.basis_element(k)
+        omega = omega + alg.basis_element(j) * dual
+    return omega
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "C3", "G2"])
+def test_casimir_matches_dense_killing_form(label):
+    alg = build_chevalley(cached_root_system(label))
+    assert casimir(alg) == _dense_casimir(alg)
+
+
 def test_element_presentation(a1):
     x, y, h = a1.x(0), a1.y(0), a1.h(0)
     assert str(a1.zero()) == "0"
@@ -309,5 +340,8 @@ def test_monomial_validation(a1):
         a1.monomial((1, 2))
     with pytest.raises(DomainError):
         a1.monomial((-1, 0, 0))
+    for exps in ([0.5, 0, 1.9], ["2", 0, 0], [0, 0, F(1)]):
+        with pytest.raises(DomainError, match="bad exponent vector"):
+            a1.monomial(exps)
     with pytest.raises(DomainError):
         a1.x(a1.root_position((2,)))
