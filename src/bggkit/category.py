@@ -97,8 +97,8 @@ class VermaVector:
 class VermaSlice:
     """Weight spaces of the Verma module at lambda down to depth N.
 
-    Bases are indexed by nu in Gamma with height(nu) <= N; the stored
-    basis size at each nu is checked against the Kostant number.
+    Bases are indexed by nu in Gamma with height(nu) <= N and built only
+    when asked for; each basis size is checked against the Kostant number.
     """
 
     def __init__(self, alg: LieAlgebraData, lam: Weight, depth: int):
@@ -107,17 +107,21 @@ class VermaSlice:
         self.alg = alg
         self.lam = lam
         self.depth = depth
-        self.bases: Dict[RootVec, Tuple[YMono, ...]] = {}
-        for nu in gamma_elements(alg, depth):
-            basis = weight_space_basis(alg, nu)
-            if len(basis) != alg.rs.kostant_p(nu):
-                raise ConsistencyError(
-                    f"weight space at {nu} has size {len(basis)}, "
-                    f"expected P = {alg.rs.kostant_p(nu)}")
-            self.bases[nu] = basis
+
+    def basis(self, nu) -> Tuple[YMono, ...]:
+        """The PBW basis of M(lambda)_{lambda-nu}; empty off the slice."""
+        nu = tuple(nu)
+        if len(nu) != self.alg.l or min(nu) < 0 or sum(nu) > self.depth:
+            return ()
+        basis = weight_space_basis(self.alg, nu)
+        if len(basis) != self.alg.rs.kostant_p(nu):
+            raise ConsistencyError(
+                f"weight space at {nu} has size {len(basis)}, "
+                f"expected P = {self.alg.rs.kostant_p(nu)}")
+        return basis
 
     def dimension(self, nu) -> int:
-        return len(self.bases.get(tuple(nu), ()))
+        return len(self.basis(nu))
 
     def highest_vector(self) -> VermaVector:
         return VermaVector(self, {(0,) * self.alg.m: 1})
@@ -197,7 +201,7 @@ def maximal_vectors(alg: LieAlgebraData, lam: Weight, nu, depth: Optional[int] =
     if height > depth:
         raise DomainError("nu lies below the requested truncation depth")
     vslice = VermaSlice(alg, lam, depth)
-    basis = vslice.bases.get(nu, ())
+    basis = vslice.basis(nu)
     if not basis:
         return []
     module = VermaModule(alg, lam)
@@ -443,14 +447,16 @@ def verma_is_simple(alg: LieAlgebraData, lam: Weight, depth: int) -> SimplicityR
 class DecompositionMatrix:
     """[M(lam) : L(mu)] over a linkage class, rows and columns in block order.
 
-    ``modules`` holds the Verma module of each class member, whose cached
-    quotient maps ``block_report`` reuses; it takes no part in equality.
+    ``modules`` holds the Verma module of each class member and ``diffs``
+    the table of mu_k - mu_j; ``block_report`` reuses both, and neither
+    takes part in equality.
     """
 
     class_weights: Tuple[Weight, ...]
     entries: Tuple[Tuple[int, ...], ...]
     depth: int
     modules: Tuple[VermaModule, ...] = field(default=(), compare=False, repr=False)
+    diffs: Tuple[tuple, ...] = field(default=(), compare=False, repr=False)
 
     @property
     def size(self) -> int:
@@ -472,7 +478,7 @@ def decomposition_matrix(alg: LieAlgebraData, lam: Weight,
     cls = tuple(rs.dot_orbit(lam))
     s = len(cls)
     # diffs[k][j]: mu_k - mu_j in simple-root coordinates, None off Gamma
-    diffs = [[rs.gamma_coords(a - b) for b in cls] for a in cls]
+    diffs = tuple(tuple(rs.gamma_coords(a - b) for b in cls) for a in cls)
     auto_depth = sum(diffs[0][-1])
     n = auto_depth if depth is None else max(depth, auto_depth)
 
@@ -514,7 +520,7 @@ def decomposition_matrix(alg: LieAlgebraData, lam: Weight,
             if lhs != rhs:
                 raise ConsistencyError("character identity fails after solve")
 
-    return DecompositionMatrix(cls, tuple(rows), n, modules)
+    return DecompositionMatrix(cls, tuple(rows), n, modules, diffs)
 
 
 def standard_filtration_mult(alg: LieAlgebraData, n: int, mu: Weight,
@@ -595,9 +601,7 @@ def block_report(alg: LieAlgebraData, lam: Weight,
 
     # table rows: for each nu among the pairwise differences,
     # dim L(mu_k)_{mu_k - nu} for every class member k
-    rs = alg.rs
-    nus = sorted({d for d in (rs.gamma_coords(a - b) for a in cls for b in cls)
-                  if d is not None},
+    nus = sorted({d for row in dec.diffs for d in row if d is not None},
                  key=lambda v: (sum(v), v))
     tables = tuple(
         (nu, tuple(module.simple_mult(nu) for module in modules))
@@ -605,6 +609,7 @@ def block_report(alg: LieAlgebraData, lam: Weight,
 
     findim = tuple(w.is_dominant_integral for w in cls)
     checks = []
+    rs = alg.rs
     w0 = rs.weyl_group().longest_element
     for k, w in enumerate(cls):
         if not findim[k]:

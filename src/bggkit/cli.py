@@ -184,9 +184,8 @@ def cmd_verma_mult(cfg: RunConfig, weight: str, nu: Optional[str]) -> int:
         return EXIT_OK
     depth = cfg.depth if cfg.depth is not None else 4
     vslice = category.verma_slice(alg, lam, depth)
-    rows = [{"nu": list(v), "dimension": len(basis)}
-            for v, basis in sorted(vslice.bases.items(),
-                                   key=lambda kv: (sum(kv[0]), kv[0]))]
+    rows = [{"nu": list(v), "dimension": vslice.dimension(v)}
+            for v in category.gamma_elements(alg, depth)]
     if cfg.json_output:
         _emit({"weight": jsonio.weight_to_json(lam), "depth": depth,
                "dimensions": rows})
@@ -298,8 +297,7 @@ def cmd_maximal_vectors(cfg: RunConfig, weight: str, nu: str) -> int:
     alg = cfg.algebra()
     lam = _weight(alg.rs, weight)
     vec = _nu(alg.rs, nu)
-    depth = cfg.depth if cfg.depth is not None else sum(vec)
-    found = category.maximal_vectors(alg, lam, vec, depth)
+    found = category.maximal_vectors(alg, lam, vec, cfg.depth)
     rows = [[{"exps": list(mono), "coef": jsonio.frac_to_json(c)}
              for mono, c in sorted(v.terms.items())] for v in found]
     if cfg.json_output:

@@ -5,8 +5,8 @@ scalar by which a central element acts on a highest weight module of
 weight lambda; the rho-twisted psi = gamma o phi is the version that is
 invariant under the ordinary Weyl action.  Linkage classes are Weyl dot
 orbits, and CentralCharacter equality is decided by orbit membership of
-the representatives.  is_central is re-exported from liealg, where the
-Casimir is verified with it.
+the representatives.  is_central, re-exported from liealg, commutes an
+element with the 2l Chevalley generators; the Casimir is verified by it.
 """
 
 from __future__ import annotations

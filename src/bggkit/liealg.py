@@ -18,9 +18,9 @@ sum is a root.  The finished table is re-verified against the Jacobi
 identity over every basis triple before use, so a convention bug cannot
 escape as silent wrong arithmetic.
 
-The Killing form is a sparse trace over that table, and the Casimir
-built from its dual bases is verified central once, by is_central, whose
-verdict cache the Harish-Chandra layer reads.
+The Casimir takes its dual bases from the Killing form's Cartan block
+and is verified central once, by is_central, on the 2l generators x_i,
+y_i; the Harish-Chandra layer reads is_central's verdict cache.
 """
 
 from __future__ import annotations
@@ -519,52 +519,49 @@ def h_substitute(p: UEAElement, shifts) -> UEAElement:
 
 
 def is_central(z: UEAElement) -> bool:
-    """Commutes with every basis vector (hence with all of U(g)).
+    """Commutes with every x_i and y_i, hence with all of U(g).
 
-    Verdicts are cached on the algebra; entries are idempotent, so the
-    cache is safe under concurrent use.
+    The simple x_i, y_i generate g and the commutant of z is a subalgebra,
+    so 4l products decide.  Verdicts are cached on the algebra; entries
+    are idempotent, so the cache is safe under concurrent use.
     """
     alg = z.alg
     cache = alg._central_cache
     cached = cache.get(z)
     if cached is not None:
         return cached
-    verdict = True
-    for i in range(alg.d):
-        b = alg.basis_element(i)
-        if z * b != b * z:
-            verdict = False
-            break
+    simple = [alg.root_position(root) for root in alg.rs.simple_roots()]
+    verdict = all(z * b == b * z for p in simple for b in (alg.x(p), alg.y(p)))
     cache[z] = verdict
     return verdict
 
 
 def casimir(alg: LieAlgebraData) -> UEAElement:
-    """Casimir element from Killing-form dual bases, verified central.
+    """Casimir element from the Killing form's Cartan block, verified central.
 
-    The Killing form K(b_i, b_j) = tr(ad b_i ad b_j) is summed over the
-    sparse brackets: for each q, [b_j, b_q] = sum_p c_p b_p contributes
-    c_p times the b_q-coefficient of [b_i, b_p].
+    The Killing form pairs only opposite weight spaces: K(h_i, h_j) is the
+    sum over roots of alpha(h_i) alpha(h_j), and by invariance
+    K(x_a, y_a) = K(h_a, h_a)/2 with h_a = [x_a, y_a].  So Omega is
+    sum (K_h^-1)_ij h_i h_j + sum_a (x_a y_a + y_a x_a) / K(x_a, y_a).
     """
     if alg._casimir is not None:
         return alg._casimir
-    d = alg.d
-    br = alg.bracket_basis
-    killing = []  # row j holds K(b_i, b_j) = K(b_j, b_i)
-    for j in range(d):
-        terms = [(q, p, c) for q in range(d) for p, c in br(j, q).items()]
-        killing.append([sum(c * br(i, p).get(q, 0) for q, p, c in terms)
-                        for i in range(d)])
+    rs, pairs = alg.rs, list(itertools.product(range(alg.l), repeat=2))
+    values = [rs.root_to_weight(r).coords for r in rs.positive_roots]
+    killing = [[2 * sum(v[i] * v[j] for v in values) for j in range(alg.l)]
+               for i in range(alg.l)]
     try:
         inv = exactla.invert(killing)
     except DomainError:
         raise DomainError("Killing form is degenerate; algebra not semisimple")
     omega = alg.zero()
-    for j in range(d):
-        dual = UEAElement(alg, {
-            tuple(int(r == k) for r in range(d)): inv[k][j]
-            for k in range(d) if inv[k][j]})
-        omega = omega + alg.basis_element(j) * dual
+    for i, j in pairs:
+        omega = omega + inv[i][j] * (alg.h(i) * alg.h(j))
+    for pos, root in enumerate(rs.positive_roots):
+        h = rs.coroot(root)
+        k_xy = Fraction(sum(h[i] * killing[i][j] * h[j] for i, j in pairs), 2)
+        x, y = alg.x(pos), alg.y(pos)
+        omega = omega + (x * y + y * x) * (1 / k_xy)
     if not is_central(omega):
         raise ConsistencyError("constructed Casimir is not central")
     alg._casimir = omega

@@ -1,7 +1,15 @@
 import pytest
+from hypothesis import settings
 
 from bggkit.liealg import build_chevalley
 from bggkit.rootdata import cached_root_system
+
+# Loaded here, before any test module is imported, so that every
+# @settings object (which copies the profile current at its creation)
+# is derandomized too and each run draws the same examples.
+settings.register_profile("suite", deadline=None, derandomize=True,
+                          max_examples=60)
+settings.load_profile("suite")
 
 
 @pytest.fixture(scope="session")

@@ -92,6 +92,22 @@ def test_maximal_vector_a2_nontrivial(a2):
     assert maximal_vectors(a2, Weight([0, 0]), (2, 1)) != []
 
 
+def test_maximal_vectors_builds_no_space_below_nu(monkeypatch):
+    alg = _alg("A3")
+    nu = (1, 1, 1)
+    build = category.weight_space_basis
+
+    def spy(alg_, mu):
+        assert sum(mu) <= sum(nu), f"built the weight space at {mu}"
+        return build(alg_, mu)
+
+    monkeypatch.setattr(category, "weight_space_basis", spy)
+    deep = maximal_vectors(alg, Weight([0, 0, 0]), nu, depth=40)
+    assert deep == maximal_vectors(alg, Weight([0, 0, 0]), nu)
+    with pytest.raises(DomainError, match="below the requested truncation"):
+        maximal_vectors(alg, Weight([0, 0, 0]), nu, depth=2)
+
+
 # -- Shapovalov oracle ------------------------------------------------------------
 
 def test_shapovalov_examples(a1):

@@ -405,3 +405,46 @@ def test_small_commands_exit_codes_on_random_input(argv):
             contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
     assert code in (0, 1, 2)
+
+
+_WEIGHT_ATOMS = st.one_of(st.integers(-3, 3).map(str),
+                          st.sampled_from(["1/2", "-3/2", "x", ""]))
+
+
+@st.composite
+def _nu_text(draw, rank):
+    if draw(st.integers(0, 4)) == 0:  # malformed or of the wrong rank
+        return draw(st.sampled_from(["1", "1,1,1", "a,b", "", "1/2"]))
+    coords = draw(st.lists(st.integers(-1, 3), min_size=rank, max_size=rank)
+                  .filter(lambda v: sum(v) <= 3))
+    return ",".join(map(str, coords))
+
+
+@st.composite
+def _module_argv(draw):
+    label = draw(st.sampled_from(["A1", "A2", "B2"]))
+    rank = _RANK[label]
+    command = draw(st.sampled_from(
+        ["verma-mult", "shapovalov", "maximal-vectors", "decomp", "block"]))
+    if draw(st.integers(0, 4)) == 0:  # malformed or of the wrong rank
+        weight = draw(_vector(rank))
+    else:
+        weight = ",".join(draw(st.lists(_WEIGHT_ATOMS, min_size=rank,
+                                        max_size=rank)))
+    argv = [command, "--type", label, "--weight=" + weight]
+    if command in ("verma-mult", "shapovalov", "maximal-vectors"):
+        argv.append("--nu=" + draw(_nu_text(rank)))
+    if command in ("verma-mult", "maximal-vectors") and draw(st.booleans()):
+        argv.append("--depth=%d" % draw(st.integers(-3, 25)))
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(_module_argv())
+def test_module_commands_exit_codes_on_random_input(argv):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    assert code in (0, 1, 2)

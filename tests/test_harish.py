@@ -69,6 +69,50 @@ def test_casimir_centrality_is_checked_once(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_highest_root_vectors_are_not_central(label):
+    alg = LieAlgebraData(cached_root_system(label))  # fresh verdict cache
+    top = alg.root_position(max(alg.rs.positive_roots, key=sum))
+    x, y = alg.x(top), alg.y(top)
+    # x_theta passes every x_i and y_theta every y_i: only the other half
+    # of the generators shows that neither is central
+    for root in alg.rs.simple_roots():
+        pos = alg.root_position(root)
+        assert x * alg.x(pos) == alg.x(pos) * x
+        assert y * alg.y(pos) == alg.y(pos) * y
+    assert not is_central(x)
+    assert not is_central(y)
+
+
+def _commutes_with_basis(z):
+    """Reference check: z commutes with all d basis vectors."""
+    alg = z.alg
+    return all(z * b == b * z
+               for b in (alg.basis_element(i) for i in range(alg.d)))
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2"])
+def test_is_central_matches_all_basis_check(label):
+    alg = LieAlgebraData(cached_root_system(label))  # fresh verdict cache
+    omega = casimir(alg)
+    samples = [omega, omega * omega, omega + alg.h(0)]
+    rng = random.Random(29)
+    coefs = (0, 0, 1, -2, F(1, 3))
+    for _ in range(12):
+        pos = rng.randrange(alg.m)
+        i, j = rng.randrange(alg.l), rng.randrange(alg.l)
+        samples.append(rng.choice(coefs[2:]) * omega
+                       + rng.choice(coefs) * (alg.x(pos) * alg.y(pos))
+                       + rng.choice(coefs) * (alg.h(i) * alg.h(j))
+                       + rng.choice(coefs) * alg.one())
+    verdicts = []
+    for z in samples:
+        assert z.is_weight_zero()
+        verdicts.append(is_central(z))
+        assert verdicts[-1] == _commutes_with_basis(z)
+    assert set(verdicts) == {True, False}
+
+
 def test_linkage_examples(a1):
     rs = a1.rs
     assert rs.is_linked(Weight([3]), Weight([3]))

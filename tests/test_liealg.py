@@ -7,7 +7,8 @@ import pytest
 
 from bggkit import exactla, liealg
 from bggkit.errors import ConsistencyError, DomainError
-from bggkit.liealg import UEAElement, bracket, build_chevalley, casimir, h_substitute
+from bggkit.liealg import (LieAlgebraData, UEAElement, bracket, build_chevalley,
+                           casimir, h_substitute)
 from bggkit.rootdata import Weight, build_root_system, cached_root_system
 
 
@@ -322,10 +323,45 @@ def _dense_casimir(alg):
     return omega
 
 
-@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "C3", "G2"])
+# products whose simple factors carry differently scaled Killing forms
+_PRODUCTS = {"A1xA1": ((2, 0), (0, 2)),
+             "B2xA1": ((2, -1, 0), (-2, 2, 0), (0, 0, 2))}
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "C3", "G2",
+                                   "A1xA1", "B2xA1"])
 def test_casimir_matches_dense_killing_form(label):
-    alg = build_chevalley(cached_root_system(label))
+    rs = (build_root_system(_PRODUCTS[label]) if label in _PRODUCTS
+          else cached_root_system(label))
+    alg = build_chevalley(rs)
     assert casimir(alg) == _dense_casimir(alg)
+
+
+@pytest.mark.parametrize("label", ["B3", "E6"])
+def test_casimir_inverts_only_the_cartan_block(monkeypatch, label):
+    alg = LieAlgebraData(cached_root_system(label))  # no Casimir cached yet
+    shapes = []
+    invert = exactla.invert
+
+    def spy(matrix):
+        shapes.append((len(matrix), {len(row) for row in matrix}))
+        return invert(matrix)
+
+    monkeypatch.setattr(exactla, "invert", spy)
+    omega = casimir(alg)
+    assert shapes == [(alg.l, {alg.l})]
+
+    products = []
+    multiply = UEAElement.__mul__
+
+    def counted(self, other):
+        if isinstance(other, UEAElement):
+            products.append(other)
+        return multiply(self, other)
+
+    monkeypatch.setattr(UEAElement, "__mul__", counted)
+    assert liealg.is_central(omega + alg.one())  # central, so no early exit
+    assert 0 < len(products) <= 4 * alg.l
 
 
 def test_element_presentation(a1):

@@ -4,17 +4,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from bggkit import cli
 from bggkit.errors import DomainError, NotARootError, NotFiniteTypeError
 from bggkit.rootdata import (STRICT, WIDE, CartanMatrixInput, Weight,
                              build_root_system, cached_root_system)
-
-settings.register_profile("suite", deadline=None, derandomize=True,
-                          max_examples=60)
-settings.load_profile("suite")
-
 
 # -- construction -------------------------------------------------------------
 
