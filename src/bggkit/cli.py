@@ -182,9 +182,11 @@ def cmd_verma_mult(cfg: RunConfig, weight: str, nu: Optional[str]) -> int:
         else:
             print(dim)
         return EXIT_OK
+    # dim M(lambda)_(lambda-nu) is the Kostant number P(nu)
     depth = cfg.depth if cfg.depth is not None else 4
-    vslice = category.verma_slice(alg, lam, depth)
-    rows = [{"nu": list(v), "dimension": vslice.dimension(v)}
+    if depth < 0:
+        raise DomainError("depth must be nonnegative")
+    rows = [{"nu": list(v), "dimension": alg.rs.kostant_p(v)}
             for v in category.gamma_elements(alg, depth)]
     if cfg.json_output:
         _emit({"weight": jsonio.weight_to_json(lam), "depth": depth,

@@ -15,8 +15,8 @@ p+1 > 0, and every other N_{a,b} follows in closed form from those
 The bracket table is read once off the index weights: the Cartan pairing
 for [h, b], the coroot for [x_a, y_a], and N_{a,b} for two roots whose
 sum is a root.  The finished table is re-verified against the Jacobi
-identity over every basis triple before use, so a convention bug cannot
-escape as silent wrong arithmetic.
+identity before use, exhaustively but read off the table, so a convention
+bug cannot escape as silent wrong arithmetic.
 
 The Casimir takes its dual bases from the Killing form's Cartan block
 and is verified central once, by is_central, on the 2l generators x_i,
@@ -29,7 +29,7 @@ import itertools
 from fractions import Fraction
 from math import comb
 from operator import index
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 from . import exactla
 from .errors import ConsistencyError, DomainError
@@ -141,6 +141,29 @@ def _structure_constants(rs: RootSystem) -> Dict[Tuple[Root, Root], int]:
     return n
 
 
+def _jacobi_failure(d: int, table) -> Optional[Tuple[int, int, int]]:
+    """First basis triple i < j < k with a nonzero Jacobiator, or None.
+
+    Exhaustive, read off the nonzero [b_hi, b_lo] (hi > lo) in table: only
+    triples {a, b, c} with a term m of [a, b] and [m, c] != 0 are evaluated.
+    """
+    rows = [{} for _ in range(d)]
+    for (hi, lo), entries in table.items():
+        rows[hi][lo] = entries
+        rows[lo][hi] = tuple((k, -c) for k, c in entries)
+    candidates = {tuple(sorted((a, b, c))) for (a, b), entries in table.items()
+                  for m, _ in entries for c in rows[m] if c not in (a, b)}
+    for i, j, k in sorted(candidates):
+        acc: Dict[int, int] = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for mid, c1 in rows[a].get(b, ()):
+                for out, c2 in rows[mid].get(c, ()):
+                    acc[out] = acc.get(out, 0) + c1 * c2
+        if any(acc.values()):
+            return i, j, k
+    return None
+
+
 class LieAlgebraData:
     """Split semisimple Lie algebra with verified integer structure constants."""
 
@@ -161,7 +184,10 @@ class LieAlgebraData:
         self.index_weights: Tuple[Exps, ...] = tuple(weights)
 
         self._table = self._build_table(_structure_constants(rs))
-        self._verify_jacobi()
+        failure = _jacobi_failure(self.d, self._table)
+        if failure is not None:
+            raise ConsistencyError(
+                "Jacobi identity fails on basis triple (%d,%d,%d)" % failure)
         self.kernel = StraightenKernel(self.d, self._table)
         self._one_exps = (0,) * self.d
 
@@ -251,18 +277,6 @@ class LieAlgebraData:
         if i > j:
             return dict(self._table.get((i, j), ()))
         return {k: -c for k, c in self._table.get((j, i), ())}
-
-    def _verify_jacobi(self):
-        """Exhaustive Jacobi check over basis triples; raises on failure."""
-        for i, j, k in itertools.combinations(range(self.d), 3):
-            acc: Dict[int, int] = {}
-            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                for mid, c1 in self.bracket_basis(a, b).items():
-                    for out, c2 in self.bracket_basis(mid, c).items():
-                        acc[out] = acc.get(out, 0) + c1 * c2
-            if any(v != 0 for v in acc.values()):
-                raise ConsistencyError(
-                    f"Jacobi identity fails on basis triple ({i},{j},{k})")
 
     # -- elements -----------------------------------------------------------
 
@@ -472,23 +486,11 @@ class UEAElement:
 # -- module-level operation surface ----------------------------------------
 
 def bracket(u: UEAElement, v: UEAElement) -> UEAElement:
-    """Lie bracket of two degree-one elements, via the structure table."""
-    u._check_same(v)
-    alg = u.alg
+    """Lie bracket of two degree-one elements: u v - v u in normal form."""
     for elt in (u, v):
         if any(sum(e) != 1 for e in elt.terms):
             raise DomainError("bracket arguments must be Lie algebra elements")
-    out: Dict[Exps, Fraction] = {}
-    for ea, ca in u.terms.items():
-        i = next(k for k, e in enumerate(ea) if e)
-        for eb, cb in v.terms.items():
-            j = next(k for k, e in enumerate(eb) if e)
-            for idx, c in alg.bracket_basis(i, j).items():
-                exps = [0] * alg.d
-                exps[idx] = 1
-                key = tuple(exps)
-                out[key] = out.get(key, Fraction(0)) + ca * cb * c
-    return UEAElement(alg, out)
+    return u * v - v * u
 
 
 def h_substitute(p: UEAElement, shifts) -> UEAElement:

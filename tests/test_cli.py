@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bggkit import cli
+from bggkit import category, cli
 
 
 def run_cli(capsys, *argv):
@@ -140,6 +140,22 @@ def test_verma_mult_table(capsys):
     assert {"nu": [2], "dimension": 1} in data["dimensions"]
 
 
+def test_verma_mult_table_builds_no_weight_space(capsys, monkeypatch):
+    calls = []
+    basis = category.weight_space_basis
+    monkeypatch.setattr(category, "weight_space_basis",
+                        lambda *args: calls.append(args) or basis(*args))
+    code, out, _ = run_cli(capsys, "verma-mult", "--type", "B2",
+                           "--weight", "0,0", "--depth", "5")
+    assert code == 0
+    assert "  nu=2,2        dim 4\n" in out
+    assert calls == []
+    code, out, _ = run_cli(capsys, "verma-mult", "--type", "B2",
+                           "--weight", "0,0", "--nu", "2,2")
+    assert (code, out) == (0, "4\n")
+    assert calls
+
+
 def test_cartan_file_input(tmp_path, capsys):
     path = tmp_path / "cartan.json"
     path.write_text(json.dumps({"cartan": [[2, -1], [-1, 2]]}))
@@ -198,6 +214,24 @@ def test_selftest_fast(capsys):
     assert "PASS criterion-01" in out
     assert "PASS criterion-02" in out
     assert "criterion-03" not in out
+
+
+# sha256 of the stdout of each selftest run, recorded when criterion 1
+# evaluated every one of the d^3 ordered basis triples
+SELFTEST_DIGESTS = {
+    "selftest --fast":
+        "427716910a35bbf1f026e30bfe6dca5fa8a0e64d4bf6256f087e23de01f8ca27",
+    "selftest --type G2 --fast":
+        "66545215539c497e976660f827a324cba90e36b0893842138b9abd6cab20706a",
+}
+
+
+@pytest.mark.parametrize("command", sorted(SELFTEST_DIGESTS))
+def test_selftest_output_matches_recorded_digest(capsys, command):
+    code, out, err = run_cli(capsys, *command.split())
+    assert code == 0
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == SELFTEST_DIGESTS[command]
 
 
 def test_selftest_deterministic_output(capsys):
@@ -299,6 +333,9 @@ JSON_DIGESTS = {
         "99e72217af2e2a0523d50312763c9d76e668c95045ceb6b834be3ffa84ef75a4",
     "central-char --type E6 --weight 0,0,0,0,0,0":
         "55774c05295f39ad66080f0917c1435b904a20a2c5ce6308e036c670e3bb8427",
+    # recorded when the table enumerated every PBW monomial to the depth
+    "verma-mult --type A3 --weight 0,0,0 --depth 20":
+        "5695d7a4129c27825fa2ec6db6fa36677aa65875e7efa6eece2b5b183e130336",
 }
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -111,6 +112,8 @@ TABLE_DIGESTS = {
     "B4": "4d7da34318c4b4729977348d2a9ea172e8a1fea488d989c62e47df39dbed070d",
     "C4": "e91a599ac8271912e7660bd96e824d84b46a6376dc0d8cb69198ce90c7bd91df",
     "D5": "a358771e56726cf21561471f7fb1a7f6fccb5a68b469ea784c1b88248098bf4f",
+    # recorded from the closed form with the all-triples Jacobi check
+    "E7": "dee8a25a9bb3d42215b26da371cb7e2b78381797ee584ab0b10523d3b49e213a",
 }
 
 
@@ -151,6 +154,55 @@ def test_closed_form_rejects_inconsistent_root_lengths(monkeypatch, label, corru
     monkeypatch.setattr(liealg, "_root_lengths", lambda rs: corrupt(lengths(rs), rs))
     with pytest.raises(ConsistencyError, match=message):
         liealg.LieAlgebraData(build_root_system(label))
+
+
+def _dense_jacobi_failure(d, table):
+    """Reference check: every one of the C(d,3) basis triples, in order."""
+    def br(a, b):
+        if a > b:
+            return dict(table.get((a, b), ()))
+        return {k: -c for k, c in table.get((b, a), ())}
+
+    for i, j, k in itertools.combinations(range(d), 3):
+        acc = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for mid, c1 in br(a, b).items():
+                for out, c2 in br(mid, c).items():
+                    acc[out] = acc.get(out, 0) + c1 * c2
+        if any(acc.values()):
+            return i, j, k
+    return None
+
+
+def _single_entry_perturbations(table):
+    """Each table entry plus 1 or minus 2; an entry that becomes 0 is dropped."""
+    for key, entries in sorted(table.items()):
+        for pos, (k, c) in enumerate(entries):
+            for delta in (1, -2):
+                kept = ((k, c + delta),) if c + delta else ()
+                changed = entries[:pos] + kept + entries[pos + 1:]
+                perturbed = {**table, key: changed}
+                if not changed:
+                    del perturbed[key]
+                yield perturbed
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3"])
+def test_jacobi_check_agrees_with_dense_reference(monkeypatch, label):
+    alg = build_chevalley(cached_root_system(label))
+    assert liealg._jacobi_failure(alg.d, alg._table) is None
+    assert _dense_jacobi_failure(alg.d, alg._table) is None
+    perturbations = list(_single_entry_perturbations(alg._table))
+    assert len(perturbations) == 2 * sum(map(len, alg._table.values()))
+    for table in perturbations:
+        expected = _dense_jacobi_failure(alg.d, table)
+        assert expected is not None
+        assert liealg._jacobi_failure(alg.d, table) == expected
+        monkeypatch.setattr(LieAlgebraData, "_build_table",
+                            lambda self, n, table=table: table)
+        message = "Jacobi identity fails on basis triple (%d,%d,%d)" % expected
+        with pytest.raises(ConsistencyError, match=re.escape(message)):
+            LieAlgebraData(alg.rs)
 
 
 def test_bracket_rejects_higher_degree(a1):
