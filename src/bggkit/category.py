@@ -4,7 +4,12 @@ Simple multiplicities come from the radical recursion: for nu != 0, a
 vector of M(lambda)_{lambda-nu} lies in the maximal submodule exactly
 when every simple x_i sends it there, so dim L(lambda)_{lambda-nu} is
 the rank of the x_i matrices composed with the quotient maps one level
-up (``VermaModule``).  The x_i matrices are affine in lambda and cached
+up (``VermaModule``).  By the Shapovalov determinant formula the
+maximal submodule meets M(lambda)_{lambda-nu} only when nu lies on a
+wall of lambda, nu - n*beta in Gamma for a positive root beta with
+n = <lambda+rho, beta-check> a positive integer; off the walls the
+quotient map is the identity and costs no rank, on them it is a
+primitive row basis.  The x_i matrices are affine in lambda and cached
 per algebra.  Block decomposition matrices are then solved from the
 unitriangular character system
 
@@ -24,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from . import exactla
 from .errors import ConsistencyError, DepthOverflowError, DomainError
@@ -282,14 +287,18 @@ def raising_matrix(alg: LieAlgebraData, i: int, nu: RootVec):
 class VermaModule:
     """M(lam) with its quotient maps onto the simple module L(lam).
 
-    For nu != 0, v in M_{lam-nu} lies in the maximal submodule exactly
-    when x_i . v does for every simple i (Jantzen, LNM 750).  So
-    dim L(lam)_{lam-nu} is the rank of the stacked map
-    M_{lam-nu} -> sum_i L_{lam-nu+alpha_i}: the x_i matrices followed by
-    the quotient maps already found one level up.  Each quotient map is
-    kept as a primitive integer row basis (``exactla.row_basis``); lam is
-    scaled by the lcm of its denominators, which leaves every rank as it
-    is, so the recursion never builds a Fraction.
+    The walls of lam, the pairs (beta, n) with n = <lam+rho, beta-check>
+    a positive integer, are found once.  Where no wall reaches nu (no
+    n*beta <= nu) the Shapovalov determinant at nu is nonzero
+    (Shapovalov 1972; Jantzen, LNM 750), so the quotient map at nu is
+    the identity and is kept as its dimension P(nu).  On a wall, v in
+    M_{lam-nu} (nu != 0) lies in the maximal submodule exactly when
+    x_i . v does for every simple i.  So dim L(lam)_{lam-nu} is the rank
+    of the stacked map M_{lam-nu} -> sum_i L_{lam-nu+alpha_i}: the x_i
+    matrices followed by the quotient maps already found one level up,
+    kept as a primitive integer row basis (``exactla.row_basis``).  lam
+    is scaled by the lcm of its denominators, which leaves every rank as
+    it is, so the recursion never builds a Fraction.
     """
 
     def __init__(self, alg: LieAlgebraData, lam: Weight):
@@ -298,7 +307,17 @@ class VermaModule:
         scale = lcm(*(c.denominator for c in lam.coords))
         # homogeneous coordinates: form . point = scale * form(lam)
         self._point = (scale,) + tuple(int(c * scale) for c in lam.coords)
-        self._quotients: Dict[RootVec, List[List[int]]] = {(0,) * alg.l: [[1]]}
+        # walls (beta, n): rho(h_j) = 1, so scale * <lam+rho, beta-check>
+        # is h_beta . (point + scale)
+        shifted = tuple(c + scale for c in self._point[1:])
+        self._walls = []
+        for beta in alg.rs.positive_roots:
+            n, rest = divmod(sum(map(mul, alg.rs.coroot(beta), shifted)), scale)
+            if n > 0 and not rest:
+                self._walls.append((beta, n))
+        # an int is an identity quotient of that dimension, a list a
+        # primitive row basis
+        self._quotients: Dict[RootVec, Union[int, List[List[int]]]] = {}
 
     def _columns(self, i: int, nu: RootVec):
         """The x_i matrix at nu evaluated at lam (scaled), as sparse
@@ -325,6 +344,9 @@ class VermaModule:
             quotient = self._quotients[target] if target is not None else None
             if not quotient:
                 continue
+            if isinstance(quotient, int):
+                out.extend(self.raising_rows(i, nu))
+                continue
             columns = self._columns(i, nu)
             for q in quotient:
                 pick = q.__getitem__
@@ -332,17 +354,23 @@ class VermaModule:
                             for targets, values in columns])
         return out
 
-    def _quotient(self, nu: RootVec) -> List[List[int]]:
-        """Row basis of the quotient map M_{lam-nu} -> L(lam)_{lam-nu}.
-
-        Its kernel is the maximal submodule at nu.  The maps one level
-        up are found first, depth first, with an explicit stack.
+    def _quotient(self, nu: RootVec) -> Union[int, List[List[int]]]:
+        """The quotient map M_{lam-nu} -> L(lam)_{lam-nu}, whose kernel is
+        the maximal submodule at nu: its dimension P(nu) off the walls,
+        where it is the identity, else a row basis.  The maps one level
+        up are found first, depth first, with an explicit stack; every
+        level above an identity is an identity too.
         """
         quotients = self._quotients
         stack = [nu]
         while stack:
             mu = stack[-1]
             if mu in quotients:
+                stack.pop()
+                continue
+            if not any(all(c >= n * b for c, b in zip(mu, beta))
+                       for beta, n in self._walls):
+                quotients[mu] = self.alg.rs.kostant_p(mu)
                 stack.pop()
                 continue
             missing = [up for up in (_lower(mu, i) for i in range(self.alg.l))
@@ -359,7 +387,8 @@ class VermaModule:
         nu = tuple(int(c) for c in nu)
         if any(c < 0 for c in nu):
             return 0
-        return len(self._quotient(nu))
+        quotient = self._quotient(nu)
+        return quotient if isinstance(quotient, int) else len(quotient)
 
 
 # -- Shapovalov form ---------------------------------------------------------
@@ -421,7 +450,11 @@ def verma_is_simple(alg: LieAlgebraData, lam: Weight, depth: int) -> SimplicityR
     The verdict is the STRICT antidominance test; the audit records
     dim L(lam)_{lam-nu} (the rank of the contravariant form) at every nu
     up to the depth.  An antidominant verdict with a rank drop is
-    impossible and raises ConsistencyError.
+    impossible and raises ConsistencyError.  A strictly antidominant lam
+    has no walls, so every audited quotient is an identity and the drop
+    cannot happen by construction; the check stays, and selftest
+    criterion 6 and the Shapovalov-rank test cross-check the walls by
+    other routes.
     """
     verdict = alg.rs.is_antidominant(lam, STRICT)
     module = VermaModule(alg, lam)
@@ -429,9 +462,11 @@ def verma_is_simple(alg: LieAlgebraData, lam: Weight, depth: int) -> SimplicityR
     for nu in gamma_elements(alg, depth):
         if not any(nu):
             continue
-        dim = alg.rs.kostant_p(nu)
-        rank = module.simple_mult(nu)
-        ranks.append((nu, rank, dim))
+        quotient = module._quotient(nu)
+        if isinstance(quotient, int):
+            ranks.append((nu, quotient, quotient))
+        else:
+            ranks.append((nu, len(quotient), alg.rs.kostant_p(nu)))
     report = SimplicityReport(verdict, depth, tuple(ranks))
     if verdict and not report.nondegenerate:
         raise ConsistencyError(

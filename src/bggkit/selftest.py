@@ -117,20 +117,27 @@ def criterion_1(types: Sequence[str], seed: int) -> CriterionResult:
 
 
 def _kostant_brute_force(rs, nu) -> int:
+    """Count the partitions of nu into positive roots by plain backtracking.
+
+    Each root in turn is subtracted as often as the remainder stays in
+    Gamma; no count is cached, so this stays independent of the
+    memoized ``RootSystem.kostant_p``.
+    """
     roots = rs.positive_roots
-    bounds = []
-    for beta in roots:
-        bound = min(nu[i] // beta[i] for i in range(len(nu)) if beta[i])
-        bounds.append(bound)
-    count = 0
-    for combo in itertools.product(*(range(b + 1) for b in bounds)):
-        total = [0] * len(nu)
-        for c, beta in zip(combo, roots):
-            for i, b in enumerate(beta):
-                total[i] += c * b
-        if tuple(total) == tuple(nu):
-            count += 1
-    return count
+
+    def count(k, rest):
+        if not any(rest):
+            return 1
+        if k == len(roots):
+            return 0
+        total = 0
+        beta = roots[k]
+        while all(c >= 0 for c in rest):
+            total += count(k + 1, rest)
+            rest = tuple(c - b for c, b in zip(rest, beta))
+        return total
+
+    return count(0, tuple(nu))
 
 
 def criterion_2(types: Sequence[str], seed: int) -> CriterionResult:

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from bggkit import category, exactla
+from bggkit import category, exactla, selftest
 from bggkit.category import (VermaModule, block_report, cartan_matrix,
                              decomposition_matrix, maximal_vectors,
                              projective_filtration_matrix, raising_matrix,
@@ -131,7 +131,8 @@ def test_shapovalov_symmetric(a2, b2):
                        for i in range(n) for j in range(n))
 
 
-@pytest.mark.parametrize("label, depth", [("A1", 8), ("A2", 4), ("B2", 4), ("G2", 3)])
+@pytest.mark.parametrize("label, depth", [("A1", 8), ("A2", 4), ("B2", 4), ("G2", 3),
+                                          ("A3", 4), ("G2", 4)])
 def test_verma_module_matches_shapovalov_rank(label, depth):
     """The radical recursion against the rank of the contravariant form."""
     alg = _alg(label)
@@ -143,6 +144,40 @@ def test_verma_module_matches_shapovalov_rank(label, depth):
             for nu in category.gamma_elements(alg, depth):
                 expected = exactla.rank(shapovalov_matrix(alg, lam, nu)) if any(nu) else 1
                 assert module.simple_mult(nu) == expected, (lam, nu)
+
+
+@pytest.mark.parametrize("label, coords", [
+    ("A2", (F(1, 2), F(1, 3))), ("A3", (-1, -1, -1)), ("A2", (0, 0)),
+    ("A2", (0, F(1, 2))), ("B2", (1, F(-3, 2))),
+], ids=["A2-wall-free", "A3-minus-rho", "A2-0,0", "A2-one-wall", "B2-mixed"])
+def test_rank_work_only_on_walls(monkeypatch, label, coords):
+    """The audit reduces a stacked matrix once at each nu that a wall
+    reaches and builds x_i matrices nowhere else.  (A stack can be empty,
+    with no x_i matrix, when every quotient above it is zero.)"""
+    alg = _alg(label)
+    lam = Weight(list(coords))
+    reduced = []
+    raised = set()
+    row_basis = exactla.row_basis
+    build = category.raising_matrix
+
+    def count_row_basis(rows):
+        reduced.append(rows)
+        return row_basis(rows)
+
+    def record_raising(alg_, i, nu):
+        raised.add(tuple(nu))
+        return build(alg_, i, nu)
+
+    monkeypatch.setattr(exactla, "row_basis", count_row_basis)
+    monkeypatch.setattr(category, "raising_matrix", record_raising)
+    report = verma_is_simple(alg, lam, 5)
+    # selftest's reading of the Shapovalov determinant's support
+    on_walls = {nu for nu, _, _ in report.ranks
+                if not selftest._degeneracy_prediction(alg, lam, nu)}
+    assert raised <= on_walls
+    assert len(reduced) == len(on_walls)
+    assert report.nondegenerate == (not on_walls)
 
 
 def test_raising_matrix_rejects_h_degree_above_one():

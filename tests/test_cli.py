@@ -216,6 +216,13 @@ def test_selftest_fast(capsys):
     assert "criterion-03" not in out
 
 
+def test_selftest_fast_finishes_on_f4(capsys):
+    # criterion 2 counts Kostant partitions over all 24 positive roots
+    code, out, _ = run_cli(capsys, "selftest", "--type", "F4", "--fast")
+    assert code == 0
+    assert "PASS criterion-02 kostant-brute-force: 495 vectors exact over F4" in out
+
+
 # sha256 of the stdout of each selftest run, recorded when criterion 1
 # evaluated every one of the d^3 ordered basis triples
 SELFTEST_DIGESTS = {
