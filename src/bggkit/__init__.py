@@ -20,8 +20,7 @@ from .harish import CentralCharacter, central_character, gamma_twist, hc_psi
 from .category import (BlockReport, DecompositionMatrix, VermaModule, VermaSlice,
                        block_report, cartan_matrix, decomposition_matrix,
                        maximal_vectors, projective_filtration_matrix,
-                       shapovalov_matrix, simple_weight_mult,
-                       standard_filtration_mult, verma_is_simple, verma_slice)
+                       shapovalov_matrix, simple_weight_mult, verma_is_simple)
 from .pbw import KERNEL_IMPL
 
 __version__ = "0.1.0"
@@ -38,6 +37,6 @@ __all__ = [
     "block_report",
     "cartan_matrix", "decomposition_matrix", "maximal_vectors",
     "projective_filtration_matrix", "shapovalov_matrix", "simple_weight_mult",
-    "standard_filtration_mult", "verma_is_simple", "verma_slice",
+    "verma_is_simple",
     "KERNEL_IMPL", "__version__",
 ]

@@ -188,21 +188,18 @@ def gamma_elements(alg: LieAlgebraData, max_height: int):
     return sorted(out, key=lambda v: (sum(v), v))
 
 
-def verma_slice(alg: LieAlgebraData, lam: Weight, depth: int) -> VermaSlice:
-    return VermaSlice(alg, lam, depth)
-
-
 def maximal_vectors(alg: LieAlgebraData, lam: Weight, nu, depth: Optional[int] = None
                     ) -> List[VermaVector]:
     """Basis of {v in M(lam)_{lam-nu} : n . v = 0} by exact linear algebra.
 
     Killing the simple generators x_i suffices since they generate n, so
-    this is the nullspace of the stacked x_i matrices at nu.
+    this is the nullspace of the stacked x_i matrices at nu.  The slice
+    depth defaults to height(nu), or 0 when nu lies off Gamma.
     """
     nu = tuple(int(c) for c in nu)
     height = sum(nu)
     if depth is None:
-        depth = height
+        depth = max(height, 0)
     if height > depth:
         raise DomainError("nu lies below the requested truncation depth")
     vslice = VermaSlice(alg, lam, depth)
@@ -556,24 +553,6 @@ def decomposition_matrix(alg: LieAlgebraData, lam: Weight,
                 raise ConsistencyError("character identity fails after solve")
 
     return DecompositionMatrix(cls, tuple(rows), n, modules, diffs)
-
-
-def standard_filtration_mult(alg: LieAlgebraData, n: int, mu: Weight,
-                             lam: Weight) -> int:
-    """(Fil M_{n,mu} : M(lam)) = P(lam - mu), valid for height < n.
-
-    The length-n relations in the presentation kill everything at depth
-    >= n, and the multiplicity statement beyond that range is an open
-    question; such calls are refused rather than guessed.
-    """
-    diff = alg.rs.gamma_coords(lam - mu)
-    if diff is None:
-        return 0
-    if sum(diff) >= n:
-        raise DomainError(
-            f"height(lam-mu) = {sum(diff)} >= n = {n}: the multiplicity is "
-            "only established below the presentation length (open question)")
-    return alg.rs.kostant_p(diff)
 
 
 def projective_filtration_matrix(dec: DecompositionMatrix) -> Tuple[Tuple[int, ...], ...]:

@@ -4,6 +4,10 @@ Exit codes: 0 success, 1 domain error (valid syntax, bad mathematics),
 2 usage error, 3 internal consistency failure.  All output is
 deterministic: rationals print exactly, JSON rationals follow the
 integer-or-"p/q" convention, and random suites are seeded.
+
+Each subcommand's handler is bound on its parser (``set_defaults(run=...)``)
+and reads the parsed namespace directly, so every option and its default
+is stated once, in ``build_parser``.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -28,70 +31,31 @@ EXIT_USAGE = 2
 EXIT_CONSISTENCY = 3
 
 
-@dataclass
-class RunConfig:
-    """Validated run parameters shared by the subcommands."""
-
-    type_label: Optional[str] = None
-    cartan_file: Optional[str] = None
-    prime: int = 2
-    log_radius: Fraction = Fraction(1)
-    depth: Optional[int] = None
-    convention: str = STRICT
-    json_output: bool = False
-    seed: int = selftest.DEFAULT_SEED
-
-    def root_system(self) -> RootSystem:
-        if (self.type_label is None) == (self.cartan_file is None):
-            raise UsageError("give exactly one of --type or --cartan-file")
-        if self.type_label is not None:
-            return cached_root_system(self.type_label)
-        try:
-            with open(self.cartan_file) as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise UsageError(f"cannot read {self.cartan_file}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"bad JSON in {self.cartan_file}: {exc}") from None
-        if not isinstance(data, dict) or "cartan" not in data:
-            raise UsageError('Cartan file must be {"cartan": [[...], ...]}')
-        rows = data["cartan"]
-        if not isinstance(rows, list) or not all(
-                isinstance(row, list) and all(type(x) is int for x in row)
-                for row in rows):
-            raise UsageError("Cartan matrix must be an array of arrays of "
-                             f"integers, got {rows!r}")
-        return build_root_system(CartanMatrixInput(tuple(map(tuple, rows))))
-
-    def algebra(self) -> liealg.LieAlgebraData:
-        return liealg.build_chevalley(self.root_system())
+def _root_system(args) -> RootSystem:
+    if (args.type_label is None) == (args.cartan_file is None):
+        raise UsageError("give exactly one of --type or --cartan-file")
+    if args.type_label is not None:
+        return cached_root_system(args.type_label)
+    try:
+        with open(args.cartan_file) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise UsageError(f"cannot read {args.cartan_file}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"bad JSON in {args.cartan_file}: {exc}") from None
+    if not isinstance(data, dict) or "cartan" not in data:
+        raise UsageError('Cartan file must be {"cartan": [[...], ...]}')
+    rows = data["cartan"]
+    if not isinstance(rows, list) or not all(
+            isinstance(row, list) and all(type(x) is int for x in row)
+            for row in rows):
+        raise UsageError("Cartan matrix must be an array of arrays of "
+                         f"integers, got {rows!r}")
+    return build_root_system(CartanMatrixInput(tuple(map(tuple, rows))))
 
 
-def _add_system_args(sub):
-    sub.add_argument("--type", dest="type_label", metavar="LABEL",
-                     help="series label such as A1, A2, B2, G2")
-    sub.add_argument("--cartan-file", metavar="PATH",
-                     help='JSON file {"cartan": [[2,-1],[-1,2]]}')
-    sub.add_argument("--json", action="store_true", help="emit JSON")
-
-
-def _config_from(args) -> RunConfig:
-    cfg = RunConfig()
-    for field in ("type_label", "cartan_file", "depth", "seed"):
-        if hasattr(args, field) and getattr(args, field) is not None:
-            setattr(cfg, field, getattr(args, field))
-    if getattr(args, "json", False):
-        cfg.json_output = True
-    if getattr(args, "prime", None) is not None:
-        cfg.prime = args.prime
-    if getattr(args, "log_radius", None) is not None:
-        try:
-            cfg.log_radius = Fraction(args.log_radius)
-        except (ValueError, ZeroDivisionError):
-            raise UsageError(f"cannot parse log-radius {args.log_radius!r}") from None
-    if getattr(args, "antidominance", None):
-        cfg.convention = args.antidominance
-    return cfg
+def _algebra(args) -> liealg.LieAlgebraData:
+    return liealg.build_chevalley(_root_system(args))
 
 
 def _emit(obj):
@@ -121,9 +85,9 @@ def _nu(rs: RootSystem, text: str):
     return vec
 
 
-def cmd_roots(cfg: RunConfig) -> int:
-    rs = cfg.root_system()
-    if cfg.json_output:
+def cmd_roots(args) -> int:
+    rs = _root_system(args)
+    if args.json:
         _emit({
             "rank": rs.rank,
             "num_positive": rs.num_positive,
@@ -138,57 +102,58 @@ def cmd_roots(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_weyl_orbit(cfg: RunConfig, weight: str) -> int:
-    rs = cfg.root_system()
-    lam = _weight(rs, weight)
+def cmd_weyl_orbit(args) -> int:
+    rs = _root_system(args)
+    lam = _weight(rs, args.weight)
     orbit = rs.dot_orbit(lam)
-    anti = rs.is_antidominant(lam, cfg.convention)
-    if cfg.json_output:
+    anti = rs.is_antidominant(lam, args.antidominance)
+    if args.json:
         _emit({
             "weight": jsonio.weight_to_json(lam),
             "antidominant": anti,
-            "convention": cfg.convention,
+            "convention": args.antidominance,
             "orbit": [jsonio.weight_to_json(w) for w in orbit],
         })
         return EXIT_OK
-    print(f"dot orbit size {len(orbit)}; antidominant ({cfg.convention}): {anti}")
+    print(f"dot orbit size {len(orbit)}; "
+          f"antidominant ({args.antidominance}): {anti}")
     for w in orbit:
         print("  " + ",".join(str(c) for c in w.coords))
     return EXIT_OK
 
 
-def cmd_kostant(cfg: RunConfig, nu: str) -> int:
-    rs = cfg.root_system()
-    vec = _nu(rs, nu)
+def cmd_kostant(args) -> int:
+    rs = _root_system(args)
+    vec = _nu(rs, args.nu)
     value = rs.kostant_p(vec)
-    if cfg.json_output:
+    if args.json:
         _emit({"nu": list(vec), "kostant": value})
     else:
         print(value)
     return EXIT_OK
 
 
-def cmd_verma_mult(cfg: RunConfig, weight: str, nu: Optional[str]) -> int:
-    alg = cfg.algebra()
-    lam = _weight(alg.rs, weight)
-    if nu is not None:
-        vec = _nu(alg.rs, nu)
-        depth = max(sum(vec), cfg.depth or 0)
-        vslice = category.verma_slice(alg, lam, depth)
+def cmd_verma_mult(args) -> int:
+    alg = _algebra(args)
+    lam = _weight(alg.rs, args.weight)
+    if args.nu is not None:
+        vec = _nu(alg.rs, args.nu)
+        depth = max(sum(vec), args.depth or 0)
+        vslice = category.VermaSlice(alg, lam, depth)
         dim = vslice.dimension(vec)
-        if cfg.json_output:
+        if args.json:
             _emit({"weight": jsonio.weight_to_json(lam), "nu": list(vec),
                    "dimension": dim})
         else:
             print(dim)
         return EXIT_OK
     # dim M(lambda)_(lambda-nu) is the Kostant number P(nu)
-    depth = cfg.depth if cfg.depth is not None else 4
+    depth = args.depth if args.depth is not None else 4
     if depth < 0:
         raise DomainError("depth must be nonnegative")
     rows = [{"nu": list(v), "dimension": alg.rs.kostant_p(v)}
             for v in category.gamma_elements(alg, depth)]
-    if cfg.json_output:
+    if args.json:
         _emit({"weight": jsonio.weight_to_json(lam), "depth": depth,
                "dimensions": rows})
     else:
@@ -199,13 +164,13 @@ def cmd_verma_mult(cfg: RunConfig, weight: str, nu: Optional[str]) -> int:
     return EXIT_OK
 
 
-def cmd_central_char(cfg: RunConfig, weight: str) -> int:
-    alg = cfg.algebra()
-    lam = _weight(alg.rs, weight)
+def cmd_central_char(args) -> int:
+    alg = _algebra(args)
+    lam = _weight(alg.rs, args.weight)
     omega = liealg.casimir(alg)
     chi = harish.central_character(lam, omega)
     psi = harish.hc_psi(omega)
-    if cfg.json_output:
+    if args.json:
         _emit({
             "weight": jsonio.weight_to_json(lam),
             "chi_of_casimir": jsonio.frac_to_json(chi),
@@ -217,9 +182,9 @@ def cmd_central_char(cfg: RunConfig, weight: str) -> int:
     return EXIT_OK
 
 
-def cmd_linked(cfg: RunConfig, weights: str) -> int:
-    rs = cfg.root_system()
-    items = [_weight(rs, part, "--weights member") for part in weights.split(";")
+def cmd_linked(args) -> int:
+    rs = _root_system(args)
+    items = [_weight(rs, part, "--weights member") for part in args.weights.split(";")
              if part]
     if not items:
         raise UsageError("no weights given")
@@ -235,19 +200,23 @@ def cmd_linked(cfg: RunConfig, weights: str) -> int:
     return EXIT_OK
 
 
-def cmd_norm(cfg: RunConfig, elements: Sequence[str]) -> int:
-    alg = cfg.algebra()
-    np = gaussnorm.NormParam(cfg.prime, cfg.log_radius)
+def cmd_norm(args) -> int:
+    try:
+        log_radius = Fraction(args.log_radius)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"cannot parse log-radius {args.log_radius!r}") from None
+    alg = _algebra(args)
+    np = gaussnorm.NormParam(args.prime, log_radius)
     parsed = []
-    for text in elements:
+    for text in args.element:
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise UsageError(f"bad element JSON: {exc}") from None
         parsed.append(jsonio.element_from_json(alg, obj))
+    norms = [gaussnorm.log_norm(u, np) for u in parsed]
     out = []
-    for u in parsed:
-        ln = gaussnorm.log_norm(u, np)
+    for ln in norms:
         display = "0" if ln.is_bottom else f"{np.p}^({ln.value})"
         try:
             approx = 0.0 if ln.is_bottom else float(np.p) ** float(ln.value)
@@ -261,27 +230,26 @@ def cmd_norm(cfg: RunConfig, elements: Sequence[str]) -> int:
     if len(parsed) == 2:
         result["submultiplicative"] = gaussnorm.check_submultiplicative(
             parsed[0], parsed[1], np)
-    if cfg.json_output:
+    if args.json:
         _emit(result)
         return EXIT_OK
-    for row in out:
+    for ln, row in zip(norms, out):
         approx = row["norm_decimal"]
         if approx is None:
             approx = math.inf
-        print(f"log_{np.p}|u| = {row['log_norm']}  "
-              f"(|u| = {row['norm']} ~ {approx:.6g})")
+        print(f"log_{np.p}|u| = {ln}  (|u| = {row['norm']} ~ {approx:.6g})")
     if "submultiplicative" in result:
         print(f"submultiplicative: {result['submultiplicative']}")
     return EXIT_OK
 
 
-def cmd_shapovalov(cfg: RunConfig, weight: str, nu: str) -> int:
-    alg = cfg.algebra()
-    lam = _weight(alg.rs, weight)
-    vec = _nu(alg.rs, nu)
+def cmd_shapovalov(args) -> int:
+    alg = _algebra(args)
+    lam = _weight(alg.rs, args.weight)
+    vec = _nu(alg.rs, args.nu)
     matrix = category.shapovalov_matrix(alg, lam, vec)
     rank = category.simple_weight_mult(alg, lam, vec)
-    if cfg.json_output:
+    if args.json:
         _emit({
             "weight": jsonio.weight_to_json(lam),
             "nu": list(vec),
@@ -289,24 +257,24 @@ def cmd_shapovalov(cfg: RunConfig, weight: str, nu: str) -> int:
             "rank": rank,
         })
         return EXIT_OK
-    print(f"Shapovalov form at nu={nu}, size {len(matrix)}, rank {rank}")
+    print(f"Shapovalov form at nu={args.nu}, size {len(matrix)}, rank {rank}")
     for row in matrix:
         print("  [" + ", ".join(str(x) for x in row) + "]")
     return EXIT_OK
 
 
-def cmd_maximal_vectors(cfg: RunConfig, weight: str, nu: str) -> int:
-    alg = cfg.algebra()
-    lam = _weight(alg.rs, weight)
-    vec = _nu(alg.rs, nu)
-    found = category.maximal_vectors(alg, lam, vec, cfg.depth)
+def cmd_maximal_vectors(args) -> int:
+    alg = _algebra(args)
+    lam = _weight(alg.rs, args.weight)
+    vec = _nu(alg.rs, args.nu)
+    found = category.maximal_vectors(alg, lam, vec, args.depth)
     rows = [[{"exps": list(mono), "coef": jsonio.frac_to_json(c)}
              for mono, c in sorted(v.terms.items())] for v in found]
-    if cfg.json_output:
+    if args.json:
         _emit({"weight": jsonio.weight_to_json(lam), "nu": list(vec),
                "count": len(found), "vectors": rows})
         return EXIT_OK
-    print(f"{len(found)} maximal vector(s) at nu={nu}")
+    print(f"{len(found)} maximal vector(s) at nu={args.nu}")
     for v in found:
         print("  " + repr(v))
     return EXIT_OK
@@ -320,11 +288,11 @@ def _decomposition_json(dec: category.DecompositionMatrix):
     }
 
 
-def cmd_decomp(cfg: RunConfig, weight: str) -> int:
-    alg = cfg.algebra()
-    lam = _weight(alg.rs, weight)
-    dec = category.decomposition_matrix(alg, lam, cfg.depth)
-    if cfg.json_output:
+def cmd_decomp(args) -> int:
+    alg = _algebra(args)
+    lam = _weight(alg.rs, args.weight)
+    dec = category.decomposition_matrix(alg, lam, args.depth)
+    if args.json:
         _emit(_decomposition_json(dec))
         return EXIT_OK
     print(f"linkage class ({dec.size} weights), block ordering:")
@@ -336,11 +304,11 @@ def cmd_decomp(cfg: RunConfig, weight: str) -> int:
     return EXIT_OK
 
 
-def cmd_block(cfg: RunConfig, weight: str) -> int:
-    alg = cfg.algebra()
-    lam = _weight(alg.rs, weight)
-    report = category.block_report(alg, lam, cfg.depth)
-    if cfg.json_output:
+def cmd_block(args) -> int:
+    alg = _algebra(args)
+    lam = _weight(alg.rs, args.weight)
+    report = category.block_report(alg, lam, args.depth)
+    if args.json:
         _emit({
             "representative": jsonio.weight_to_json(report.representative),
             "class": [jsonio.weight_to_json(w) for w in report.class_weights],
@@ -374,9 +342,9 @@ def cmd_block(cfg: RunConfig, weight: str) -> int:
     return EXIT_OK
 
 
-def cmd_selftest(cfg: RunConfig, types: Optional[Sequence[str]], fast: bool) -> int:
-    results = selftest.run_selftest(types, fast, cfg.seed)
-    print(f"kernel: {KERNEL_IMPL}; seed: {cfg.seed}")
+def cmd_selftest(args) -> int:
+    results = selftest.run_selftest(args.types, args.fast, args.seed)
+    print(f"kernel: {KERNEL_IMPL}; seed: {args.seed}")
     failed = False
     for res in results:
         print(res.line())
@@ -400,35 +368,39 @@ def build_parser() -> argparse.ArgumentParser:
                     "decomposition and Cartan matrices.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("roots", help="positive roots and coroots")
-    _add_system_args(sub)
+    def command(name, handler, help, system=True):
+        sub = subs.add_parser(name, help=help)
+        sub.set_defaults(run=handler)
+        if system:
+            sub.add_argument("--type", dest="type_label", metavar="LABEL",
+                             help="series label such as A1, A2, B2, G2")
+            sub.add_argument("--cartan-file", metavar="PATH",
+                             help='JSON file {"cartan": [[2,-1],[-1,2]]}')
+            sub.add_argument("--json", action="store_true", help="emit JSON")
+        return sub
 
-    sub = subs.add_parser("weyl-orbit", help="dot orbit in block ordering")
-    _add_system_args(sub)
+    command("roots", cmd_roots, "positive roots and coroots")
+
+    sub = command("weyl-orbit", cmd_weyl_orbit, "dot orbit in block ordering")
     sub.add_argument("--weight", required=True, metavar="W")
     sub.add_argument("--antidominance", choices=(STRICT, WIDE), default=STRICT)
 
-    sub = subs.add_parser("kostant", help="Kostant partition number")
-    _add_system_args(sub)
+    sub = command("kostant", cmd_kostant, "Kostant partition number")
     sub.add_argument("--nu", required=True, metavar="V",
                      help="integer vector in simple-root coordinates")
 
-    sub = subs.add_parser("verma-mult", help="Verma weight multiplicities")
-    _add_system_args(sub)
+    sub = command("verma-mult", cmd_verma_mult, "Verma weight multiplicities")
     sub.add_argument("--weight", required=True, metavar="W")
     sub.add_argument("--nu", metavar="V")
     sub.add_argument("--depth", type=int)
 
-    sub = subs.add_parser("central-char", help="central character data")
-    _add_system_args(sub)
+    sub = command("central-char", cmd_central_char, "central character data")
     sub.add_argument("--weight", required=True, metavar="W")
 
-    sub = subs.add_parser("linked", help="partition weights into linkage classes")
-    _add_system_args(sub)
+    sub = command("linked", cmd_linked, "partition weights into linkage classes")
     sub.add_argument("--weights", required=True, metavar="W1;W2;...")
 
-    sub = subs.add_parser("norm", help="Gauss norm of one or two elements")
-    _add_system_args(sub)
+    sub = command("norm", cmd_norm, "Gauss norm of one or two elements")
     sub.add_argument("--prime", type=int, default=2)
     sub.add_argument("--log-radius", default="1", metavar="S",
                      help="rational s = log_p r, must be positive")
@@ -436,28 +408,27 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="JSON", help="element as JSON (repeatable; "
                      "with two elements the product norm is checked)")
 
-    sub = subs.add_parser("shapovalov", help="contravariant form on a weight space")
-    _add_system_args(sub)
+    sub = command("shapovalov", cmd_shapovalov,
+                  "contravariant form on a weight space")
     sub.add_argument("--weight", required=True, metavar="W")
     sub.add_argument("--nu", required=True, metavar="V")
 
-    sub = subs.add_parser("maximal-vectors", help="kernel of the raising action")
-    _add_system_args(sub)
+    sub = command("maximal-vectors", cmd_maximal_vectors,
+                  "kernel of the raising action")
     sub.add_argument("--weight", required=True, metavar="W")
     sub.add_argument("--nu", required=True, metavar="V")
     sub.add_argument("--depth", type=int)
 
-    sub = subs.add_parser("decomp", help="block decomposition matrix")
-    _add_system_args(sub)
+    sub = command("decomp", cmd_decomp, "block decomposition matrix")
     sub.add_argument("--weight", required=True, metavar="W")
     sub.add_argument("--depth", type=int)
 
-    sub = subs.add_parser("block", help="full block report")
-    _add_system_args(sub)
+    sub = command("block", cmd_block, "full block report")
     sub.add_argument("--weight", required=True, metavar="W")
     sub.add_argument("--depth", type=int)
 
-    sub = subs.add_parser("selftest", help="run the acceptance suite")
+    sub = command("selftest", cmd_selftest, "run the acceptance suite",
+                  system=False)
     sub.add_argument("--type", dest="types", action="append", metavar="LABEL",
                      help="restrict to specific root systems (repeatable)")
     sub.add_argument("--fast", action="store_true",
@@ -469,33 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = _config_from(args)
-    command = args.command
-    if command == "roots":
-        return cmd_roots(cfg)
-    if command == "weyl-orbit":
-        return cmd_weyl_orbit(cfg, args.weight)
-    if command == "kostant":
-        return cmd_kostant(cfg, args.nu)
-    if command == "verma-mult":
-        return cmd_verma_mult(cfg, args.weight, args.nu)
-    if command == "central-char":
-        return cmd_central_char(cfg, args.weight)
-    if command == "linked":
-        return cmd_linked(cfg, args.weights)
-    if command == "norm":
-        return cmd_norm(cfg, args.element)
-    if command == "shapovalov":
-        return cmd_shapovalov(cfg, args.weight, args.nu)
-    if command == "maximal-vectors":
-        return cmd_maximal_vectors(cfg, args.weight, args.nu)
-    if command == "decomp":
-        return cmd_decomp(cfg, args.weight)
-    if command == "block":
-        return cmd_block(cfg, args.weight)
-    if command == "selftest":
-        return cmd_selftest(cfg, args.types, args.fast)
-    raise UsageError(f"unknown command {command!r}")
+    return args.run(args)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -507,10 +452,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConsistencyError as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)
         return EXIT_CONSISTENCY
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except BGGKitError as exc:
+    except BGGKitError as exc:  # DomainError and its subclasses
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -4,6 +4,11 @@ Every check is exact (no tolerances exist anywhere in the package); a
 criterion fails only when an identity that should hold on the nose does
 not.  Random samples are drawn from seeded generators, so two runs with
 the same seed produce identical output bytes.
+
+Each criterion is one row of ``CRITERIA``: its name, default types,
+whether it is structure-level, and a check that returns the detail line
+or raises ``_Failed`` with it.  ``run_criterion`` turns a row into a
+``CriterionResult``.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from . import category, gaussnorm, harish, liealg
 from .errors import ConsistencyError
@@ -20,36 +25,6 @@ from .liealg import UEAElement, build_chevalley, casimir
 from .rootdata import Weight, cached_root_system
 
 DEFAULT_SEED = 0
-
-#: per-criterion default type lists (criteria 6..10 are rank-specific)
-CRITERION_TYPES = {
-    1: ("A1", "A2", "B2", "G2"),
-    2: ("A1", "A2", "B2"),
-    3: ("A1", "A2", "B2"),
-    4: ("A1", "A2", "B2"),
-    5: ("A1", "A2", "B2"),
-    6: ("A1", "A2"),
-    7: ("A1",),
-    8: ("A2",),
-    9: ("A1", "A2"),
-    10: ("A1", "A2"),
-}
-
-CRITERION_NAMES = {
-    1: "structure-constants-jacobi",
-    2: "kostant-brute-force",
-    3: "verma-weight-dimensions",
-    4: "gauss-norm-submultiplicativity",
-    5: "central-character-invariance",
-    6: "simplicity-vs-shapovalov",
-    7: "sl2-blocks",
-    8: "a2-regular-block-bruhat",
-    9: "weyl-dimension-cross-check",
-    10: "maximal-vector-positions",
-}
-
-#: criteria 1 and 2 are structure-level and run for any requested type
-TYPE_GENERIC = (1, 2, 3, 4, 5)
 
 
 @dataclass
@@ -63,6 +38,10 @@ class CriterionResult:
     def line(self) -> str:
         status = "SKIP" if self.skipped else ("PASS" if self.passed else "FAIL")
         return f"{status} criterion-{self.number:02d} {self.name}: {self.detail}"
+
+
+class _Failed(Exception):
+    """A criterion's identity does not hold; the message is the detail."""
 
 
 def _alg(label: str) -> liealg.LieAlgebraData:
@@ -97,7 +76,7 @@ def _random_element(alg, rng: random.Random) -> UEAElement:
 # -- criteria ----------------------------------------------------------------
 
 
-def criterion_1(types: Sequence[str], seed: int) -> CriterionResult:
+def criterion_1(types: Sequence[str], seed: int) -> str:
     """Integer constants; Jacobi over all d^3 basis triples, off the table."""
     triples = 0
     for label in types:
@@ -105,15 +84,12 @@ def criterion_1(types: Sequence[str], seed: int) -> CriterionResult:
         for pair, entries in alg._table.items():
             for _, c in entries:
                 if not isinstance(c, int):
-                    return CriterionResult(1, CRITERION_NAMES[1], False,
-                                           f"non-integer constant in {label}")
+                    raise _Failed(f"non-integer constant in {label}")
         failure = liealg._jacobi_failure(alg.d, alg._table)
         if failure is not None:
-            return CriterionResult(1, CRITERION_NAMES[1], False,
-                                   f"Jacobi fails in {label} at {failure}")
+            raise _Failed(f"Jacobi fails in {label} at {failure}")
         triples += alg.d ** 3
-    return CriterionResult(1, CRITERION_NAMES[1], True,
-                           f"{triples} basis triples exact over {','.join(types)}")
+    return f"{triples} basis triples exact over {','.join(types)}"
 
 
 def _kostant_brute_force(rs, nu) -> int:
@@ -140,7 +116,7 @@ def _kostant_brute_force(rs, nu) -> int:
     return count(0, tuple(nu))
 
 
-def criterion_2(types: Sequence[str], seed: int) -> CriterionResult:
+def criterion_2(types: Sequence[str], seed: int) -> str:
     """Kostant DP equals naive enumeration for all nu of height <= 8."""
     checked = 0
     for label in types:
@@ -150,14 +126,12 @@ def criterion_2(types: Sequence[str], seed: int) -> CriterionResult:
             if sum(nu) > 8:
                 continue
             if rs.kostant_p(nu) != _kostant_brute_force(rs, nu):
-                return CriterionResult(2, CRITERION_NAMES[2], False,
-                                       f"mismatch at {nu} in {label}")
+                raise _Failed(f"mismatch at {nu} in {label}")
             checked += 1
-    return CriterionResult(2, CRITERION_NAMES[2], True,
-                           f"{checked} vectors exact over {','.join(types)}")
+    return f"{checked} vectors exact over {','.join(types)}"
 
 
-def criterion_3(types: Sequence[str], seed: int) -> CriterionResult:
+def criterion_3(types: Sequence[str], seed: int) -> str:
     """Verma slice weight-space dimensions equal the Kostant numbers."""
     rng = random.Random(seed * 1000 + 3)
     spaces = 0
@@ -165,17 +139,15 @@ def criterion_3(types: Sequence[str], seed: int) -> CriterionResult:
         alg = _alg(label)
         for _ in range(20):
             lam = _random_integral_weight(rng, alg.l)
-            vslice = category.verma_slice(alg, lam, 6)
+            vslice = category.VermaSlice(alg, lam, 6)
             for nu in category.gamma_elements(alg, 6):
                 if vslice.dimension(nu) != alg.rs.kostant_p(nu):
-                    return CriterionResult(3, CRITERION_NAMES[3], False,
-                                           f"dimension mismatch at {nu} in {label}")
+                    raise _Failed(f"dimension mismatch at {nu} in {label}")
                 spaces += 1
-    return CriterionResult(3, CRITERION_NAMES[3], True,
-                           f"{spaces} weight spaces over {','.join(types)}")
+    return f"{spaces} weight spaces over {','.join(types)}"
 
 
-def criterion_4(types: Sequence[str], seed: int) -> CriterionResult:
+def criterion_4(types: Sequence[str], seed: int) -> str:
     """Gauss norms: submultiplicative, ultrametric, scaling; zero violations."""
     rng = random.Random(seed * 1000 + 4)
     params = [gaussnorm.NormParam(p, Fraction(s))
@@ -196,21 +168,17 @@ def criterion_4(types: Sequence[str], seed: int) -> CriterionResult:
             for np in params:
                 nu_, nv_ = gaussnorm.log_norm(u, np), gaussnorm.log_norm(v, np)
                 if not gaussnorm.log_norm(w, np) <= nu_.plus(nv_):
-                    return CriterionResult(4, CRITERION_NAMES[4], False,
-                                           f"submultiplicativity fails in {label}")
+                    raise _Failed(f"submultiplicativity fails in {label}")
                 if not gaussnorm.check_ultrametric(u, v, np):
-                    return CriterionResult(4, CRITERION_NAMES[4], False,
-                                           f"ultrametric fails in {label}")
+                    raise _Failed(f"ultrametric fails in {label}")
                 expected = nu_.shift(-gaussnorm.vp(c, np.p))
                 if gaussnorm.log_norm(cu, np) != expected:
-                    return CriterionResult(4, CRITERION_NAMES[4], False,
-                                           f"scaling fails in {label}")
+                    raise _Failed(f"scaling fails in {label}")
             pairs += 1
-    return CriterionResult(4, CRITERION_NAMES[4], True,
-                           f"{pairs} pairs x 6 norm params, zero violations")
+    return f"{pairs} pairs x 6 norm params, zero violations"
 
 
-def criterion_5(types: Sequence[str], seed: int) -> CriterionResult:
+def criterion_5(types: Sequence[str], seed: int) -> str:
     """chi_lambda constant on dot orbits; psi(Omega) W-invariant."""
     rng = random.Random(seed * 1000 + 5)
     checks = 0
@@ -223,8 +191,7 @@ def criterion_5(types: Sequence[str], seed: int) -> CriterionResult:
             base = harish.central_character(lam, omega)
             for w in weyl:
                 if harish.central_character(alg.rs.dot_action(w, lam), omega) != base:
-                    return CriterionResult(5, CRITERION_NAMES[5], False,
-                                           f"chi not orbit-constant in {label}")
+                    raise _Failed(f"chi not orbit-constant in {label}")
                 checks += 1
         psi = harish.hc_psi(omega)
         for _ in range(100):
@@ -232,11 +199,9 @@ def criterion_5(types: Sequence[str], seed: int) -> CriterionResult:
             base = psi.evaluate_at(mu)
             for w in weyl:
                 if psi.evaluate_at(w.act(mu)) != base:
-                    return CriterionResult(5, CRITERION_NAMES[5], False,
-                                           f"psi not W-invariant in {label}")
+                    raise _Failed(f"psi not W-invariant in {label}")
                 checks += 1
-    return CriterionResult(5, CRITERION_NAMES[5], True,
-                           f"{checks} exact evaluations over {','.join(types)}")
+    return f"{checks} exact evaluations over {','.join(types)}"
 
 
 def _degeneracy_prediction(alg, lam: Weight, nu) -> bool:
@@ -256,7 +221,7 @@ def _degeneracy_prediction(alg, lam: Weight, nu) -> bool:
     return True
 
 
-def criterion_6(types: Sequence[str], seed: int) -> CriterionResult:
+def criterion_6(types: Sequence[str], seed: int) -> str:
     """verma_is_simple verdicts and depth-6 ranks vs the Shapovalov
     determinant support, zero mismatches.
 
@@ -280,53 +245,45 @@ def criterion_6(types: Sequence[str], seed: int) -> CriterionResult:
         for lam in grid + extra:
             report = category.verma_is_simple(alg, lam, depth)
             if report.verdict and not report.nondegenerate:
-                return CriterionResult(6, CRITERION_NAMES[6], False,
-                                       f"simple verdict with rank drop in {label}")
+                raise _Failed(f"simple verdict with rank drop in {label}")
             for nu, rank, dim in report.ranks:
                 predicted = _degeneracy_prediction(alg, lam, nu)
                 if (rank == dim) != predicted:
-                    return CriterionResult(
-                        6, CRITERION_NAMES[6], False,
+                    raise _Failed(
                         f"rank/prediction mismatch at {nu} in {label}")
                 audited += 1
             if report.verdict != alg.rs.is_antidominant(lam):
-                return CriterionResult(6, CRITERION_NAMES[6], False,
-                                       "verdict disagrees with antidominance")
-    return CriterionResult(6, CRITERION_NAMES[6], True,
-                           f"{audited} weight-space audits, zero mismatches")
+                raise _Failed("verdict disagrees with antidominance")
+    return f"{audited} weight-space audits, zero mismatches"
 
 
-def criterion_7(types: Sequence[str], seed: int) -> CriterionResult:
+def criterion_7(types: Sequence[str], seed: int) -> str:
     """sl2: regular block matrices and the singular point."""
     alg = _alg("A1")
     dec = category.decomposition_matrix(alg, Weight([0]))
     if dec.entries != ((1, 1), (0, 1)):
-        return CriterionResult(7, CRITERION_NAMES[7], False,
-                               f"D(0) = {dec.entries}")
+        raise _Failed(f"D(0) = {dec.entries}")
     if category.cartan_matrix(dec) != ((1, 1), (1, 2)):
-        return CriterionResult(7, CRITERION_NAMES[7], False, "C(0) wrong")
+        raise _Failed("C(0) wrong")
     proj = category.projective_filtration_matrix(dec)
     for i in range(2):
         for j in range(2):
             if proj[j][i] != dec.entries[i][j]:
-                return CriterionResult(7, CRITERION_NAMES[7], False,
-                                       "reciprocity violated")
+                raise _Failed("reciprocity violated")
     sing = category.decomposition_matrix(alg, Weight([-1]))
     if sing.entries != ((1,),) or category.cartan_matrix(sing) != ((1,),):
-        return CriterionResult(7, CRITERION_NAMES[7], False, "singular block wrong")
-    return CriterionResult(7, CRITERION_NAMES[7], True,
-                           "D(0)=[[1,1],[0,1]], C(0)=[[1,1],[1,2]], D(-1)=[1]")
+        raise _Failed("singular block wrong")
+    return "D(0)=[[1,1],[0,1]], C(0)=[[1,1],[1,2]], D(-1)=[1]"
 
 
-def criterion_8(types: Sequence[str], seed: int) -> CriterionResult:
+def criterion_8(types: Sequence[str], seed: int) -> str:
     """A2 regular block: Bruhat pattern, symmetry, character identity."""
     alg = _alg("A2")
     lam = Weight([0, 0])
     dec = category.decomposition_matrix(alg, lam)
     cls = dec.class_weights
     if len(cls) != 6:
-        return CriterionResult(8, CRITERION_NAMES[8], False,
-                               f"class size {len(cls)}")
+        raise _Failed(f"class size {len(cls)}")
     weyl = alg.rs.weyl_group()
     by_weight = {alg.rs.dot_action(w, lam).coords: w for w in weyl}
     elements = [by_weight[w.coords] for w in cls]
@@ -334,15 +291,13 @@ def criterion_8(types: Sequence[str], seed: int) -> CriterionResult:
         for j in range(6):
             entry = dec.entries[i][j]
             if entry not in (0, 1):
-                return CriterionResult(8, CRITERION_NAMES[8], False,
-                                       "entry outside {0,1}")
+                raise _Failed("entry outside {0,1}")
             expected = 1 if weyl.bruhat_leq(elements[i], elements[j]) else 0
             if entry != expected:
-                return CriterionResult(8, CRITERION_NAMES[8], False,
-                                       f"Bruhat mismatch at ({i},{j})")
+                raise _Failed(f"Bruhat mismatch at ({i},{j})")
     cart = category.cartan_matrix(dec)
     if any(cart[i][j] != cart[j][i] for i in range(6) for j in range(6)):
-        return CriterionResult(8, CRITERION_NAMES[8], False, "C not symmetric")
+        raise _Failed("C not symmetric")
     # character identity re-check, off the solve path: fresh modules
     modules = [category.VermaModule(alg, w) for w in cls]
     for i in range(6):
@@ -355,13 +310,11 @@ def criterion_8(types: Sequence[str], seed: int) -> CriterionResult:
                 if dk is not None:
                     rhs += dec.entries[i][k] * modules[k].simple_mult(dk)
             if lhs != rhs:
-                return CriterionResult(8, CRITERION_NAMES[8], False,
-                                       f"character identity fails at ({i},{j})")
-    return CriterionResult(8, CRITERION_NAMES[8], True,
-                           "6x6 block matches the independent Bruhat order")
+                raise _Failed(f"character identity fails at ({i},{j})")
+    return "6x6 block matches the independent Bruhat order"
 
 
-def criterion_9(types: Sequence[str], seed: int) -> CriterionResult:
+def criterion_9(types: Sequence[str], seed: int) -> str:
     """Sum of simple multiplicities over the support = Weyl dimension."""
     grids = {
         "A1": [Weight([n]) for n in range(5)],
@@ -378,14 +331,12 @@ def criterion_9(types: Sequence[str], seed: int) -> CriterionResult:
             total = sum(module.simple_mult(nu)
                         for nu in category.gamma_elements(alg, height))
             if total != alg.rs.weyl_dimension(lam):
-                return CriterionResult(9, CRITERION_NAMES[9], False,
-                                       f"rank sum mismatch at {lam} in {label}")
+                raise _Failed(f"rank sum mismatch at {lam} in {label}")
             checked += 1
-    return CriterionResult(9, CRITERION_NAMES[9], True,
-                           f"{checked} dominant weights, both oracles agree")
+    return f"{checked} dominant weights, both oracles agree"
 
 
-def criterion_10(types: Sequence[str], seed: int) -> CriterionResult:
+def criterion_10(types: Sequence[str], seed: int) -> str:
     """Maximal vectors at (n+1)alpha exist exactly when <lam, alpha-check> = n."""
     checked = 0
     for label in types:
@@ -401,47 +352,59 @@ def criterion_10(types: Sequence[str], seed: int) -> CriterionResult:
                     found = category.maximal_vectors(alg, lam, nu)
                     expected = pair == n
                     if bool(found) != expected:
-                        return CriterionResult(
-                            10, CRITERION_NAMES[10], False,
-                            f"mismatch at lam={lam}, root {i}, n={n} in {label}")
+                        raise _Failed(f"mismatch at lam={lam}, root {i}, "
+                                      f"n={n} in {label}")
                     checked += 1
-    return CriterionResult(10, CRITERION_NAMES[10], True,
-                           f"{checked} (weight, root, n) positions exact")
+    return f"{checked} (weight, root, n) positions exact"
 
 
+#: number -> (name, default types, structure-level, check).  A
+#: structure-level criterion runs on exactly the requested types; the
+#: others run on the requested types among their defaults.
 CRITERIA = {
-    1: criterion_1, 2: criterion_2, 3: criterion_3, 4: criterion_4,
-    5: criterion_5, 6: criterion_6, 7: criterion_7, 8: criterion_8,
-    9: criterion_9, 10: criterion_10,
+    1: ("structure-constants-jacobi", ("A1", "A2", "B2", "G2"), True,
+        criterion_1),
+    2: ("kostant-brute-force", ("A1", "A2", "B2"), True, criterion_2),
+    3: ("verma-weight-dimensions", ("A1", "A2", "B2"), True, criterion_3),
+    4: ("gauss-norm-submultiplicativity", ("A1", "A2", "B2"), True,
+        criterion_4),
+    5: ("central-character-invariance", ("A1", "A2", "B2"), True, criterion_5),
+    6: ("simplicity-vs-shapovalov", ("A1", "A2"), False, criterion_6),
+    7: ("sl2-blocks", ("A1",), False, criterion_7),
+    8: ("a2-regular-block-bruhat", ("A2",), False, criterion_8),
+    9: ("weyl-dimension-cross-check", ("A1", "A2"), False, criterion_9),
+    10: ("maximal-vector-positions", ("A1", "A2"), False, criterion_10),
 }
+
+
+def run_criterion(num: int, types: Optional[Sequence[str]] = None,
+                  seed: int = DEFAULT_SEED) -> CriterionResult:
+    """Run criterion ``num`` on ``types`` (its defaults when None)."""
+    name, defaults, structural, check = CRITERIA[num]
+    if types is None:
+        chosen = defaults
+    elif structural:
+        chosen = tuple(types)
+    else:
+        chosen = tuple(t for t in defaults if t in types)
+    if not chosen:
+        return CriterionResult(num, name, True, "no applicable types",
+                               skipped=True)
+    try:
+        return CriterionResult(num, name, True, check(chosen, seed))
+    except _Failed as exc:
+        return CriterionResult(num, name, False, str(exc))
+    except ConsistencyError as exc:
+        return CriterionResult(num, name, False, f"consistency error: {exc}")
 
 
 def run_selftest(types: Optional[Sequence[str]] = None, fast: bool = False,
                  seed: int = DEFAULT_SEED) -> List[CriterionResult]:
     """Run the acceptance criteria; returns one result per criterion.
 
-    ``types`` restricts the root systems: structure-level criteria (1-5)
-    run on exactly the requested types, rank-specific ones (6-10) run on
-    the intersection with their defaults and are skipped when empty.
-    ``fast`` runs only the structure-constant and Kostant suites.
+    ``types`` restricts the root systems (see ``CRITERIA``); a criterion
+    left with no type is skipped.  ``fast`` runs only the
+    structure-constant and Kostant suites.
     """
-    numbers = (1, 2) if fast else tuple(range(1, 11))
-    results = []
-    for num in numbers:
-        defaults = CRITERION_TYPES[num]
-        if types is None:
-            chosen: Tuple[str, ...] = defaults
-        elif num in TYPE_GENERIC:
-            chosen = tuple(types)
-        else:
-            chosen = tuple(t for t in defaults if t in types)
-        if not chosen:
-            results.append(CriterionResult(num, CRITERION_NAMES[num], True,
-                                           "no applicable types", skipped=True))
-            continue
-        try:
-            results.append(CRITERIA[num](chosen, seed))
-        except ConsistencyError as exc:
-            results.append(CriterionResult(num, CRITERION_NAMES[num], False,
-                                           f"consistency error: {exc}"))
-    return results
+    numbers = (1, 2) if fast else tuple(CRITERIA)
+    return [run_criterion(num, types, seed) for num in numbers]

@@ -7,8 +7,7 @@ from bggkit import selftest
 
 
 def _run(number):
-    result = selftest.CRITERIA[number](selftest.CRITERION_TYPES[number],
-                                       selftest.DEFAULT_SEED)
+    result = selftest.run_criterion(number)
     print(result.line())
     assert result.passed, result.detail
     return result

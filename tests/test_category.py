@@ -4,12 +4,11 @@ from fractions import Fraction as F
 import pytest
 
 from bggkit import category, exactla, selftest
-from bggkit.category import (VermaModule, block_report, cartan_matrix,
-                             decomposition_matrix, maximal_vectors,
-                             projective_filtration_matrix, raising_matrix,
-                             shapovalov_matrix, simple_weight_mult,
-                             standard_filtration_mult, verma_is_simple,
-                             verma_slice)
+from bggkit.category import (VermaModule, VermaSlice, block_report,
+                             cartan_matrix, decomposition_matrix,
+                             maximal_vectors, projective_filtration_matrix,
+                             raising_matrix, shapovalov_matrix,
+                             simple_weight_mult, verma_is_simple)
 from bggkit.errors import ConsistencyError, DepthOverflowError, DomainError
 from bggkit.liealg import LieAlgebraData, build_chevalley
 from bggkit.rootdata import Weight, build_root_system, cached_root_system
@@ -22,11 +21,11 @@ def _alg(label):
 # -- Verma slices and the action ------------------------------------------------
 
 def test_slice_dimensions(a1, a2):
-    s = verma_slice(a1, Weight([7]), 6)
+    s = VermaSlice(a1, Weight([7]), 6)
     assert s.dimension((0,)) == 1
     for k in range(1, 7):
         assert s.dimension((k,)) == 1
-    s2 = verma_slice(a2, Weight([0, 0]), 3)
+    s2 = VermaSlice(a2, Weight([0, 0]), 3)
     assert s2.dimension((1, 1)) == 2
     assert s2.dimension((2, 1)) == 2
     assert s2.dimension((5, 5)) == 0
@@ -34,7 +33,7 @@ def test_slice_dimensions(a1, a2):
 
 def test_act_examples(a1):
     lam = Weight([3])
-    s = verma_slice(a1, lam, 4)
+    s = VermaSlice(a1, lam, 4)
     v = s.highest_vector()
     assert s.act(a1.h(0), v).terms == {(0,): F(3)}
     assert s.act(a1.x(0), v).is_zero()
@@ -44,7 +43,7 @@ def test_act_examples(a1):
 
 def test_act_is_linear_and_compatible(a2):
     lam = Weight([1, 2])
-    s = verma_slice(a2, lam, 4)
+    s = VermaSlice(a2, lam, 4)
     v = s.highest_vector()
     y1, y2 = (a2.y(a2.root_position(r)) for r in a2.rs.simple_roots())
     u1 = y1 * y2
@@ -58,7 +57,7 @@ def test_act_is_linear_and_compatible(a2):
 
 
 def test_act_depth_overflow(a1):
-    s = verma_slice(a1, Weight([0]), 2)
+    s = VermaSlice(a1, Weight([0]), 2)
     v = s.highest_vector()
     deep = a1.monomial((3, 0, 0))
     with pytest.raises(DepthOverflowError):
@@ -81,6 +80,13 @@ def test_maximal_vector_examples(a1):
         assert maximal_vectors(a1, Weight([F(1, 2)]), (nu,)) == []
     # nu landing off the linkage class: empty
     assert maximal_vectors(a1, Weight([3]), (2,)) == []
+
+
+def test_maximal_vectors_off_gamma_is_empty(a1, a2):
+    # the weight space is zero; no depth was given, so none is refused
+    assert maximal_vectors(a1, Weight([0]), (-1,)) == []
+    assert maximal_vectors(a1, Weight([0]), (-1,), depth=0) == []
+    assert maximal_vectors(a2, Weight([0, 0]), (-2, 1)) == []
 
 
 def test_maximal_vector_a2_nontrivial(a2):
@@ -334,17 +340,6 @@ def test_antidominant_row_is_unit(a2):
     # every simple occurs in its own Verma: column sums are positive
     for j in range(dec.size):
         assert sum(dec.entries[i][j] for i in range(dec.size)) >= 1
-
-
-def test_standard_filtration_mult(a1, a2):
-    lam = Weight([2, 3])
-    assert standard_filtration_mult(a2, 5, lam, lam) == 1
-    mu = lam - a2.rs.root_to_weight((1, 1))
-    assert standard_filtration_mult(a2, 3, mu, lam) == 2
-    assert standard_filtration_mult(a2, 3, lam, mu) == 0  # off Gamma
-    with pytest.raises(DomainError):
-        standard_filtration_mult(a2, 2, mu, lam)  # height 2 >= n = 2
-    assert standard_filtration_mult(a1, 2, Weight([1]), Weight([3])) == 1
 
 
 def test_block_report_assembly(a1, a2):

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bggkit import category, cli
+import bggkit
+from bggkit import category, cli, selftest
+from bggkit.errors import ConsistencyError
 
 
 def run_cli(capsys, *argv):
@@ -125,6 +127,13 @@ def test_maximal_vectors_command(capsys):
     assert data["vectors"][0][0]["exps"] == [4]
 
 
+def test_maximal_vectors_off_gamma(capsys):
+    # like verma-mult and shapovalov: the weight space at nu is zero
+    code, out, err = run_cli(capsys, "maximal-vectors", "--type", "A1",
+                             "--weight", "0", "--nu", "-1")
+    assert (code, out, err) == (0, "0 maximal vector(s) at nu=-1\n", "")
+
+
 def test_verma_mult_command(capsys):
     code, out, _ = run_cli(capsys, "verma-mult", "--type", "A2",
                            "--weight", "0,0", "--nu", "1,1")
@@ -179,6 +188,12 @@ def test_malformed_cartan_file_is_usage_error(tmp_path, capsys, cartan):
     assert out == ""
 
 
+def test_every_export_resolves():
+    missing = [name for name in bggkit.__all__ if not hasattr(bggkit, name)]
+    assert missing == []
+    assert len(set(bggkit.__all__)) == len(bggkit.__all__)
+
+
 # -- exit codes ---------------------------------------------------------------
 
 def test_usage_error_exit_code(capsys):
@@ -221,6 +236,30 @@ def test_selftest_fast_finishes_on_f4(capsys):
     code, out, _ = run_cli(capsys, "selftest", "--type", "F4", "--fast")
     assert code == 0
     assert "PASS criterion-02 kostant-brute-force: 495 vectors exact over F4" in out
+
+
+def test_selftest_failure_lines_and_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(selftest, "_kostant_brute_force", lambda rs, nu: 0)
+    code, out, err = run_cli(capsys, "selftest", "--type", "A1", "--fast")
+    assert (code, err) == (3, "")
+    lines = out.splitlines()
+    assert lines[1].startswith("PASS criterion-01 ")
+    assert lines[2:] == [
+        "FAIL criterion-02 kostant-brute-force: mismatch at (0,) in A1",
+        "SELFTEST FAILED"]
+
+
+def test_selftest_consistency_error_fails_its_criterion(capsys, monkeypatch):
+    def broken(rs, nu):
+        raise ConsistencyError("partition table corrupt")
+
+    monkeypatch.setattr(selftest, "_kostant_brute_force", broken)
+    code, out, err = run_cli(capsys, "selftest", "--type", "A1", "--fast")
+    assert (code, err) == (3, "")
+    assert out.splitlines()[2:] == [
+        "FAIL criterion-02 kostant-brute-force: consistency error: "
+        "partition table corrupt",
+        "SELFTEST FAILED"]
 
 
 # sha256 of the stdout of each selftest run, recorded when criterion 1
@@ -355,6 +394,21 @@ def test_json_output_matches_recorded_digest(capsys, command):
 
 
 # -- norm: large values and random input ----------------------------------------
+
+def test_norm_of_zero(capsys):
+    argv = ["norm", "--type", "A1", "--element", "[]"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, out) == (0, "log_2|u| = -inf  (|u| = 0 ~ 0)\n")
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    assert json.loads(out)["norms"][0]["log_norm"] is None
+
+
+def test_bad_log_radius_wins_over_bad_type(capsys):
+    code, out, err = run_cli(capsys, "norm", "--type", "Q1", "--log-radius",
+                             "x", "--element", "[]")
+    assert (code, out, err) == (2, "", "usage error: cannot parse log-radius 'x'\n")
+
 
 def test_norm_beyond_float_range(capsys):
     # 5^1000 does not fit in a float; the exact log norm is still reported

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from bggkit import harish, liealg
-from bggkit.category import verma_slice
+from bggkit.category import VermaSlice
 from bggkit.errors import DomainError
 from bggkit.harish import (CentralCharacter, central_character, gamma_twist,
                            hc_psi, is_central)
@@ -162,7 +162,7 @@ def test_casimir_acts_by_central_character(a2):
     omega = casimir(a2)
     for coords in ((0, 0), (2, 1), (-1, 3)):
         lam = Weight(coords)
-        vslice = verma_slice(a2, lam, 2)
+        vslice = VermaSlice(a2, lam, 2)
         v = vslice.highest_vector()
         action = vslice.act(omega, v)
         scalar = central_character(lam, omega)
