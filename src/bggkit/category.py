@@ -9,9 +9,9 @@ maximal submodule meets M(lambda)_{lambda-nu} only when nu lies on a
 wall of lambda, nu - n*beta in Gamma for a positive root beta with
 n = <lambda+rho, beta-check> a positive integer; off the walls the
 quotient map is the identity and costs no rank, on them it is a
-primitive row basis.  The x_i matrices are affine in lambda and cached
-per algebra.  Block decomposition matrices are then solved from the
-unitriangular character system
+primitive row basis.  The x_i matrices are affine in lambda.  Block
+decomposition matrices are then solved from the unitriangular character
+system
 
     dim M(lam_i)_{mu_j} = sum_k D[i][k] * dim L(mu_k)_{mu_j}
 
@@ -20,7 +20,9 @@ follows by reciprocity: (P(mu) : M(lam)) = D[lam][mu] and C = D^T D.
 
 The Shapovalov form (whose radical is the same maximal submodule) is
 kept for the ``shapovalov`` subcommand and as an independent oracle;
-its entries are cached per algebra as polynomials in U(h).
+its entries are polynomials in U(h).  Weight-space bases, x_i matrices
+and Shapovalov polynomials are memoized in ``alg.cache``, one table per
+function name, and are freed with the algebra.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ YMono = Tuple[int, ...]
 
 
 def weight_space_basis(alg: LieAlgebraData, nu: RootVec) -> Tuple[YMono, ...]:
-    """Monomials y^A of weight -nu, lexicographically sorted; cached."""
-    cache = alg._wspace_cache
+    """Monomials y^A of weight -nu, lexicographically sorted; memoized by nu."""
+    cache = alg.cache.setdefault("weight_space_basis", {})
     nu = tuple(int(c) for c in nu)
     if len(nu) != alg.l:
         raise DomainError("coordinate vector has wrong rank")
@@ -238,9 +240,9 @@ def raising_matrix(alg: LieAlgebraData, i: int, nu: RootVec):
     f_0 + sum_j f_j lam(h_j).  Affine suffices: x_i y^A is the sum, over
     the factors y of y^A, of y^A with that factor replaced by [x_i, y],
     plus y^A x_i, so its U(h) part has degree at most one; a higher
-    degree raises ConsistencyError.  Cached per algebra, keyed by (i, nu).
+    degree raises ConsistencyError.  Memoized by (i, nu).
     """
-    cache = alg._raising_cache
+    cache = alg.cache.setdefault("raising_matrix", {})
     nu = tuple(int(c) for c in nu)
     key = (i, nu)
     got = cache.get(key)
@@ -392,12 +394,12 @@ class VermaModule:
 
 
 def shapovalov_polynomial_matrix(alg: LieAlgebraData, nu: RootVec):
-    """Entries <y^A v, y^B v> as elements of U(h); cached per algebra.
+    """Entries <y^A v, y^B v> as elements of U(h); memoized by nu.
 
     Entry (A, B) is the Harish-Chandra projection of sigma(y^A) y^B; its
     evaluation at lambda is the contravariant form on M(lambda).
     """
-    cache = alg._shap_cache
+    cache = alg.cache.setdefault("shapovalov_polynomial_matrix", {})
     nu = tuple(int(c) for c in nu)
     got = cache.get(nu)
     if got is not None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -439,6 +440,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a value like "-1,0" for an option: pass it as "--weight=-1,0"
+    for k in range(len(argv) - 1, 0, -1):
+        option, value = argv[k - 1:k + 1]
+        if option in ("--weight", "--weights", "--nu") and re.match(r"-\d", value):
+            argv[k - 1:k + 1] = [f"{option}={value}"]
     args = build_parser().parse_args(argv)
     return args.run(args)
 

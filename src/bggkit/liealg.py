@@ -18,17 +18,19 @@ sum is a root.  The finished table is re-verified against the Jacobi
 identity before use, exhaustively but read off the table, so a convention
 bug cannot escape as silent wrong arithmetic.
 
-The Casimir takes its dual bases from the Killing form's Cartan block
-and is verified central once, by is_central, on the 2l generators x_i,
-y_i; the Harish-Chandra layer reads is_central's verdict cache.
+One invariant form, the Killing form's Cartan block K_h, gives the root
+lengths that N_{a,b} reads (only their ratios inside a simple component)
+and the Casimir's dual bases; the Casimir is checked central once, on
+the 2l generators x_i, y_i.  Memo tables live in ``alg.cache``, one per
+function name, and the algebra in its root system's ``cache``.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb
-from operator import index
+from math import comb, lcm
+from operator import index, mul
 from typing import Dict, Optional, Tuple
 
 from . import exactla
@@ -39,32 +41,30 @@ from .rootdata import Root, RootSystem, Weight
 Exps = Tuple[int, ...]
 
 
-def _root_lengths(rs: RootSystem) -> Dict[Root, Fraction]:
-    """(r, r) for every root r, from the symmetrized Cartan matrix.
+def _killing_cartan_block(rs: RootSystem):
+    """K_h and its inverse, K(h_i, h_j) = sum over roots of alpha(h_i) alpha(h_j)."""
+    cart, l = rs.cartan.entries, rs.rank
+    values = [[sum(map(mul, row, r)) for row in cart] for r in rs.positive_roots]
+    killing = [[2 * sum(v[i] * v[j] for v in values) for j in range(l)]
+               for i in range(l)]
+    try:
+        return killing, exactla.invert(killing)
+    except DomainError:
+        raise DomainError("Killing form is degenerate; algebra not semisimple")
 
-    With d_i = (alpha_i, alpha_i)/2 the form is (alpha_i, alpha_j) =
-    d_i C[i][j]; d is fixed along the Dynkin diagram from d = 1 on one
-    node of each component.
+
+def _root_lengths(rs: RootSystem) -> Dict[Root, Fraction]:
+    """(r, r) = w_r^T K_h^-1 w_r for every root r, w_r = (r(h_1), ..., r(h_l)) = C r.
+
+    Read as r^T G r / den, G = C^T (den K_h^-1) C an integer Gram matrix.
     """
-    cart = rs.cartan.entries
-    l = rs.rank
-    half = [None] * l
-    for start in range(l):
-        if half[start] is not None:
-            continue
-        half[start] = Fraction(1)
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            for j in range(l):
-                if half[j] is None and cart[i][j]:
-                    half[j] = half[i] * cart[i][j] / cart[j][i]
-                    stack.append(j)
-    for i, j in itertools.product(range(l), repeat=2):
-        if half[i] * cart[i][j] != half[j] * cart[j][i]:
-            raise ConsistencyError("Cartan matrix is not symmetrizable")
-    return {r: sum(r[i] * r[j] * half[i] * cart[i][j]
-                   for i in range(l) for j in range(l))
+    _, inv = _killing_cartan_block(rs)
+    den = lcm(*(x.denominator for row in inv for x in row))
+    form = [[int(x * den) for x in row] for row in inv]
+    cart, pairs = rs.cartan.entries, list(itertools.product(range(rs.rank), repeat=2))
+    gram = {(i, j): sum(cart[k][i] * form[k][m] * cart[m][j] for k, m in pairs)
+            for i, j in pairs}
+    return {r: Fraction(sum(r[i] * g * r[j] for (i, j), g in gram.items()), den)
             for r in rs.roots}
 
 
@@ -190,14 +190,7 @@ class LieAlgebraData:
                 "Jacobi identity fails on basis triple (%d,%d,%d)" % failure)
         self.kernel = StraightenKernel(self.d, self._table)
         self._one_exps = (0,) * self.d
-
-        # idempotent per-algebra caches: category fills the first three,
-        # liealg's is_central and casimir the last two
-        self._wspace_cache = {}
-        self._raising_cache = {}
-        self._shap_cache = {}
-        self._central_cache = {}
-        self._casimir = None
+        self.cache = {}
 
     # -- index bookkeeping ------------------------------------------------
 
@@ -329,10 +322,10 @@ class LieAlgebraData:
 
 
 def build_chevalley(rs: RootSystem) -> LieAlgebraData:
-    """Chevalley basis for a root system, cached on the root system."""
-    if rs._chevalley is None:
-        rs._chevalley = LieAlgebraData(rs)
-    return rs._chevalley
+    """Chevalley basis for a root system, kept in the root system's cache."""
+    if "build_chevalley" not in rs.cache:
+        rs.cache["build_chevalley"] = LieAlgebraData(rs)
+    return rs.cache["build_chevalley"]
 
 
 class UEAElement:
@@ -524,11 +517,10 @@ def is_central(z: UEAElement) -> bool:
     """Commutes with every x_i and y_i, hence with all of U(g).
 
     The simple x_i, y_i generate g and the commutant of z is a subalgebra,
-    so 4l products decide.  Verdicts are cached on the algebra; entries
-    are idempotent, so the cache is safe under concurrent use.
+    so 4l products decide.  Verdicts are kept in the algebra's cache.
     """
     alg = z.alg
-    cache = alg._central_cache
+    cache = alg.cache.setdefault("is_central", {})
     cached = cache.get(z)
     if cached is not None:
         return cached
@@ -546,16 +538,10 @@ def casimir(alg: LieAlgebraData) -> UEAElement:
     K(x_a, y_a) = K(h_a, h_a)/2 with h_a = [x_a, y_a].  So Omega is
     sum (K_h^-1)_ij h_i h_j + sum_a (x_a y_a + y_a x_a) / K(x_a, y_a).
     """
-    if alg._casimir is not None:
-        return alg._casimir
+    if "casimir" in alg.cache:
+        return alg.cache["casimir"]
     rs, pairs = alg.rs, list(itertools.product(range(alg.l), repeat=2))
-    values = [rs.root_to_weight(r).coords for r in rs.positive_roots]
-    killing = [[2 * sum(v[i] * v[j] for v in values) for j in range(alg.l)]
-               for i in range(alg.l)]
-    try:
-        inv = exactla.invert(killing)
-    except DomainError:
-        raise DomainError("Killing form is degenerate; algebra not semisimple")
+    killing, inv = _killing_cartan_block(rs)
     omega = alg.zero()
     for i, j in pairs:
         omega = omega + inv[i][j] * (alg.h(i) * alg.h(j))
@@ -566,5 +552,5 @@ def casimir(alg: LieAlgebraData) -> UEAElement:
         omega = omega + (x * y + y * x) * (1 / k_xy)
     if not is_central(omega):
         raise ConsistencyError("constructed Casimir is not central")
-    alg._casimir = omega
+    alg.cache["casimir"] = omega
     return omega

@@ -202,8 +202,8 @@ def _height(root: Root) -> int:
 class RootSystem:
     """Finite root system with positive roots and coroots precomputed.
 
-    Built by :func:`build_root_system`; instances are immutable and safe
-    to share between threads.
+    Built by :func:`build_root_system`.  The root data is immutable; memo
+    tables live in ``cache``, keyed by function name, and die with it.
     """
 
     def __init__(self, cartan: CartanMatrixInput, roots, coroots):
@@ -223,9 +223,7 @@ class RootSystem:
                                for row in inverse)
         self._height_form = tuple(map(sum, zip(*self._root_map)))
         self._cartan_columns = tuple(zip(*cartan.entries))
-        self._kostant_cache = {(0,) * self.rank: 1}
-        self._weyl = None
-        self._chevalley = None
+        self.cache = {}
         for alpha in self.positive_roots:
             if self.pairing_root(self.root_to_weight(alpha), alpha) != 2:
                 raise ConsistencyError(f"alpha(h_alpha) != 2 for {alpha}")
@@ -238,13 +236,10 @@ class RootSystem:
 
     def coroot(self, alpha) -> Tuple[int, ...]:
         """h_alpha in the basis H, as integer coefficients."""
-        alpha = tuple(alpha)
-        if alpha in self._coroot:
-            return self._coroot[alpha]
-        neg = tuple(-c for c in alpha)
-        if neg in self._coroot:
-            return tuple(-c for c in self._coroot[neg])
-        raise NotARootError(f"{alpha} is not a root")
+        try:
+            return self._coroot[tuple(alpha)]
+        except KeyError:
+            raise NotARootError(f"{tuple(alpha)} is not a root") from None
 
     def root_to_weight(self, alpha) -> Weight:
         """View a root (simple-root coordinates) as a Weight (H-coordinates)."""
@@ -289,9 +284,9 @@ class RootSystem:
         return v
 
     def weyl_group(self) -> "WeylGroup":
-        if self._weyl is None:
-            self._weyl = WeylGroup(self)
-        return self._weyl
+        if "weyl_group" not in self.cache:
+            self.cache["weyl_group"] = WeylGroup(self)
+        return self.cache["weyl_group"]
 
     def dot_action(self, w: "WeylElement", lam: Weight) -> Weight:
         rho = self.rho()
@@ -356,26 +351,26 @@ class RootSystem:
             raise DomainError("coordinate vector has wrong rank")
         if any(c < 0 for c in nu):
             return 0
-        return self._kostant(nu, 0)
+        return self._kostant(nu, 0, self.cache.setdefault("kostant_p", {}))
 
-    def _kostant(self, nu, k):
+    def _kostant(self, nu, k, table):
         if not any(nu):
             return 1
         if k == self.num_positive:
             return 0
         key = (nu, k)
-        cached = self._kostant_cache.get(key)
+        cached = table.get(key)
         if cached is not None:
             return cached
         alpha = self.positive_roots[k]
         total = 0
         rest = nu
         while True:
-            total += self._kostant(rest, k + 1)
+            total += self._kostant(rest, k + 1, table)
             rest = tuple(a - b for a, b in zip(rest, alpha))
             if any(c < 0 for c in rest):
                 break
-        self._kostant_cache[key] = total
+        table[key] = total
         return total
 
     def weyl_dimension(self, lam: Weight) -> int:

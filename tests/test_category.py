@@ -3,14 +3,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from bggkit import category, exactla, selftest
+from bggkit import category, exactla, harish, selftest
 from bggkit.category import (VermaModule, VermaSlice, block_report,
                              cartan_matrix, decomposition_matrix,
                              maximal_vectors, projective_filtration_matrix,
                              raising_matrix, shapovalov_matrix,
                              simple_weight_mult, verma_is_simple)
 from bggkit.errors import ConsistencyError, DepthOverflowError, DomainError
-from bggkit.liealg import LieAlgebraData, build_chevalley
+from bggkit.liealg import LieAlgebraData, build_chevalley, casimir
 from bggkit.rootdata import Weight, build_root_system, cached_root_system
 
 
@@ -371,3 +371,46 @@ def test_depth_override_extends(a1):
     dec = decomposition_matrix(a1, Weight([0]), depth=5)
     assert dec.depth == 5
     assert dec.entries == ((1, 1), (0, 1))
+
+
+# -- cache ownership --------------------------------------------------------------
+
+def _block(alg):
+    return block_report(alg, Weight([0, 0]))
+
+
+def _central_char(alg):
+    omega = casimir(alg)
+    lam = Weight([F(1, 2), -3])
+    return harish.central_character(lam, omega), str(harish.hc_psi(omega))
+
+
+def _shapovalov(alg):
+    lam = Weight([1, 0])
+    return (shapovalov_matrix(alg, lam, (1, 1)),
+            simple_weight_mult(alg, lam, (1, 1)))
+
+
+@pytest.mark.parametrize("label, run, rs_tables, alg_tables", [
+    ("A2", _block, {"build_chevalley", "kostant_p", "weyl_group"},
+     {"weight_space_basis", "raising_matrix"}),
+    ("B2", _central_char, {"build_chevalley"}, {"casimir", "is_central"}),
+    ("A2", _shapovalov, {"build_chevalley", "kostant_p"},
+     {"weight_space_basis", "raising_matrix", "shapovalov_polynomial_matrix"}),
+], ids=["block", "central-char", "shapovalov"])
+def test_memo_tables_live_in_one_cache_per_owner(label, run, rs_tables, alg_tables):
+    rs = build_root_system(label)
+    rs_attributes = set(vars(rs))
+    alg = build_chevalley(rs)
+    alg_attributes = set(vars(alg))
+    assert rs.cache == {"build_chevalley": alg} and alg.cache == {}
+    cold = run(alg)
+    assert set(vars(rs)) == rs_attributes and set(vars(alg)) == alg_attributes
+    assert set(rs.cache) == rs_tables and set(alg.cache) == alg_tables
+    assert run(alg) == cold  # warm
+    alg.cache.clear()
+    assert run(alg) == cold
+    rs.cache.clear()
+    assert build_chevalley(rs) is not alg
+    assert run(build_chevalley(rs)) == cold
+    assert run(build_chevalley(build_root_system(label))) == cold

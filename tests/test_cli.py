@@ -215,6 +215,14 @@ def test_domain_error_exit_code(capsys):
     assert "integral" in err
 
 
+def test_non_symmetrizable_cartan_file_is_domain_error(tmp_path, capsys):
+    path = tmp_path / "nonsym.json"
+    path.write_text(json.dumps({"cartan": [[2, -1, -1], [-2, 2, -1], [-1, -1, 2]]}))
+    code, out, err = run_cli(capsys, "roots", "--cartan-file", str(path))
+    assert (code, out) == (1, "")
+    assert "exceeded height bound" in err
+
+
 def test_non_finite_type_is_domain_error(tmp_path, capsys):
     path = tmp_path / "affine.json"
     path.write_text(json.dumps({"cartan": [[2, -2], [-2, 2]]}))
@@ -315,6 +323,33 @@ def test_wrong_rank_is_domain_error(capsys, argv):
     assert code == 1
     assert "wrong rank" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["weyl-orbit", "--weight", "-1,0"],
+    ["weyl-orbit", "--weight", "-1/2,0", "--json"],
+    ["linked", "--weights", "-1,0;0,0"],
+    ["verma-mult", "--nu", "-1,2", "--weight", "-2,1", "--json"],
+    ["shapovalov", "--weight", "-1,-1", "--nu", "1,1"],
+    ["kostant", "--nu", "-1,2"],
+], ids=lambda argv: "-".join(argv))
+def test_negative_first_coordinate_as_separate_value(capsys, argv):
+    joined = []
+    for arg in argv:
+        if joined and joined[-1] in ("--weight", "--weights", "--nu"):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    separate = run_cli(capsys, argv[0], "--type", "A2", *argv[1:])
+    assert separate[0] == 0
+    assert separate == run_cli(capsys, joined[0], "--type", "A2", *joined[1:])
+
+
+def test_option_followed_by_option_is_still_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["weyl-orbit", "--type", "A2", "--weight", "--json"])
+    assert exc.value.code == 2
+    assert "argument --weight: expected one argument" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("exps", ["001", [0, 0, 1.9], [0, 0, True], [0, 0, "1"]],

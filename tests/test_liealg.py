@@ -114,12 +114,45 @@ TABLE_DIGESTS = {
     "D5": "a358771e56726cf21561471f7fb1a7f6fccb5a68b469ea784c1b88248098bf4f",
     # recorded from the closed form with the all-triples Jacobi check
     "E7": "dee8a25a9bb3d42215b26da371cb7e2b78381797ee584ab0b10523d3b49e213a",
+    # recorded from the closed form with root lengths from the symmetrizer
+    "E8": "6ec33327d6bb96acd27a8d5fe011b824a72a9c0a8eed22e2108404f0201f327a",
+    "A1xA1": "9e773a4fb1889a22a34093052177f47010c4792bf937cf8c24b1eefbb2d0be87",
+    "B2xA1": "1d9d8ab82064e1187651a7c924390b09f3d848866acebafeb44580464f2387a5",
+    "G2xA2": "92c3a90bf50f21d18e6ad5c3ddef4b2c23f293a09dbb110436f7a412cf51665f",
+    "B2xG2": "25451e2161c2b237ca2b7e01a909d61fcd2b1580df4387973d938a30e38a3a8c",
 }
+
+
+def _block_diagonal(*blocks):
+    n = sum(map(len, blocks))
+    out = [[0] * n for _ in range(n)]
+    start = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            out[start + i][start:start + len(row)] = row
+        start += len(block)
+    return tuple(map(tuple, out))
+
+
+# block-diagonal Cartan matrices, one component per block; here B2 is
+# [[2,-2],[-1,2]] and G2 is [[2,-1],[-3,2]]
+_A1, _A2 = ((2,),), ((2, -1), (-1, 2))
+_B2, _G2 = ((2, -2), (-1, 2)), ((2, -1), (-3, 2))
+_BLOCK_SUMS = {"A1xA1": _block_diagonal(_A1, _A1),
+               "B2xA1": _block_diagonal(_B2, _A1),
+               "G2xA2": _block_diagonal(_G2, _A2),
+               "B2xG2": _block_diagonal(_B2, _G2)}
+
+
+def _system(label):
+    if label in _BLOCK_SUMS:
+        return build_root_system(_BLOCK_SUMS[label])
+    return cached_root_system(label)
 
 
 @pytest.mark.parametrize("label", sorted(TABLE_DIGESTS))
 def test_structure_constants_match_recorded_tables(label):
-    alg = build_chevalley(cached_root_system(label))
+    alg = build_chevalley(_system(label))
     digest = hashlib.sha256(repr(sorted(alg._table.items())).encode()).hexdigest()
     assert digest == TABLE_DIGESTS[label]
     rs = alg.rs
@@ -154,6 +187,67 @@ def test_closed_form_rejects_inconsistent_root_lengths(monkeypatch, label, corru
     monkeypatch.setattr(liealg, "_root_lengths", lambda rs: corrupt(lengths(rs), rs))
     with pytest.raises(ConsistencyError, match=message):
         liealg.LieAlgebraData(build_root_system(label))
+
+
+def _symmetrizer_lengths(rs):
+    """Reference (r, r) from the symmetrized Cartan matrix d_i C[i][j].
+
+    d_i = (alpha_i, alpha_i)/2 is fixed along the Dynkin diagram from
+    d = 1 on one node of each component.
+    """
+    cart, l = rs.cartan.entries, rs.rank
+    half = [None] * l
+    for start in range(l):
+        if half[start] is not None:
+            continue
+        half[start] = F(1)
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for j in range(l):
+                if half[j] is None and cart[i][j]:
+                    half[j] = half[i] * cart[i][j] / cart[j][i]
+                    stack.append(j)
+    for i, j in itertools.product(range(l), repeat=2):
+        assert half[i] * cart[i][j] == half[j] * cart[j][i]
+    return {r: sum(r[i] * r[j] * half[i] * cart[i][j]
+                   for i in range(l) for j in range(l))
+            for r in rs.roots}
+
+
+def _dynkin_components(rs):
+    """Component number of each simple root."""
+    cart, l = rs.cartan.entries, rs.rank
+    component = [None] * l
+    for start in range(l):
+        if component[start] is None:
+            stack = [start]
+            component[start] = start
+            while stack:
+                i = stack.pop()
+                for j in range(l):
+                    if component[j] is None and cart[i][j]:
+                        component[j] = start
+                        stack.append(j)
+    return component
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3",
+                                   "C4", "D4", "D5", "E6", "E7", "E8", "F4", "G2",
+                                   *_BLOCK_SUMS])
+def test_root_lengths_are_the_symmetrizer_form_per_component(label):
+    """One positive factor per simple component relates the two forms."""
+    rs = _system(label)
+    lengths, reference = liealg._root_lengths(rs), _symmetrizer_lengths(rs)
+    component = _dynkin_components(rs)
+    factors = {}
+    for r in rs.roots:
+        (c,) = {component[i] for i, x in enumerate(r) if x}
+        factors.setdefault(c, set()).add(lengths[r] / reference[r])
+    assert len(factors) == len(set(component))
+    for ratios in factors.values():
+        (factor,) = ratios
+        assert factor > 0
 
 
 def _dense_jacobi_failure(d, table):

@@ -98,6 +98,16 @@ def test_pairing_examples(rs_a2):
         rs_a2.pairing_root(rho, (2, 0))
 
 
+@pytest.mark.parametrize("label", ["A3", "B3", "G2", "F4"])
+def test_coroot_of_negative_root_is_negated(label):
+    rs = cached_root_system(label)
+    for alpha in rs.roots:
+        negated = tuple(-c for c in alpha)
+        assert rs.coroot(negated) == tuple(-c for c in rs.coroot(alpha))
+    with pytest.raises(NotARootError):
+        rs.coroot((0,) * rs.rank)
+
+
 # -- Weyl group and the dot action ---------------------------------------------
 
 def test_dot_action_examples(rs_a1):
