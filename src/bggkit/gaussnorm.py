@@ -7,10 +7,12 @@ a rational number, with a bottom element standing in for the norm 0 of
 the zero element.  Radii with s <= 0 are rejected; submultiplicativity
 only holds for r > 1.
 
-The maximum is taken on integers, in units of 1/b for s = a/b: a term
-with coefficient n/m and degree |A| scores |A| a - b (v_p(n) - v_p(m)),
-and one Fraction is built from the best score.  The prime is checked
-once, when the NormParam is made.
+The norm checks work on integers, in units of 1/b for s = a/b: a term
+with coefficient n/m and degree |A| scores |A| a - b (v_p(n) - v_p(m)).
+``log_norm`` builds one Fraction, from the best score, and
+``check_ultrametric`` scores u, v and u+v in one pass over the union of
+the two supports without building u+v or any LogNorm.  The prime is
+checked once, when the NormParam is made.
 """
 
 from __future__ import annotations
@@ -102,6 +104,10 @@ class NormParam:
             raise DomainError("log-radius must be positive (r > 1)")
 
 
+#: the score of the zero element, below every integer term score
+_BOTTOM = float("-inf")
+
+
 @dataclass(frozen=True, order=False)
 class LogNorm:
     """log_p of a Gauss norm; value None encodes the norm of zero."""
@@ -144,14 +150,28 @@ class LogNorm:
         return "-inf" if self.is_bottom else str(self.value)
 
 
+def _score(deg: int, coef: Fraction, p: int, a: int, b: int) -> int:
+    """deg * a - b * v_p(coef): b times the log norm of one term, for s = a/b.
+
+    Numerator and denominator are coprime, so one remainder decides which
+    of the two p may divide.
+    """
+    num = coef.numerator
+    if num % p:
+        return deg * a + b * _vp_int(coef.denominator, p)
+    return deg * a - b * _vp_int(num, p)
+
+
 def log_norm(u: UEAElement, np: NormParam) -> LogNorm:
     """max over the support of (-vp(coefficient) + degree * s)."""
     if u.is_zero():
         return LogNorm.bottom()
     p, a, b = np.p, np.s.numerator, np.s.denominator
-    best = max(sum(exps) * a - b * (_vp_int(coef.numerator, p)
-                                    - _vp_int(coef.denominator, p))
-               for exps, coef in u.terms.items())
+    best = _BOTTOM
+    for exps, coef in u.terms.items():
+        score = _score(sum(exps), coef, p, a, b)
+        if score > best:
+            best = score
     return LogNorm(Fraction(best, b))
 
 
@@ -161,12 +181,44 @@ def check_submultiplicative(u: UEAElement, v: UEAElement, np: NormParam) -> bool
 
 
 def check_ultrametric(u: UEAElement, v: UEAElement, np: NormParam) -> bool:
-    """log|u+v| <= max of the two, with equality when the maxima differ."""
-    nu, nv = log_norm(u, np), log_norm(v, np)
-    top = max(nu, nv, key=lambda n: n._key())
-    ns = log_norm(u + v, np)
-    if not ns <= top:
-        return False
-    if nu != nv and ns != top:
-        return False
-    return True
+    """log|u+v| <= max of the two, with equality when the maxima differ.
+
+    One pass over the union of the two supports keeps the best integer
+    term score of u, of v and of u+v, with -inf for the norm of zero.  A
+    shared key is scored from the unreduced integer sum of its two
+    coefficients, and is dropped when they cancel.  Neither u+v nor any
+    LogNorm is built.
+    """
+    if u.alg is not v.alg:
+        raise DomainError("elements belong to different algebras")
+    p, a, b = np.p, np.s.numerator, np.s.denominator
+    uterms, vterms = u.terms, v.terms
+    nu = nv = ns = _BOTTOM
+    for exps, cu in uterms.items():
+        deg = sum(exps)
+        su = _score(deg, cu, p, a, b)
+        if su > nu:
+            nu = su
+        cv = vterms.get(exps)
+        if cv is None:
+            if su > ns:
+                ns = su
+            continue
+        sv = _score(deg, cv, p, a, b)
+        if sv > nv:
+            nv = sv
+        du, dv = cu.denominator, cv.denominator
+        num = cu.numerator * dv + cv.numerator * du
+        if num:
+            ss = deg * a - b * (_vp_int(num, p) - _vp_int(du * dv, p))
+            if ss > ns:
+                ns = ss
+    for exps, cv in vterms.items():
+        if exps not in uterms:
+            sv = _score(sum(exps), cv, p, a, b)
+            if sv > nv:
+                nv = sv
+            if sv > ns:
+                ns = sv
+    top = max(nu, nv)
+    return ns <= top and (nu == nv or ns == top)

@@ -2,9 +2,14 @@
 
 This is the hot inner loop of the whole package: rewriting words in an
 ordered basis into normal form using the commutator table.  Words are
-run-length encoded as tuples of (basis index, exponent); normal-form
-monomials are dense exponent tuples of length ``dim``.  Coefficients
-stay in Z throughout because the structure constants are integers.
+run-length encoded as tuples of (basis index, exponent), and the kernel
+stays in that sparse form throughout: a normal-form monomial inside it
+is a run tuple with strictly increasing indices, and the memoized pair
+products are dicts keyed by such runs.  Dense exponent tuples of length
+``dim`` appear only at the public boundary, as the keys that
+``normal_order_word`` and ``multiply_monomials`` return and the
+monomials that ``multiply_monomials`` takes.  Coefficients stay in Z
+throughout because the structure constants are integers.
 
 The rewrite rule is the leftmost out-of-order adjacent pair.  Products
 of pure powers b_hi^a * b_lo^b are memoized per kernel whatever their
@@ -13,6 +18,8 @@ powers it peels down to.  Results never depend on cache state.
 """
 
 from __future__ import annotations
+
+from itertools import compress
 
 #: name of the live kernel, reported by ``bggkit selftest`` and perfbench
 KERNEL_IMPL = "python"
@@ -31,6 +38,27 @@ def _squash(runs):
     return tuple(out)
 
 
+def _sparse(exps):
+    """Runs of a dense exponent tuple, in index order."""
+    return tuple(zip(compress(range(len(exps)), exps), filter(None, exps)))
+
+
+def _join(left, right):
+    """Concatenate two squashed words, merging equal indices at the seam."""
+    if left and right and left[-1][0] == right[0][0]:
+        return left[:-1] + ((right[0][0], left[-1][1] + right[0][1]),) + right[1:]
+    return left + right
+
+
+def _accumulate(out, key, c):
+    """Add c to out[key], dropping the key when the sum is 0."""
+    acc = out.get(key, 0) + c
+    if acc:
+        out[key] = acc
+    elif key in out:
+        del out[key]
+
+
 class StraightenKernel:
     """Normal ordering for one fixed basis and commutator table.
 
@@ -44,51 +72,47 @@ class StraightenKernel:
         self.table = {pair: tuple(entries) for pair, entries in table.items()}
         self._pair_cache = {}
 
-    def _runs_to_exps(self, runs):
-        exps = [0] * self.dim
-        for idx, exp in runs:
-            exps[idx] += exp
-        return tuple(exps)
-
-    def _exps_to_runs(self, exps):
-        return tuple((i, e) for i, e in enumerate(exps) if e)
+    def _dense(self, terms):
+        """Re-key {runs: int} by dense exponent tuples."""
+        out = {}
+        for runs, c in terms.items():
+            exps = [0] * self.dim
+            for idx, exp in runs:
+                exps[idx] = exp
+            out[tuple(exps)] = c
+        return out
 
     def normal_order_word(self, runs):
         """Straighten an arbitrary word; returns {monomial exps: int}."""
-        pending = {_squash(runs): 1}
+        return self._dense(self._straighten(_squash(runs)))
+
+    def multiply_monomials(self, exps_a, exps_b):
+        """Normal form of X^A * X^B; returns {monomial exps: int}."""
+        return self._dense(self._straighten(_join(_sparse(exps_a), _sparse(exps_b))))
+
+    def _straighten(self, word):
+        """Normal form of a squashed word as {sorted runs: int}."""
+        pending = {word: 1}
         out = {}
+        pair_product = self._pair_product
         while pending:
             word, coef = pending.popitem()
-            if coef == 0:
-                continue
-            k = -1
-            for pos in range(len(word) - 1):
-                if word[pos][0] > word[pos + 1][0]:
-                    k = pos
+            for k in range(len(word) - 1):
+                if word[k][0] > word[k + 1][0]:
                     break
-            if k < 0:
-                mono = self._runs_to_exps(word)
-                acc = out.get(mono, 0) + coef
-                if acc:
-                    out[mono] = acc
-                else:
-                    del out[mono]
+            else:
+                _accumulate(out, word, coef)
                 continue
             hi, a = word[k]
             lo, b = word[k + 1]
             prefix = word[:k]
             suffix = word[k + 2:]
-            for mono, c in self.pair_product(hi, lo, a, b).items():
-                new = _squash(prefix + self._exps_to_runs(mono) + suffix)
-                acc = pending.get(new, 0) + coef * c
-                if acc:
-                    pending[new] = acc
-                elif new in pending:
-                    del pending[new]
+            for mono, c in pair_product(hi, lo, a, b).items():
+                _accumulate(pending, _join(_join(prefix, mono), suffix), coef * c)
         return out
 
-    def pair_product(self, hi, lo, a, b):
-        """Normal form of b_hi^a * b_lo^b for hi > lo.
+    def _pair_product(self, hi, lo, a, b):
+        """Normal form of b_hi^a * b_lo^b for hi > lo, as {sorted runs: int}.
 
         Callers must treat the returned dict as read-only; it is a shared
         cache entry.
@@ -98,35 +122,17 @@ class StraightenKernel:
         if cached is not None:
             return cached
         if a == 1 and b == 1:
-            res = {}
-            exps = [0] * self.dim
-            exps[lo] = 1
-            exps[hi] += 1
-            res[tuple(exps)] = 1
+            res = {((lo, 1), (hi, 1)): 1}
             for idx, c in self.table.get((hi, lo), ()):
-                unit = [0] * self.dim
-                unit[idx] = 1
-                unit = tuple(unit)
-                acc = res.get(unit, 0) + c
-                if acc:
-                    res[unit] = acc
-                elif unit in res:
-                    del res[unit]
+                _accumulate(res, ((idx, 1),), c)
         else:
             # peel one power of each factor: hi^a lo^b = hi^(a-1) (hi lo) lo^(b-1)
             res = {}
-            for mono, c in self.pair_product(hi, lo, 1, 1).items():
-                word = ((hi, a - 1),) + self._exps_to_runs(mono) + ((lo, b - 1),)
-                for m2, c2 in self.normal_order_word(word).items():
-                    acc = res.get(m2, 0) + c * c2
-                    if acc:
-                        res[m2] = acc
-                    elif m2 in res:
-                        del res[m2]
+            left = ((hi, a - 1),) if a > 1 else ()
+            right = ((lo, b - 1),) if b > 1 else ()
+            for mono, c in self._pair_product(hi, lo, 1, 1).items():
+                for m2, c2 in self._straighten(_join(_join(left, mono), right)).items():
+                    _accumulate(res, m2, c * c2)
         self._pair_cache[key] = res
         return res
 
-    def multiply_monomials(self, exps_a, exps_b):
-        """Normal form of X^A * X^B; returns {monomial exps: int}."""
-        return self.normal_order_word(
-            self._exps_to_runs(exps_a) + self._exps_to_runs(exps_b))

@@ -159,7 +159,6 @@ def criterion_4(types: Sequence[str], seed: int) -> str:
             u = _random_element(alg, rng)
             v = _random_element(alg, rng)
             w = u * v
-            total = u + v
             num = 0
             while num == 0:
                 num = rng.randint(-50, 50)

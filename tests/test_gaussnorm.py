@@ -188,3 +188,60 @@ def test_log_norm_matches_division_oracle(label):
                 assert got == LogNorm.of(expected), (label, p, s, u)
                 cases += 1
     assert cases > 150
+
+
+def _ultrametric_reference(u, v, np):
+    """The documented rule, read off log_norm(u + v)."""
+    nu, nv, ns = log_norm(u, np), log_norm(v, np), log_norm(u + v, np)
+    top = nu if nv <= nu else nv
+    return ns <= top and (nu == nv or ns == top)
+
+
+def _overlapping_pair(alg, rng, p):
+    """u and a v that shares some of u's keys, some with opposite coefficients."""
+    u = _random_element(alg, rng, p)
+    terms = {}
+    for exps, c in u.terms.items():
+        pick = rng.randrange(4)
+        if pick == 0:
+            terms[exps] = -c
+        elif pick == 1:
+            terms[exps] = c * F(rng.choice([-1, 1]) * p ** rng.randint(0, 2),
+                                p ** rng.randint(0, 2))
+        elif pick == 2:
+            terms[exps] = F(rng.randint(-30, 30), rng.randint(1, 9))
+    terms.update(_random_element(alg, rng, p).terms)
+    return u, UEAElement(alg, terms)
+
+
+@pytest.mark.parametrize("label", ["A1", "B2", "G2"])
+def test_ultrametric_matches_reference(label):
+    alg = build_chevalley(cached_root_system(label))
+    rng = random.Random(29)
+    x, y, h = alg.x(0), alg.y(0), alg.h(0)
+    named = [
+        (4 * (x * x * y) + y, -4 * (x * x * y) + h),  # the top term cancels
+        (F(1, 2) * (x * y) + 3 * h, F(-1, 2) * (x * y)),
+        (x * y + F(2, 5) * h, -(x * y + F(2, 5) * h)),  # u = -v
+        (alg.zero(), x + 10 * y),  # u = 0
+        (alg.zero(), alg.zero()),
+        (20 * (x * h), 20 * (x * h)),  # u = v
+    ]
+    cancelling = 0
+    for p in (2, 3, 5):
+        pairs = named + [_overlapping_pair(alg, rng, p) for _ in range(25)]
+        cancelling += sum(any(v.terms.get(e) == -c for e, c in u.terms.items())
+                          for u, v in pairs)
+        for s in (F(1, 3), F(1, 2), F(1), F(2)):
+            np = NormParam(p, s)
+            for u, v in pairs:
+                assert check_ultrametric(u, v, np) == _ultrametric_reference(u, v, np), \
+                    (label, p, s, u, v)
+    assert cancelling > 30
+
+
+def test_ultrametric_rejects_elements_of_different_algebras(a1, b2):
+    with pytest.raises(DomainError):
+        check_ultrametric(a1.x(0), b2.x(0), NormParam(2, F(1)))
+    with pytest.raises(DomainError):
+        check_ultrametric(a1.zero(), b2.zero(), NormParam(2, F(1)))

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+from bggkit.liealg import build_chevalley
 from bggkit.pbw import StraightenKernel
+from bggkit.rootdata import cached_root_system
 
 
 # sl2 in the ordered basis (y, h, x): [h, y] = -2y, [x, y] = h, [x, h] = -2x
@@ -91,3 +93,59 @@ def test_high_powers_agree_with_sl2_representation(n):
             for j in range(dim):
                 total[i][j] += coef * term[i][j]
     assert total == _matmul(xs[n], ys[n])
+
+
+def _adjoint_columns(alg):
+    """ad(b_i) as sparse columns: cols[i][j] = {k: c} where [b_i, b_j] = sum c b_k.
+
+    Read straight off the bracket table, without the kernel.
+    """
+    d = alg.d
+    cols = [[{} for _ in range(d)] for _ in range(d)]
+    for (hi, lo), entries in alg._table.items():
+        for k, c in entries:
+            cols[hi][lo][k] = cols[hi][lo].get(k, 0) + c
+            cols[lo][hi][k] = cols[lo][hi].get(k, 0) - c
+    return cols
+
+
+def _ad_apply(cols, exps, vec):
+    """ad(X^exps) applied to a sparse vector, rightmost factor first."""
+    for i in reversed(range(len(exps))):
+        for _ in range(exps[i]):
+            out = {}
+            for j, x in vec.items():
+                for k, c in cols[i][j].items():
+                    out[k] = out.get(k, 0) + c * x
+            vec = {k: x for k, x in out.items() if x}
+    return vec
+
+
+def _random_monomial(rng, dim, max_degree):
+    exps = [0] * dim
+    for _ in range(rng.randint(0, max_degree)):
+        exps[rng.randrange(dim)] += 1
+    return tuple(exps)
+
+
+@pytest.mark.parametrize("label", ["B2", "G2", "A3"])
+def test_kernel_agrees_with_adjoint_representation(label):
+    # ad is a representation of U(g), so ad(normal form of X^A X^B) must
+    # equal ad(X^A) ad(X^B); compared column by column on every basis vector
+    alg = build_chevalley(cached_root_system(label))
+    cols = _adjoint_columns(alg)
+    rng = random.Random(23)
+    straightened = 0
+    for _ in range(60):
+        a = _random_monomial(rng, alg.d, 4)
+        b = _random_monomial(rng, alg.d, 4)
+        terms = alg.kernel.multiply_monomials(a, b)
+        straightened += terms != {tuple(x + y for x, y in zip(a, b)): 1}
+        for j in range(alg.d):
+            expected = _ad_apply(cols, a, _ad_apply(cols, b, {j: 1}))
+            got = {}
+            for mono, c in terms.items():
+                for k, x in _ad_apply(cols, mono, {j: 1}).items():
+                    got[k] = got.get(k, 0) + c * x
+            assert {k: x for k, x in got.items() if x} == expected, (label, a, b, j)
+    assert straightened >= 15
