@@ -29,8 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
-from operator import mul
+from operator import ge, mul
 from typing import Dict, List, Optional, Tuple, Union
 
 from . import exactla
@@ -174,20 +173,22 @@ class VermaSlice:
         return VermaVector(self, out)
 
 
-def gamma_elements(alg: LieAlgebraData, max_height: int):
-    """All nu in Gamma with 0 <= height(nu) <= max_height, by height then lex."""
-    l = alg.l
-    out = []
+def gamma_elements(alg: LieAlgebraData, max_height: int) -> Tuple[RootVec, ...]:
+    """All nu in Gamma with 0 <= height(nu) <= max_height, by height then
+    lex; memoized by max_height."""
+    cache = alg.cache.setdefault("gamma_elements", {})
+    got = cache.get(max_height)
+    if got is not None:
+        return got
 
-    def rec(i, budget, acc):
-        if i == l:
-            out.append(tuple(acc))
-            return
-        for c in range(budget + 1):
-            rec(i + 1, budget - c, acc + [c])
+    def level(l, h):  # the l-tuples of height h, lexicographically
+        if l == 1:
+            return [(h,)]
+        return [(c,) + rest for c in range(h + 1) for rest in level(l - 1, h - c)]
 
-    rec(0, max_height, [])
-    return sorted(out, key=lambda v: (sum(v), v))
+    got = cache[max_height] = tuple(nu for h in range(max_height + 1)
+                                    for nu in level(alg.l, h))
+    return got
 
 
 def maximal_vectors(alg: LieAlgebraData, lam: Weight, nu, depth: Optional[int] = None
@@ -286,7 +287,7 @@ def raising_matrix(alg: LieAlgebraData, i: int, nu: RootVec):
 class VermaModule:
     """M(lam) with its quotient maps onto the simple module L(lam).
 
-    The walls of lam, the pairs (beta, n) with n = <lam+rho, beta-check>
+    The walls of lam, the vectors n*beta with n = <lam+rho, beta-check>
     a positive integer, are found once.  Where no wall reaches nu (no
     n*beta <= nu) the Shapovalov determinant at nu is nonzero
     (Shapovalov 1972; Jantzen, LNM 750), so the quotient map at nu is
@@ -303,20 +304,15 @@ class VermaModule:
     def __init__(self, alg: LieAlgebraData, lam: Weight):
         self.alg = alg
         self.lam = lam
-        scale = lcm(*(c.denominator for c in lam.coords))
+        scale, coords = lam.scaled()
         # homogeneous coordinates: form . point = scale * form(lam)
-        self._point = (scale,) + tuple(int(c * scale) for c in lam.coords)
-        # walls (beta, n): rho(h_j) = 1, so scale * <lam+rho, beta-check>
-        # is h_beta . (point + scale)
-        shifted = tuple(c + scale for c in self._point[1:])
-        self._walls = []
-        for beta in alg.rs.positive_roots:
-            n, rest = divmod(sum(map(mul, alg.rs.coroot(beta), shifted)), scale)
-            if n > 0 and not rest:
-                self._walls.append((beta, n))
+        self._point = (scale,) + coords
+        self._walls = [tuple(n * b for b in beta)
+                       for beta, n in alg.rs.integral_pairings(lam) if n > 0]
         # an int is an identity quotient of that dimension, a list a
         # primitive row basis
         self._quotients: Dict[RootVec, Union[int, List[List[int]]]] = {}
+        self._kostant = alg.rs.kostant_table()
 
     def _columns(self, i: int, nu: RootVec):
         """The x_i matrix at nu evaluated at lam (scaled), as sparse
@@ -367,9 +363,9 @@ class VermaModule:
             if mu in quotients:
                 stack.pop()
                 continue
-            if not any(all(c >= n * b for c, b in zip(mu, beta))
-                       for beta, n in self._walls):
-                quotients[mu] = self.alg.rs.kostant_p(mu)
+            if not any(all(map(ge, mu, wall)) for wall in self._walls):
+                # P(mu) >= 1 from the memo, or from kostant_p on a miss
+                quotients[mu] = self._kostant.get((mu, 0)) or self.alg.rs.kostant_p(mu)
                 stack.pop()
                 continue
             missing = [up for up in (_lower(mu, i) for i in range(self.alg.l))
@@ -382,9 +378,10 @@ class VermaModule:
         return quotients[nu]
 
     def simple_mult(self, nu) -> int:
-        """dim L(lam)_{lam-nu}; 0 off Gamma."""
-        nu = tuple(int(c) for c in nu)
-        if any(c < 0 for c in nu):
+        """dim L(lam)_{lam-nu}; 0 off Gamma, as at a non-integral nu."""
+        given = tuple(nu)
+        nu = tuple(map(int, given))
+        if nu != given or any(c < 0 for c in nu):
             return 0
         quotient = self._quotient(nu)
         return quotient if isinstance(quotient, int) else len(quotient)

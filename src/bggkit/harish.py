@@ -50,7 +50,9 @@ class CentralCharacter:
         self.rs = alg.rs
         self.representative = lam
         self.orbit = tuple(self.rs.dot_orbit(lam))
-        self.casimir_value = central_character(lam, casimir(alg))
+        if "casimir_projection" not in alg.cache:  # casimir() checks centrality
+            alg.cache["casimir_projection"] = casimir(alg).hc_project()
+        self.casimir_value = alg.cache["casimir_projection"].evaluate_at(lam)
 
     @property
     def canonical_representative(self) -> Weight:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, lcm, prod
 from operator import index, mul
 from typing import Dict, Optional, Tuple
 
@@ -433,20 +433,22 @@ class UEAElement:
         return UEAElement(alg, kept)
 
     def evaluate_at(self, lam: Weight) -> Fraction:
-        """Evaluate an element of U(h) at a weight; h_i goes to lam(h_i)."""
+        """Evaluate an element of U(h) at a weight; h_i goes to lam(h_i).
+
+        A term c h^e of degree k is c v^e / s^k, v = s lam in integers.
+        """
         alg = self.alg
         lo, hi = alg.m, alg.m + alg.l
-        total = Fraction(0)
+        scale, v = lam.scaled()
+        num, den = 0, 1
         for exps, coef in self.terms.items():
             if any(exps[:lo]) or any(exps[hi:]):
                 raise DomainError("element is not in U(h)")
-            val = coef
-            for i in range(alg.l):
-                e = exps[lo + i]
-                if e:
-                    val *= lam.coords[i] ** e
-            total += val
-        return total
+            h = exps[lo:hi]
+            d = coef.denominator * scale ** sum(h)
+            num = num * d + coef.numerator * prod(map(pow, v, h)) * den
+            den *= d
+        return Fraction(num, den)
 
     # -- presentation -------------------------------------------------------
 

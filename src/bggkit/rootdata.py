@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from operator import index, mul
+from operator import add, index, mul, neg, sub
 from typing import Iterable, Optional, Tuple
 
 from .errors import ConsistencyError, DomainError, NotARootError, NotFiniteTypeError
@@ -159,6 +159,13 @@ class Weight:
     def __init__(self, coords: Iterable):
         object.__setattr__(self, "coords", tuple(Fraction(c) for c in coords))
 
+    @classmethod
+    def _exact(cls, coords: Tuple[Fraction, ...]) -> "Weight":
+        """A Weight from a tuple of Fractions, taken as it is."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "coords", coords)
+        return w
+
     def __setattr__(self, name, value):
         raise AttributeError("Weight is immutable")
 
@@ -172,16 +179,16 @@ class Weight:
         return hash(self.coords)
 
     def __add__(self, other: "Weight") -> "Weight":
-        return Weight(a + b for a, b in zip(self.coords, other.coords))
+        return Weight._exact(tuple(map(add, self.coords, other.coords)))
 
     def __sub__(self, other: "Weight") -> "Weight":
-        return Weight(a - b for a, b in zip(self.coords, other.coords))
+        return Weight._exact(tuple(map(sub, self.coords, other.coords)))
 
     def __rmul__(self, scalar) -> "Weight":
-        return Weight(Fraction(scalar) * c for c in self.coords)
+        return Weight._exact(tuple(Fraction(scalar) * c for c in self.coords))
 
     def __neg__(self) -> "Weight":
-        return Weight(-c for c in self.coords)
+        return Weight._exact(tuple(map(neg, self.coords)))
 
     @property
     def is_integral(self) -> bool:
@@ -190,6 +197,11 @@ class Weight:
     @property
     def is_dominant_integral(self) -> bool:
         return self.is_integral and all(c >= 0 for c in self.coords)
+
+    def scaled(self) -> Tuple[int, Tuple[int, ...]]:
+        """(s, s * coords) for s the lcm of the denominators: all integers."""
+        s = lcm(*(c.denominator for c in self.coords))
+        return s, tuple(c.numerator * (s // c.denominator) for c in self.coords)
 
     def __repr__(self):
         return "Weight(%s)" % ",".join(str(c) for c in self.coords)
@@ -301,8 +313,8 @@ class RootSystem:
         coordinates), as that map is increasing in v; mu < lam puts lam
         first.
         """
-        scale = lcm(*(c.denominator for c in lam.coords))
-        start = tuple(int((c + 1) * scale) for c in lam.coords)
+        scale, v = lam.scaled()
+        start = tuple(x + scale for x in v)
         seen = {start}
         frontier = [start]
         while frontier:
@@ -316,11 +328,21 @@ class RootSystem:
             frontier = nxt
         form = self._height_form
         ordered = sorted(seen, key=lambda v: (-sum(map(mul, form, v)), v))
-        return [Weight(Fraction(x, scale) - 1 for x in v) for v in ordered]
+        values = {x: Fraction(x - scale, scale) for x in set().union(*ordered)}
+        return [Weight._exact(tuple(map(values.__getitem__, v))) for v in ordered]
 
     def is_linked(self, lam: Weight, mu: Weight) -> bool:
         """True iff mu lies in the dot orbit of lam (same fiber of pi)."""
         return any(mu == nu for nu in self.dot_orbit(lam))
+
+    def integral_pairings(self, lam: Weight):
+        """(beta, n) for each positive beta with n = <lam+rho, beta-check> in Z,
+        read off h_beta . (s lam + s) for s the lcm of lam's denominators."""
+        scale, v = lam.scaled()
+        shifted = tuple(x + scale for x in v)
+        pairs = ((beta, divmod(sum(map(mul, self._coroot[beta], shifted)), scale))
+                 for beta in self.positive_roots)
+        return [(beta, n) for beta, (n, rest) in pairs if not rest]
 
     def is_antidominant(self, lam: Weight, convention: str = STRICT) -> bool:
         """No positive root pairs (lam+rho) into the forbidden integers.
@@ -330,13 +352,8 @@ class RootSystem:
         """
         if convention not in (STRICT, WIDE):
             raise DomainError(f"unknown antidominance convention {convention!r}")
-        shifted = lam + self.rho()
         floor = 1 if convention == STRICT else 0
-        for alpha in self.positive_roots:
-            v = self.pairing_root(shifted, alpha)
-            if v.denominator == 1 and v >= floor:
-                return False
-        return True
+        return all(n < floor for _, n in self.integral_pairings(lam))
 
     # -- Kostant function and dimensions ---------------------------------
 
@@ -344,14 +361,19 @@ class RootSystem:
         """Number of ways to write nu as a nonnegative sum of positive roots.
 
         Memoized recursion over the deterministic root order; returns 0
-        off the support (any negative coordinate).
+        off the support (any negative or non-integral coordinate).
         """
-        nu = tuple(int(c) for c in nu)
+        given = tuple(nu)
+        nu = tuple(map(int, given))
         if len(nu) != self.rank:
             raise DomainError("coordinate vector has wrong rank")
-        if any(c < 0 for c in nu):
+        if nu != given or any(c < 0 for c in nu):
             return 0
-        return self._kostant(nu, 0, self.cache.setdefault("kostant_p", {}))
+        return self._kostant(nu, 0, self.kostant_table())
+
+    def kostant_table(self) -> dict:
+        """The memo of ``kostant_p``: P(nu) is at key (nu, 0), nu != 0."""
+        return self.cache.setdefault("kostant_p", {})
 
     def _kostant(self, nu, k, table):
         if not any(nu):

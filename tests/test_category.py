@@ -186,6 +186,35 @@ def test_rank_work_only_on_walls(monkeypatch, label, coords):
     assert report.nondegenerate == (not on_walls)
 
 
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3"])
+def test_jantzen_sum_formula_bounds(label):
+    """dim of the maximal submodule at nu against the Jantzen sum formula.
+
+    With T the positive roots beta whose n = <lam+rho, beta-check> is a
+    positive integer, M(s_beta . lam) = M(lam - n beta) embeds in the
+    maximal submodule M^1 for each beta in T, and the Jantzen filtration
+    M^1 > M^2 > ... has sum_i ch M^i = sum_{beta in T} ch M(lam - n beta).
+    So P(nu - n beta) <= dim M^1_{lam-nu} <= sum_beta P(nu - n beta).
+    """
+    alg = _alg(label)
+    rs = alg.rs
+    rng = random.Random(label)
+    reached = 0
+    for den in (1, 1, 1, 2, 3):
+        lam = Weight([F(rng.randint(-3 * den, 3 * den), den) for _ in range(alg.l)])
+        values = [(beta, rs.pairing_root(lam + rs.rho(), beta))
+                  for beta in rs.positive_roots]
+        walls = [(beta, int(n)) for beta, n in values if n.denominator == 1 and n > 0]
+        module = VermaModule(alg, lam)
+        for nu in category.gamma_elements(alg, 4):
+            below = [rs.kostant_p(tuple(c - n * b for c, b in zip(nu, beta)))
+                     for beta, n in walls]
+            radical = rs.kostant_p(nu) - module.simple_mult(nu)
+            assert max(below, default=0) <= radical <= sum(below), (lam, nu)
+            reached += radical > 0
+    assert reached
+
+
 def test_raising_matrix_rejects_h_degree_above_one():
     alg = LieAlgebraData(build_root_system("A1"))
 
@@ -203,6 +232,10 @@ def test_simple_weight_mult_examples(a1):
     assert simple_weight_mult(a1, Weight([3]), (3,)) == 1
     assert simple_weight_mult(a1, Weight([3]), (4,)) == 0
     assert simple_weight_mult(a1, Weight([3]), (7,)) == 0
+    # off Gamma, not truncated to (1,) or (2,)
+    assert simple_weight_mult(a1, Weight([3]), (F(3, 2),)) == 0
+    assert simple_weight_mult(a1, Weight([3]), (2.5,)) == 0
+    assert simple_weight_mult(a1, Weight([3]), (F(2),)) == 1
     # antidominant weights keep full rank
     for k in range(1, 7):
         assert simple_weight_mult(a1, Weight([-1]), (k,)) == 1
@@ -393,7 +426,7 @@ def _shapovalov(alg):
 
 @pytest.mark.parametrize("label, run, rs_tables, alg_tables", [
     ("A2", _block, {"build_chevalley", "kostant_p", "weyl_group"},
-     {"weight_space_basis", "raising_matrix"}),
+     {"weight_space_basis", "raising_matrix", "gamma_elements"}),
     ("B2", _central_char, {"build_chevalley"}, {"casimir", "is_central"}),
     ("A2", _shapovalov, {"build_chevalley", "kostant_p"},
      {"weight_space_basis", "raising_matrix", "shapovalov_polynomial_matrix"}),

@@ -408,6 +408,9 @@ JSON_DIGESTS = {
         "dedf41852812d5ec0641e0fe60e67d314f5b75fdd7f753632a271f4805937e21",
     "central-char --type B2 --weight 1/2,1":
         "e5b30411e058f3877092fcb4d96bc4b5f568c59747b13d0c3d66b2d6b03cee29",
+    # denominators 2, 3 and 6 at once, recorded before the integer scan
+    "central-char --type A3 --weight=-1/3,5/2,-7/6":
+        "f48194a8647b02838224dbfa92a3c30426ae66fffb89088e7efeeaebb564739d",
     "central-char --type G2 --weight 0,0":
         "391e75b98c4ae6c8aefe4ca665461d66547b91f7a50df213af389f6bd2f79cb2",
     "central-char --type F4 --weight 1,0,0,1":

@@ -354,6 +354,24 @@ def test_dot_orbit_order_matches_fraction_heights(label):
         assert orbit == expected
 
 
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "B3"])
+def test_dot_orbit_is_the_weyl_group_image(label):
+    """The orbit, closed under simple reflections on integers, against
+    w . lam over the enumerated Weyl group; its weights keep the Weight
+    contract (Fraction coordinates, hash, eq, integrality)."""
+    rs = cached_root_system(label)
+    weyl = rs.weyl_group()
+    rng = random.Random(label)
+    for den in (1, 1, 2, 3):
+        lam = Weight([F(rng.randint(-5 * den, 5 * den), den) for _ in range(rs.rank)])
+        orbit = rs.dot_orbit(lam)
+        assert set(orbit) == {rs.dot_action(w, lam) for w in weyl}
+        for mu in orbit:
+            assert all(type(c) is F for c in mu.coords)
+            assert mu == Weight(mu.coords) and hash(mu) == hash(Weight(mu.coords))
+            assert mu.is_integral == lam.is_integral
+
+
 def test_block_ordering_examples(rs_a1, rs_a2):
     out = rs_a1.dot_orbit(Weight([-2]))
     assert [w.coords for w in out] == [(0,), (-2,)]
@@ -387,6 +405,22 @@ def test_antidominance_examples(rs_a1):
         rs_a1.is_antidominant(Weight([0]), "other")
 
 
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "G2"])
+def test_antidominance_matches_fraction_pairings(label):
+    """The integer test against <lam+rho, alpha-check> taken in Fractions."""
+    rs = cached_root_system(label)
+    rng = random.Random(label)
+    seen = set()
+    for _ in range(60):
+        lam = Weight([F(rng.randint(-6, 3), rng.randint(1, 3)) for _ in range(rs.rank)])
+        values = [rs.pairing_root(lam + rs.rho(), alpha) for alpha in rs.positive_roots]
+        for convention, floor in ((STRICT, 1), (WIDE, 0)):
+            expected = not any(v.denominator == 1 and v >= floor for v in values)
+            assert rs.is_antidominant(lam, convention) == expected, (lam, convention)
+            seen.add((convention, expected))
+    assert len(seen) == 4
+
+
 # -- Kostant function and Weyl dimension -------------------------------------------
 
 def test_kostant_examples(rs_a2):
@@ -394,6 +428,10 @@ def test_kostant_examples(rs_a2):
     assert rs_a2.kostant_p((1, 1)) == 2
     assert rs_a2.kostant_p((2, 2)) == 3
     assert rs_a2.kostant_p((-1, 0)) == 0
+    # off the support, not truncated to (1, 1)
+    assert rs_a2.kostant_p((F(3, 2), 1)) == 0
+    assert rs_a2.kostant_p((1.7, 1)) == 0
+    assert rs_a2.kostant_p((F(2), 2.0)) == 3
 
 
 def test_kostant_brute_force_small():
