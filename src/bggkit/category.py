@@ -29,24 +29,33 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import ge, mul
+from operator import ge, mul, sub
 from typing import Dict, List, Optional, Tuple, Union
 
 from . import exactla
 from .errors import ConsistencyError, DepthOverflowError, DomainError
 from .liealg import LieAlgebraData, UEAElement
-from .rootdata import STRICT, Weight
+from .rootdata import RootSystem, Weight
 
 RootVec = Tuple[int, ...]
 YMono = Tuple[int, ...]
 
 
-def weight_space_basis(alg: LieAlgebraData, nu: RootVec) -> Tuple[YMono, ...]:
-    """Monomials y^A of weight -nu, lexicographically sorted; memoized by nu."""
-    cache = alg.cache.setdefault("weight_space_basis", {})
-    nu = tuple(int(c) for c in nu)
-    if len(nu) != alg.l:
+def _gamma_point(alg: LieAlgebraData, nu) -> Optional[RootVec]:
+    """nu as an int tuple if it lies in Gamma, else None; checks the rank."""
+    given = tuple(nu)
+    if len(given) != alg.l:
         raise DomainError("coordinate vector has wrong rank")
+    point = tuple(map(int, given))
+    return point if point == given and min(point) >= 0 else None
+
+
+def weight_space_basis(alg: LieAlgebraData, nu: RootVec) -> Tuple[YMono, ...]:
+    """Monomials y^A of weight -nu in lex order, memoized; empty off Gamma."""
+    cache = alg.cache.setdefault("weight_space_basis", {})
+    nu = _gamma_point(alg, nu)
+    if nu is None:
+        return ()
     got = cache.get(nu)
     if got is not None:
         return got
@@ -196,13 +205,15 @@ def maximal_vectors(alg: LieAlgebraData, lam: Weight, nu, depth: Optional[int] =
     """Basis of {v in M(lam)_{lam-nu} : n . v = 0} by exact linear algebra.
 
     Killing the simple generators x_i suffices since they generate n, so
-    this is the nullspace of the stacked x_i matrices at nu.  The slice
-    depth defaults to height(nu), or 0 when nu lies off Gamma.
+    this is the nullspace of the stacked x_i matrices at nu.  Empty off
+    Gamma, whatever the depth; the slice depth defaults to height(nu).
     """
-    nu = tuple(int(c) for c in nu)
+    nu = _gamma_point(alg, nu)
+    if nu is None:
+        return []
     height = sum(nu)
     if depth is None:
-        depth = max(height, 0)
+        depth = height
     if height > depth:
         raise DomainError("nu lies below the requested truncation depth")
     vslice = VermaSlice(alg, lam, depth)
@@ -241,15 +252,16 @@ def raising_matrix(alg: LieAlgebraData, i: int, nu: RootVec):
     f_0 + sum_j f_j lam(h_j).  Affine suffices: x_i y^A is the sum, over
     the factors y of y^A, of y^A with that factor replaced by [x_i, y],
     plus y^A x_i, so its U(h) part has degree at most one; a higher
-    degree raises ConsistencyError.  Memoized by (i, nu).
+    degree raises ConsistencyError.  Memoized by (i, nu).  DomainError
+    when nu - alpha_i is not in Gamma.
     """
     cache = alg.cache.setdefault("raising_matrix", {})
-    nu = tuple(int(c) for c in nu)
+    nu = _gamma_point(alg, nu)
     key = (i, nu)
     got = cache.get(key)
     if got is not None:
         return got
-    target = _lower(nu, i)
+    target = None if nu is None else _lower(nu, i)
     if target is None:
         raise DomainError(f"nu - alpha_{i + 1} is not in Gamma")
     m, l = alg.m, alg.l
@@ -282,6 +294,13 @@ def raising_matrix(alg: LieAlgebraData, i: int, nu: RootVec):
     result = tuple(columns)
     cache[key] = result
     return result
+
+
+def _kostant_at(rs: RootSystem, nu: RootVec) -> int:
+    """P(nu) for an integer tuple nu, off the memo of ``kostant_p``."""
+    if min(nu) < 0:
+        return 0
+    return rs.kostant_table().get((nu, 0)) or rs.kostant_p(nu)
 
 
 class VermaModule:
@@ -377,11 +396,17 @@ class VermaModule:
             stack.pop()
         return quotients[nu]
 
+    def jantzen_bounds(self, nu: RootVec) -> Tuple[int, int]:
+        """(max, sum) over the walls n*beta of P(nu - n*beta): the maximal
+        submodule at lam-nu has a dimension in between (Jantzen, LNM 750)."""
+        below = [_kostant_at(self.alg.rs, tuple(map(sub, nu, wall)))
+                 for wall in self._walls]
+        return max(below, default=0), sum(below)
+
     def simple_mult(self, nu) -> int:
         """dim L(lam)_{lam-nu}; 0 off Gamma, as at a non-integral nu."""
-        given = tuple(nu)
-        nu = tuple(map(int, given))
-        if nu != given or any(c < 0 for c in nu):
+        nu = _gamma_point(self.alg, nu)
+        if nu is None:
             return 0
         quotient = self._quotient(nu)
         return quotient if isinstance(quotient, int) else len(quotient)
@@ -394,10 +419,13 @@ def shapovalov_polynomial_matrix(alg: LieAlgebraData, nu: RootVec):
     """Entries <y^A v, y^B v> as elements of U(h); memoized by nu.
 
     Entry (A, B) is the Harish-Chandra projection of sigma(y^A) y^B; its
-    evaluation at lambda is the contravariant form on M(lambda).
+    evaluation at lambda is the contravariant form on M(lambda).  Empty
+    off Gamma.
     """
     cache = alg.cache.setdefault("shapovalov_polynomial_matrix", {})
-    nu = tuple(int(c) for c in nu)
+    nu = _gamma_point(alg, nu)
+    if nu is None:
+        return (), ()
     got = cache.get(nu)
     if got is not None:
         return got
@@ -413,8 +441,8 @@ def shapovalov_polynomial_matrix(alg: LieAlgebraData, nu: RootVec):
 
 
 def shapovalov_matrix(alg: LieAlgebraData, lam: Weight, nu) -> List[List[Fraction]]:
-    """The contravariant form on the weight space at depth nu, evaluated."""
-    _, polys = shapovalov_polynomial_matrix(alg, tuple(int(c) for c in nu))
+    """The contravariant form at depth nu, evaluated; empty off Gamma."""
+    _, polys = shapovalov_polynomial_matrix(alg, nu)
     return [[p.evaluate_at(lam) for p in row] for row in polys]
 
 
@@ -443,7 +471,8 @@ class SimplicityReport:
 def verma_is_simple(alg: LieAlgebraData, lam: Weight, depth: int) -> SimplicityReport:
     """Antidominance verdict plus a depth-limited nondegeneracy audit.
 
-    The verdict is the STRICT antidominance test; the audit records
+    The verdict is STRICT antidominance: lam has no wall exactly when no
+    <lam+rho, beta-check> is a positive integer.  The audit records
     dim L(lam)_{lam-nu} (the rank of the contravariant form) at every nu
     up to the depth.  An antidominant verdict with a rank drop is
     impossible and raises ConsistencyError.  A strictly antidominant lam
@@ -452,8 +481,8 @@ def verma_is_simple(alg: LieAlgebraData, lam: Weight, depth: int) -> SimplicityR
     criterion 6 and the Shapovalov-rank test cross-check the walls by
     other routes.
     """
-    verdict = alg.rs.is_antidominant(lam, STRICT)
     module = VermaModule(alg, lam)
+    verdict = not module._walls
     ranks = []
     for nu in gamma_elements(alg, depth):
         if not any(nu):
@@ -478,15 +507,14 @@ def verma_is_simple(alg: LieAlgebraData, lam: Weight, depth: int) -> SimplicityR
 class DecompositionMatrix:
     """[M(lam) : L(mu)] over a linkage class, rows and columns in block order.
 
-    ``modules`` holds the Verma module of each class member and ``diffs``
-    the table of mu_k - mu_j; ``block_report`` reuses both, and neither
-    takes part in equality.
+    ``diffs`` holds the table of mu_k - mu_j in simple-root coordinates
+    (None off Gamma); ``block_report`` reuses it, and it takes no part
+    in equality.
     """
 
     class_weights: Tuple[Weight, ...]
     entries: Tuple[Tuple[int, ...], ...]
     depth: int
-    modules: Tuple[VermaModule, ...] = field(default=(), compare=False, repr=False)
     diffs: Tuple[tuple, ...] = field(default=(), compare=False, repr=False)
 
     @property
@@ -551,7 +579,7 @@ def decomposition_matrix(alg: LieAlgebraData, lam: Weight,
             if lhs != rhs:
                 raise ConsistencyError("character identity fails after solve")
 
-    return DecompositionMatrix(cls, tuple(rows), n, modules, diffs)
+    return DecompositionMatrix(cls, tuple(rows), n, diffs)
 
 
 def projective_filtration_matrix(dec: DecompositionMatrix) -> Tuple[Tuple[int, ...], ...]:
@@ -600,10 +628,11 @@ class BlockReport:
 
 def block_report(alg: LieAlgebraData, lam: Weight,
                  depth: Optional[int] = None) -> BlockReport:
-    """Assemble the full per-block report for an integral weight."""
+    """Assemble the full per-block report for an integral weight: tables
+    and Weyl-dimension sums are read off ch L = D^-1 ch M, and each table
+    entry is checked against Jantzen's bounds, which do not use D."""
     dec = decomposition_matrix(alg, lam, depth)
     cls = dec.class_weights
-    modules = dec.modules
     s = len(cls)
     proj = projective_filtration_matrix(dec)
     cart = cartan_matrix(dec)
@@ -612,17 +641,35 @@ def block_report(alg: LieAlgebraData, lam: Weight,
             if proj[j][i] != dec.entries[i][j]:
                 raise ConsistencyError("reciprocity identity broken in report")
 
+    # D is upper unitriangular: D^-1 = 1 - (D - 1) D^-1, from the last row up
+    inv = {}
+    for k in reversed(range(s)):
+        inv[k] = [int(j == k) - sum(dec.entries[k][m] * inv[m][j] for m in range(k + 1, s))
+                  for j in range(s)]
+    # ch L(mu_k) = sum_j D^-1[k][j] ch M(mu_j), as (D^-1[k][j], mu_k - mu_j)
+    terms = [[(c, diff) for c, diff in zip(inv[k], dec.diffs[k]) if c] for k in range(s)]
+    if any(diff is None for row in terms for _, diff in row):
+        raise ConsistencyError("inverse decomposition matrix leaves the order")
+    rs = alg.rs
+
+    def simple_dim(k, nu):  # dim L(mu_k)_{mu_k - nu}
+        return sum(c * _kostant_at(rs, tuple(map(sub, nu, diff))) for c, diff in terms[k])
+
     # table rows: for each nu among the pairwise differences,
     # dim L(mu_k)_{mu_k - nu} for every class member k
     nus = sorted({d for row in dec.diffs for d in row if d is not None},
                  key=lambda v: (sum(v), v))
-    tables = tuple(
-        (nu, tuple(module.simple_mult(nu) for module in modules))
-        for nu in nus)
+    columns = [[simple_dim(k, nu) for nu in nus] for k in range(s)]
+    for k, column in enumerate(columns):
+        module = VermaModule(alg, cls[k])
+        for nu, dim in zip(nus, column):
+            low, high = module.jantzen_bounds(nu)
+            if not low <= _kostant_at(rs, nu) - dim <= high:
+                raise ConsistencyError(f"dim L_{k} at {nu} breaks the Jantzen bounds")
+    tables = tuple(zip(nus, zip(*columns)))
 
     findim = tuple(w.is_dominant_integral for w in cls)
     checks = []
-    rs = alg.rs
     w0 = rs.weyl_group().longest_element
     for k, w in enumerate(cls):
         if not findim[k]:
@@ -631,8 +678,7 @@ def block_report(alg: LieAlgebraData, lam: Weight,
         if span is None:
             raise ConsistencyError("support of a finite-dimensional simple "
                                    "is not in the root lattice")
-        total = sum(modules[k].simple_mult(nu)
-                    for nu in gamma_elements(alg, sum(span)))
+        total = sum(simple_dim(k, nu) for nu in gamma_elements(alg, sum(span)))
         expected = rs.weyl_dimension(w)
         if total != expected:
             raise ConsistencyError(

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -211,8 +212,35 @@ def test_jantzen_sum_formula_bounds(label):
                      for beta, n in walls]
             radical = rs.kostant_p(nu) - module.simple_mult(nu)
             assert max(below, default=0) <= radical <= sum(below), (lam, nu)
+            assert module.jantzen_bounds(nu) == (max(below, default=0), sum(below))
             reached += radical > 0
     assert reached
+
+
+_OFF_GAMMA = (F(5, 2), 1)  # int() per coordinate would read (2, 1)
+
+
+@pytest.mark.parametrize("call, empty", [
+    (lambda alg: category.weight_space_basis(alg, _OFF_GAMMA), ()),
+    (lambda alg: maximal_vectors(alg, Weight([0, 0]), _OFF_GAMMA), []),
+    (lambda alg: category.shapovalov_polynomial_matrix(alg, _OFF_GAMMA), ((), ())),
+    (lambda alg: shapovalov_matrix(alg, Weight([0, 0]), _OFF_GAMMA), []),
+], ids=["weight_space_basis", "maximal_vectors", "shapovalov_polynomial_matrix",
+        "shapovalov_matrix"])
+def test_non_integral_nu_is_off_gamma(a2, call, empty):
+    assert call(a2) == empty
+
+
+def test_raising_matrix_rejects_non_integral_nu(a2):
+    with pytest.raises(DomainError):
+        raising_matrix(a2, 0, _OFF_GAMMA)
+
+
+def test_nu_of_the_wrong_rank_is_refused(a2):
+    with pytest.raises(DomainError, match="wrong rank"):
+        maximal_vectors(a2, Weight([0, 0]), (1,))
+    with pytest.raises(DomainError, match="wrong rank"):
+        VermaModule(a2, Weight([0, 0])).simple_mult((1,))
 
 
 def test_raising_matrix_rejects_h_degree_above_one():
@@ -391,6 +419,46 @@ def test_block_report_assembly(a1, a2):
     k, dim, total = rep2.weyl_dimension_checks[0]
     assert rep2.class_weights[k] == Weight([1, 1])
     assert dim == 8 and total == 8
+
+
+@pytest.mark.parametrize("label, weight", [
+    ("A1", (0,)), ("A2", (0, 0)), ("B2", (0, 0)), ("G2", (0, 0)), ("A3", (0, 0, 0)),
+    ("B2", (0, -1)), ("G2", (0, -1)), ("A3", (-1, 0, 0)),
+])
+def test_block_tables_match_radical_recursion(label, weight):
+    """Tables and Weyl rank sums read off D^-1 against the radical recursion."""
+    alg = _alg(label)
+    rep = block_report(alg, Weight(list(weight)))
+    modules = [VermaModule(alg, w) for w in rep.class_weights]
+    for nu, dims in rep.simple_weight_tables:
+        assert list(dims) == [module.simple_mult(nu) for module in modules], nu
+    w0 = alg.rs.weyl_group().longest_element
+    for k, dim, total in rep.weyl_dimension_checks:
+        w = rep.class_weights[k]
+        span = alg.rs.gamma_coords(w - w0.act(w))
+        assert total == dim == sum(modules[k].simple_mult(nu)
+                                   for nu in category.gamma_elements(alg, sum(span)))
+    assert rep.weyl_dimension_checks or not any(rep.finite_dimensional)
+
+
+@pytest.mark.parametrize("i, j, delta", [(0, 1, 1), (0, 3, -1), (2, 4, -1), (4, 5, 1)])
+def test_block_report_catches_a_corrupted_d(monkeypatch, i, j, delta):
+    """G2 (0,-1) has no finite-dimensional member, so no Weyl-dimension
+    check sees D; the Jantzen bounds catch an entry changed by one."""
+    alg = _alg("G2")
+    lam = Weight([0, -1])
+    solve = category.decomposition_matrix
+
+    def corrupted(*args):
+        dec = solve(*args)
+        entries = [list(row) for row in dec.entries]
+        entries[i][j] += delta
+        return dataclasses.replace(dec, entries=tuple(map(tuple, entries)))
+
+    assert not any(block_report(alg, lam).finite_dimensional)
+    monkeypatch.setattr(category, "decomposition_matrix", corrupted)
+    with pytest.raises(ConsistencyError, match="Jantzen bounds"):
+        block_report(alg, lam)
 
 
 def test_block_report_trivial(a1):

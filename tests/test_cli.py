@@ -394,6 +394,9 @@ JSON_DIGESTS = {
         "b22330b7a4fffbd783001bfea40722de0ea108283f7f5fc3f981fb8d3b31cdc4",
     "block --type G2 --weight=0,-1":
         "804eb6c9b3c324be8a4331ea69ee72ddeb41c0aadda2cac07cb9d97fb2cc799c",
+    # recorded before the tables were read off the inverse of D
+    "block --type G2 --weight 0,0":
+        "659d1b41a3bea73d934cfe044174417fb9ac3ae3449e77ea47ab0cc02a2e93c2",
     "block --type A3 --weight 0,0,0":
         "0eff8287334fad03c4cc5e9db43743ea36f51c16e0ce720ba6ca0c90bb8db28b",
     "decomp --type B2 --weight 1,1":
