@@ -20,9 +20,11 @@ follows by reciprocity: (P(mu) : M(lam)) = D[lam][mu] and C = D^T D.
 
 The Shapovalov form (whose radical is the same maximal submodule) is
 kept for the ``shapovalov`` subcommand and as an independent oracle;
-its entries are polynomials in U(h).  Weight-space bases, x_i matrices
-and Shapovalov polynomials are memoized in ``alg.cache``, one table per
-function name, and are freed with the algebra.
+its entries are polynomials in U(h), each one word sigma(y^A) y^B
+straightened with the kernel's U(h) window, once per unordered pair.
+Weight-space bases, x_i matrices and Shapovalov polynomials are
+memoized in ``alg.cache``, one table per function name, and are freed
+with the algebra.
 """
 
 from __future__ import annotations
@@ -124,9 +126,10 @@ class VermaSlice:
         self.depth = depth
 
     def basis(self, nu) -> Tuple[YMono, ...]:
-        """The PBW basis of M(lambda)_{lambda-nu}; empty off the slice."""
-        nu = tuple(nu)
-        if len(nu) != self.alg.l or min(nu) < 0 or sum(nu) > self.depth:
+        """The PBW basis of M(lambda)_{lambda-nu}; empty off the slice,
+        DomainError for a nu of the wrong rank."""
+        nu = _gamma_point(self.alg, nu)
+        if nu is None or sum(nu) > self.depth:
             return ()
         basis = weight_space_basis(self.alg, nu)
         if len(basis) != self.alg.rs.kostant_p(nu):
@@ -415,12 +418,25 @@ class VermaModule:
 # -- Shapovalov form ---------------------------------------------------------
 
 
+def _symmetric(size: int, entry) -> List[list]:
+    """The symmetric size x size matrix of entry(a, b), called for a <= b."""
+    rows = [[None] * size for _ in range(size)]
+    for a in range(size):
+        for b in range(a, size):
+            rows[a][b] = rows[b][a] = entry(a, b)
+    return rows
+
+
 def shapovalov_polynomial_matrix(alg: LieAlgebraData, nu: RootVec):
     """Entries <y^A v, y^B v> as elements of U(h); memoized by nu.
 
     Entry (A, B) is the Harish-Chandra projection of sigma(y^A) y^B; its
-    evaluation at lambda is the contravariant form on M(lambda).  Empty
-    off Gamma.
+    evaluation at lambda is the contravariant form on M(lambda).  Each
+    entry is one word, the x's of sigma(y^A) followed by the y's of y^B,
+    straightened with the kernel's U(h) window: U(g) = U(h) + (n- U(g) +
+    U(g) n+), so a word that starts with a y or ends with an x is dropped
+    as soon as it appears.  sigma fixes U(h), so the form is symmetric
+    and only A <= B is straightened.  Empty off Gamma.
     """
     cache = alg.cache.setdefault("shapovalov_polynomial_matrix", {})
     nu = _gamma_point(alg, nu)
@@ -430,20 +446,22 @@ def shapovalov_polynomial_matrix(alg: LieAlgebraData, nu: RootVec):
     if got is not None:
         return got
     basis = weight_space_basis(alg, nu)
-    m, l = alg.m, alg.l
-    elements = [alg.monomial(mono + (0,) * (l + m)) for mono in basis]
-    transposed = [e.transpose() for e in elements]
-    matrix = tuple(
-        tuple((ta * eb).hc_project() for eb in elements)
-        for ta in transposed)
+    window = (alg.m, alg.m + alg.l)  # the h's
+    normal_order_word = alg.kernel.normal_order_word
+    ys = [tuple((k, e) for k, e in enumerate(mono) if e) for mono in basis]
+    # sigma reverses y^A and swaps each y for the x of its root
+    xs = [tuple((alg.transpose_index(k), e) for k, e in reversed(y)) for y in ys]
+    matrix = tuple(map(tuple, _symmetric(
+        len(basis), lambda a, b: UEAElement(alg, normal_order_word(xs[a] + ys[b], window)))))
     cache[nu] = (basis, matrix)
     return basis, matrix
 
 
 def shapovalov_matrix(alg: LieAlgebraData, lam: Weight, nu) -> List[List[Fraction]]:
-    """The contravariant form at depth nu, evaluated; empty off Gamma."""
+    """The contravariant form at depth nu, evaluated once per pair; empty
+    off Gamma."""
     _, polys = shapovalov_polynomial_matrix(alg, nu)
-    return [[p.evaluate_at(lam) for p in row] for row in polys]
+    return _symmetric(len(polys), lambda a, b: polys[a][b].evaluate_at(lam))
 
 
 def simple_weight_mult(alg: LieAlgebraData, lam: Weight, nu) -> int:

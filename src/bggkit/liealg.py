@@ -519,16 +519,18 @@ def is_central(z: UEAElement) -> bool:
     """Commutes with every x_i and y_i, hence with all of U(g).
 
     The simple x_i, y_i generate g and the commutant of z is a subalgebra,
-    so 4l products decide.  Verdicts are kept in the algebra's cache.
+    so 4l products decide.  Verdicts are kept in the algebra's cache,
+    keyed by identity so that a lookup does not hash every term; each
+    entry holds z itself, so its id cannot be reused while it is cached.
     """
     alg = z.alg
     cache = alg.cache.setdefault("is_central", {})
-    cached = cache.get(z)
-    if cached is not None:
-        return cached
+    cached = cache.get(id(z))
+    if cached is not None and cached[0] is z:
+        return cached[1]
     simple = [alg.root_position(root) for root in alg.rs.simple_roots()]
     verdict = all(z * b == b * z for p in simple for b in (alg.x(p), alg.y(p)))
-    cache[z] = verdict
+    cache[id(z)] = (z, verdict)
     return verdict
 
 

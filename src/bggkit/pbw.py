@@ -15,6 +15,18 @@ The rewrite rule is the leftmost out-of-order adjacent pair.  Products
 of pure powers b_hi^a * b_lo^b are memoized per kernel whatever their
 exponents, so a product of high powers reuses the products of the lower
 powers it peels down to.  Results never depend on cache state.
+
+``normal_order_word`` also takes an index window [lo, hi): a pending word
+that starts below lo or ends at hi or above is dropped as it is popped,
+and only monomials inside the window come out.  With the triangular
+basis of ``liealg`` (y's, then h's, then x's) and the window of the h's,
+that is exactly the U(h) part of the normal form: U(g) = U(h) +
+(n- U(g) + U(g) n+) is direct, a word that starts with a y lies in
+n- U(g) and one that ends with an x in U(g) n+.  The window applies to
+the top-level pending words only.  Pair products are spliced into the
+middle of words, so they, and the straightening that peels them, keep
+full normal forms; a pruned pair product would also poison the cache
+that unwindowed calls share.
 """
 
 from __future__ import annotations
@@ -82,21 +94,30 @@ class StraightenKernel:
             out[tuple(exps)] = c
         return out
 
-    def normal_order_word(self, runs):
-        """Straighten an arbitrary word; returns {monomial exps: int}."""
-        return self._dense(self._straighten(_squash(runs)))
+    def normal_order_word(self, runs, window=None):
+        """Straighten an arbitrary word; returns {monomial exps: int}.
+
+        With ``window=(lo, hi)``, only the monomials whose indices all lie
+        in [lo, hi) are returned, and the other words are dropped as they
+        appear; see the module docstring for when that is exact.
+        """
+        return self._dense(self._straighten(_squash(runs), window))
 
     def multiply_monomials(self, exps_a, exps_b):
         """Normal form of X^A * X^B; returns {monomial exps: int}."""
         return self._dense(self._straighten(_join(_sparse(exps_a), _sparse(exps_b))))
 
-    def _straighten(self, word):
-        """Normal form of a squashed word as {sorted runs: int}."""
+    def _straighten(self, word, window=None):
+        """Normal form of a squashed word as {sorted runs: int}, or its
+        window part when ``window=(lo, hi)``."""
         pending = {word: 1}
         out = {}
         pair_product = self._pair_product
+        start, stop = window or (0, self.dim)
         while pending:
             word, coef = pending.popitem()
+            if window and word and (word[0][0] < start or word[-1][0] >= stop):
+                continue  # outside the window, and so is its normal form
             for k in range(len(word) - 1):
                 if word[k][0] > word[k + 1][0]:
                     break

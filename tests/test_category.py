@@ -21,6 +21,14 @@ def _alg(label):
 
 # -- Verma slices and the action ------------------------------------------------
 
+def test_slice_refuses_nu_of_the_wrong_rank(a2):
+    s = VermaSlice(a2, Weight([0, 0]), 3)
+    with pytest.raises(DomainError, match="wrong rank"):
+        s.basis((1,))
+    with pytest.raises(DomainError, match="wrong rank"):
+        s.dimension((1, 1, 0))
+
+
 def test_slice_dimensions(a1, a2):
     s = VermaSlice(a1, Weight([7]), 6)
     assert s.dimension((0,)) == 1
@@ -125,6 +133,14 @@ def test_shapovalov_examples(a1):
         assert shapovalov_matrix(a1, Weight([lam]), (2,)) == [[expected]]
 
 
+def _oracle_polynomials(alg, nu):
+    """Shapovalov polynomials by the full U(g) product: the U(h) part of
+    sigma(y^A) * y^B."""
+    pad = (0,) * (alg.l + alg.m)
+    elements = [alg.monomial(mono + pad) for mono in category.weight_space_basis(alg, nu)]
+    return [[(e.transpose() * f).hc_project() for f in elements] for e in elements]
+
+
 def test_shapovalov_symmetric(a2, b2):
     rng = random.Random(37)
     for alg in (a2, b2):
@@ -132,10 +148,28 @@ def test_shapovalov_symmetric(a2, b2):
             lam = Weight([F(rng.randint(-5, 5), rng.randint(1, 3))
                           for _ in range(alg.l)])
             nu = tuple(rng.randint(0, 2) for _ in range(alg.l))
-            mat = shapovalov_matrix(alg, lam, nu)
-            n = len(mat)
-            assert all(mat[i][j] == mat[j][i]
+            full = [[p.evaluate_at(lam) for p in row]
+                    for row in _oracle_polynomials(alg, nu)]
+            n = len(full)
+            assert all(full[i][j] == full[j][i]
                        for i in range(n) for j in range(n))
+            assert shapovalov_matrix(alg, lam, nu) == full
+
+
+@pytest.mark.parametrize("label, height", [("A1", 5), ("A2", 5), ("B2", 5), ("G2", 5),
+                                           ("A3", 4)])
+def test_shapovalov_window_matches_full_product(label, height):
+    """Every entry, in both triangles, against the oracle route.  Each
+    route runs on its own fresh algebra, so neither reads pair products
+    that the other left in the kernel's cache."""
+    alg = LieAlgebraData(build_root_system(label))
+    ref = LieAlgebraData(build_root_system(label))
+    for nu in category.gamma_elements(alg, height):
+        basis, polys = category.shapovalov_polynomial_matrix(alg, nu)
+        assert basis == category.weight_space_basis(ref, nu)
+        expected = _oracle_polynomials(ref, nu)
+        assert [[p.terms for p in row] for row in polys] == \
+            [[p.terms for p in row] for row in expected], (label, nu)
 
 
 @pytest.mark.parametrize("label, depth", [("A1", 8), ("A2", 4), ("B2", 4), ("G2", 3),

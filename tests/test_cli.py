@@ -423,6 +423,16 @@ JSON_DIGESTS = {
     # recorded when the table enumerated every PBW monomial to the depth
     "verma-mult --type A3 --weight 0,0,0 --depth 20":
         "5695d7a4129c27825fa2ec6db6fa36677aa65875e7efa6eece2b5b183e130336",
+    # recorded when each entry was the U(h) part of the full product
+    # sigma(y^A) * y^B
+    "shapovalov --type B2 --weight 0,0 --nu 3,3":
+        "8974ab867fefb24f37f9676173209b626a2548f5a4814ed90d19fe42575c139f",
+    "shapovalov --type A3 --weight 0,0,0 --nu 2,2,1":
+        "4b9b2037bada0d1e974c7905b341a5c94cf5a30bd5f0f7b3126251f23f750ce1",
+    "shapovalov --type G2 --weight 0,0 --nu 2,4":
+        "9290f68aaa84d46befdcc8f99610fa8cb00a8a7588e0a4d5912950549c88bb98",
+    "shapovalov --type A2 --weight 1/2,1 --nu 2,2":
+        "718e940c3c2bfe510e7fabcd69cdffeb313a9d576b3b1302f7a0bc46088e89da",
 }
 
 

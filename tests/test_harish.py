@@ -69,6 +69,36 @@ def test_casimir_centrality_is_checked_once(monkeypatch):
     assert calls == []
 
 
+def test_repeated_central_character_does_not_hash_the_element(monkeypatch):
+    alg = LieAlgebraData(cached_root_system("B2"))  # fresh verdict cache
+    omega = casimir(alg)
+    lam = Weight([F(1, 2), -3])
+    expected = central_character(lam, omega)
+    hashed = []
+    original = liealg.UEAElement.__hash__
+
+    def spy(self):
+        hashed.append(self)
+        return original(self)
+
+    monkeypatch.setattr(liealg.UEAElement, "__hash__", spy)
+    assert central_character(lam, omega) == expected
+    assert hashed == []
+
+
+def test_identity_memo_never_reads_a_stale_verdict():
+    alg = LieAlgebraData(cached_root_system("A1"))  # fresh verdict cache
+    # short-lived elements, alternately central and not: a memo keyed by a
+    # reused id would hand one of them the other's verdict
+    for k in range(1, 40):
+        assert is_central(k * alg.one())
+        assert not is_central(k * alg.h(0))
+    omega = casimir(alg)
+    twin = omega + alg.zero()  # equal, not identical: its own verdict
+    assert twin == omega and twin is not omega
+    assert is_central(twin)
+
+
 @pytest.mark.parametrize("label", ["A2", "B2", "G2"])
 def test_highest_root_vectors_are_not_central(label):
     alg = LieAlgebraData(cached_root_system(label))  # fresh verdict cache
