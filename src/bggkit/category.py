@@ -54,34 +54,34 @@ def _gamma_point(alg: LieAlgebraData, nu) -> Optional[RootVec]:
 
 def weight_space_basis(alg: LieAlgebraData, nu: RootVec) -> Tuple[YMono, ...]:
     """Monomials y^A of weight -nu in lex order, memoized; empty off Gamma."""
-    cache = alg.cache.setdefault("weight_space_basis", {})
     nu = _gamma_point(alg, nu)
     if nu is None:
         return ()
-    got = cache.get(nu)
+    return _slot_tails(alg.cache.setdefault("weight_space_basis", {}), alg, nu, 0)
+
+
+def _slot_tails(cache, alg: LieAlgebraData, rest: RootVec, slot: int) -> Tuple[tuple, ...]:
+    """The exponent tails (e_slot, ..., e_{m-1}) of y-monomials of weight
+    -rest, in lex order: slot k is the y of positive root m-1-k.  Memoized
+    by (rest, slot), so the weight spaces of one algebra share their
+    sub-problems; the basis at nu is the entry (nu, 0)."""
+    key = (rest, slot)
+    got = cache.get(key)
     if got is not None:
         return got
-    m, l = alg.m, alg.l
-    slot_roots = [alg.rs.positive_roots[m - 1 - k] for k in range(m)]
-    out: List[YMono] = []
-
-    def rec(slot, remaining, acc):
-        if slot == m:
-            if not any(remaining):
-                out.append(tuple(acc))
-            return
-        beta = slot_roots[slot]
+    if slot == alg.m:
+        got = () if any(rest) else ((),)
+    else:
+        beta = alg.rs.positive_roots[alg.m - 1 - slot]
+        out = []
         e = 0
-        rest = remaining
-        while all(c >= 0 for c in rest):
-            rec(slot + 1, rest, acc + [e])
+        while min(rest) >= 0:
+            out.extend((e,) + tail for tail in _slot_tails(cache, alg, rest, slot + 1))
             e += 1
-            rest = tuple(a - b for a, b in zip(rest, beta))
-
-    rec(0, nu, [])
-    result = tuple(sorted(out))
-    cache[nu] = result
-    return result
+            rest = tuple(map(sub, rest, beta))
+        got = tuple(out)
+    cache[key] = got
+    return got
 
 
 class VermaVector:
@@ -162,14 +162,13 @@ class VermaSlice:
         m, l = alg.m, alg.l
         lam = self.lam
         kernel = alg.kernel
+        window = (0, m + l)  # words ending in an x kill the top vector
         out: Dict[YMono, Fraction] = {}
         for ymono, cv in vec.terms.items():
             vec_exps = ymono + (0,) * (l + m)
             for ea, ca in u.terms.items():
                 scale = ca * cv
-                for mono, c in kernel.multiply_monomials(ea, vec_exps).items():
-                    if any(mono[m + l:]):
-                        continue  # x-factors annihilate the maximal vector
+                for mono, c in kernel.multiply_monomials(ea, vec_exps, window).items():
                     val = scale * c
                     for i in range(l):
                         e = mono[m + i]
@@ -273,13 +272,12 @@ def raising_matrix(alg: LieAlgebraData, i: int, nu: RootVec):
     x_exps[alg.x_index(alg.root_position(alg.rs.simple_roots()[i]))] = 1
     x_exps = tuple(x_exps)
     pad = (0,) * (l + m)
+    window = (0, m + l)  # words ending in an x kill the top vector
     kernel = alg.kernel
     columns = []
     for mono in weight_space_basis(alg, nu):
         col: Dict[int, List[int]] = {}
-        for exps, c in kernel.multiply_monomials(x_exps, mono + pad).items():
-            if any(exps[m + l:]):
-                continue  # x-factors annihilate the maximal vector
+        for exps, c in kernel.multiply_monomials(x_exps, mono + pad, window).items():
             h_part = exps[m:m + l]
             degree = sum(h_part)
             if degree > 1:

@@ -5,9 +5,13 @@ Exit codes: 0 success, 1 domain error (valid syntax, bad mathematics),
 deterministic: rationals print exactly, JSON rationals follow the
 integer-or-"p/q" convention, and random suites are seeded.
 
-Each subcommand's handler is bound on its parser (``set_defaults(run=...)``)
-and reads the parsed namespace directly, so every option and its default
-is stated once, in ``build_parser``.
+Each subcommand is one row of ``COMMANDS``: its name, handler, help line
+and options, so every option and its default is stated once, in that
+table.  The handler is bound on the subcommand's parser
+(``set_defaults(run=...)``) and reads the parsed namespace directly.  A
+call builds the parser of its own subcommand only, or of all of them
+when its first argument names none (help, no arguments, a mistyped
+command).
 """
 
 from __future__ import annotations
@@ -361,81 +365,75 @@ def cmd_selftest(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+_SYSTEM = (
+    ("--type", dict(dest="type_label", metavar="LABEL",
+                    help="series label such as A1, A2, B2, G2")),
+    ("--cartan-file", dict(metavar="PATH",
+                           help='JSON file {"cartan": [[2,-1],[-1,2]]}')),
+    ("--json", dict(action="store_true", help="emit JSON")),
+)
+_WEIGHT = ("--weight", dict(required=True, metavar="W"))
+_DEPTH = ("--depth", dict(type=int))
+
+#: one row per subcommand: name, handler, help line and options, each
+#: option as (flag, keyword arguments of ``add_argument``)
+COMMANDS = (
+    ("roots", cmd_roots, "positive roots and coroots", _SYSTEM),
+    ("weyl-orbit", cmd_weyl_orbit, "dot orbit in block ordering", _SYSTEM + (
+        _WEIGHT,
+        ("--antidominance", dict(choices=(STRICT, WIDE), default=STRICT)))),
+    ("kostant", cmd_kostant, "Kostant partition number", _SYSTEM + (
+        ("--nu", dict(required=True, metavar="V",
+                      help="integer vector in simple-root coordinates")),)),
+    ("verma-mult", cmd_verma_mult, "Verma weight multiplicities", _SYSTEM + (
+        _WEIGHT, ("--nu", dict(metavar="V")), _DEPTH)),
+    ("central-char", cmd_central_char, "central character data",
+     _SYSTEM + (_WEIGHT,)),
+    ("linked", cmd_linked, "partition weights into linkage classes", _SYSTEM + (
+        ("--weights", dict(required=True, metavar="W1;W2;...")),)),
+    ("norm", cmd_norm, "Gauss norm of one or two elements", _SYSTEM + (
+        ("--prime", dict(type=int, default=2)),
+        ("--log-radius", dict(default="1", metavar="S",
+                              help="rational s = log_p r, must be positive")),
+        ("--element", dict(action="append", required=True, metavar="JSON",
+                           help="element as JSON (repeatable; with two "
+                                "elements the product norm is checked)")))),
+    ("shapovalov", cmd_shapovalov, "contravariant form on a weight space",
+     _SYSTEM + (_WEIGHT, ("--nu", dict(required=True, metavar="V")))),
+    ("maximal-vectors", cmd_maximal_vectors, "kernel of the raising action",
+     _SYSTEM + (_WEIGHT, ("--nu", dict(required=True, metavar="V")), _DEPTH)),
+    ("decomp", cmd_decomp, "block decomposition matrix", _SYSTEM + (_WEIGHT, _DEPTH)),
+    ("block", cmd_block, "full block report", _SYSTEM + (_WEIGHT, _DEPTH)),
+    ("selftest", cmd_selftest, "run the acceptance suite", (
+        ("--type", dict(dest="types", action="append", metavar="LABEL",
+                        help="restrict to specific root systems (repeatable)")),
+        ("--fast", dict(action="store_true",
+                        help="structure-constant and Kostant suites only")),
+        ("--seed", dict(type=int, default=selftest.DEFAULT_SEED)))),
+)
+
+# the subcommand choices as argparse spells them in usage lines
+_CHOICES = "{" + ",".join(row[0] for row in COMMANDS) + "}"
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser with only the subcommand ``command`` when that names
+    one, else with all of them.  Usage lines list every subcommand
+    either way, so output does not depend on which were built."""
     parser = argparse.ArgumentParser(
         prog="bggkit",
         description="Exact block data for highest-weight module categories: "
                     "roots, PBW arithmetic, Gauss norms, Shapovalov ranks, "
                     "decomposition and Cartan matrices.")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, handler, help, system=True):
-        sub = subs.add_parser(name, help=help)
+    chosen = [row for row in COMMANDS if row[0] == command]
+    # argparse spells the choices it holds; with one, name all of them
+    subs = parser.add_subparsers(dest="command", required=True,
+                                 metavar=_CHOICES if chosen else None)
+    for name, handler, help_line, options in chosen or COMMANDS:
+        sub = subs.add_parser(name, help=help_line)
         sub.set_defaults(run=handler)
-        if system:
-            sub.add_argument("--type", dest="type_label", metavar="LABEL",
-                             help="series label such as A1, A2, B2, G2")
-            sub.add_argument("--cartan-file", metavar="PATH",
-                             help='JSON file {"cartan": [[2,-1],[-1,2]]}')
-            sub.add_argument("--json", action="store_true", help="emit JSON")
-        return sub
-
-    command("roots", cmd_roots, "positive roots and coroots")
-
-    sub = command("weyl-orbit", cmd_weyl_orbit, "dot orbit in block ordering")
-    sub.add_argument("--weight", required=True, metavar="W")
-    sub.add_argument("--antidominance", choices=(STRICT, WIDE), default=STRICT)
-
-    sub = command("kostant", cmd_kostant, "Kostant partition number")
-    sub.add_argument("--nu", required=True, metavar="V",
-                     help="integer vector in simple-root coordinates")
-
-    sub = command("verma-mult", cmd_verma_mult, "Verma weight multiplicities")
-    sub.add_argument("--weight", required=True, metavar="W")
-    sub.add_argument("--nu", metavar="V")
-    sub.add_argument("--depth", type=int)
-
-    sub = command("central-char", cmd_central_char, "central character data")
-    sub.add_argument("--weight", required=True, metavar="W")
-
-    sub = command("linked", cmd_linked, "partition weights into linkage classes")
-    sub.add_argument("--weights", required=True, metavar="W1;W2;...")
-
-    sub = command("norm", cmd_norm, "Gauss norm of one or two elements")
-    sub.add_argument("--prime", type=int, default=2)
-    sub.add_argument("--log-radius", default="1", metavar="S",
-                     help="rational s = log_p r, must be positive")
-    sub.add_argument("--element", action="append", required=True,
-                     metavar="JSON", help="element as JSON (repeatable; "
-                     "with two elements the product norm is checked)")
-
-    sub = command("shapovalov", cmd_shapovalov,
-                  "contravariant form on a weight space")
-    sub.add_argument("--weight", required=True, metavar="W")
-    sub.add_argument("--nu", required=True, metavar="V")
-
-    sub = command("maximal-vectors", cmd_maximal_vectors,
-                  "kernel of the raising action")
-    sub.add_argument("--weight", required=True, metavar="W")
-    sub.add_argument("--nu", required=True, metavar="V")
-    sub.add_argument("--depth", type=int)
-
-    sub = command("decomp", cmd_decomp, "block decomposition matrix")
-    sub.add_argument("--weight", required=True, metavar="W")
-    sub.add_argument("--depth", type=int)
-
-    sub = command("block", cmd_block, "full block report")
-    sub.add_argument("--weight", required=True, metavar="W")
-    sub.add_argument("--depth", type=int)
-
-    sub = command("selftest", cmd_selftest, "run the acceptance suite",
-                  system=False)
-    sub.add_argument("--type", dest="types", action="append", metavar="LABEL",
-                     help="restrict to specific root systems (repeatable)")
-    sub.add_argument("--fast", action="store_true",
-                     help="structure-constant and Kostant suites only")
-    sub.add_argument("--seed", type=int, default=selftest.DEFAULT_SEED)
-
+        for flag, kwargs in options:
+            sub.add_argument(flag, **kwargs)
     return parser
 
 
@@ -446,7 +444,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         option, value = argv[k - 1:k + 1]
         if option in ("--weight", "--weights", "--nu") and re.match(r"-\d", value):
             argv[k - 1:k + 1] = [f"{option}={value}"]
-    args = build_parser().parse_args(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     return args.run(args)
 
 

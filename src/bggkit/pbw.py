@@ -16,17 +16,19 @@ of pure powers b_hi^a * b_lo^b are memoized per kernel whatever their
 exponents, so a product of high powers reuses the products of the lower
 powers it peels down to.  Results never depend on cache state.
 
-``normal_order_word`` also takes an index window [lo, hi): a pending word
-that starts below lo or ends at hi or above is dropped as it is popped,
-and only monomials inside the window come out.  With the triangular
-basis of ``liealg`` (y's, then h's, then x's) and the window of the h's,
-that is exactly the U(h) part of the normal form: U(g) = U(h) +
-(n- U(g) + U(g) n+) is direct, a word that starts with a y lies in
-n- U(g) and one that ends with an x in U(g) n+.  The window applies to
-the top-level pending words only.  Pair products are spliced into the
-middle of words, so they, and the straightening that peels them, keep
-full normal forms; a pruned pair product would also poison the cache
-that unwindowed calls share.
+``normal_order_word`` and ``multiply_monomials`` also take an index
+window [lo, hi): a pending word that starts below lo or ends at hi or
+above is dropped as it is popped, and only monomials inside the window
+come out.  With the triangular basis of ``liealg`` (y's, then h's, then
+x's) and the window of the h's, that is exactly the U(h) part of the
+normal form: U(g) = U(h) + (n- U(g) + U(g) n+) is direct, a word that
+starts with a y lies in n- U(g) and one that ends with an x in U(g) n+.
+Likewise the window of the y's and h's keeps exactly the x-free part,
+U(g) = U(b-) + U(g) n+, which is all that acts on a highest-weight
+vector.  The window applies to the top-level pending words only.  Pair
+products are spliced into the middle of words, so they, and the
+straightening that peels them, keep full normal forms; a pruned pair
+product would also poison the cache that unwindowed calls share.
 """
 
 from __future__ import annotations
@@ -103,9 +105,14 @@ class StraightenKernel:
         """
         return self._dense(self._straighten(_squash(runs), window))
 
-    def multiply_monomials(self, exps_a, exps_b):
-        """Normal form of X^A * X^B; returns {monomial exps: int}."""
-        return self._dense(self._straighten(_join(_sparse(exps_a), _sparse(exps_b))))
+    def multiply_monomials(self, exps_a, exps_b, window=None):
+        """Normal form of X^A * X^B; returns {monomial exps: int}.
+
+        ``window=(lo, hi)`` keeps the monomials inside [lo, hi) only, as
+        for ``normal_order_word``.
+        """
+        return self._dense(self._straighten(
+            _join(_sparse(exps_a), _sparse(exps_b)), window))
 
     def _straighten(self, word, window=None):
         """Normal form of a squashed word as {sorted runs: int}, or its

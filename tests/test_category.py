@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -281,12 +282,57 @@ def test_raising_matrix_rejects_h_degree_above_one():
     alg = LieAlgebraData(build_root_system("A1"))
 
     class SquaredH:
-        def multiply_monomials(self, a, b):
+        def multiply_monomials(self, a, b, window=None):
             return {(0, 2, 0): 1}  # h^2: impossible for x_i . y^A
 
     alg.kernel = SquaredH()
     with pytest.raises(ConsistencyError):
         raising_matrix(alg, 0, (1,))
+
+
+def _brute_force_basis(rs, nu):
+    """Every y-exponent vector in the box that nu's coordinates bound, of
+    weight -nu, sorted; slot k is the y of positive root m-1-k."""
+    roots = rs.positive_roots[::-1]
+    box = [range(min(n // b for n, b in zip(nu, beta) if b) + 1) for beta in roots]
+    return sorted(exps for exps in itertools.product(*box)
+                  if all(sum(e * beta[i] for e, beta in zip(exps, roots)) == n
+                         for i, n in enumerate(nu)))
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2"])
+def test_weight_space_basis_matches_brute_force(label):
+    alg = LieAlgebraData(build_root_system(label))
+    for nu in category.gamma_elements(alg, 6):
+        basis = category.weight_space_basis(alg, nu)
+        assert list(basis) == _brute_force_basis(alg.rs, nu), nu
+        assert len(basis) == alg.rs.kostant_p(nu)
+        assert all(a < b for a, b in zip(basis, basis[1:]))
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3"])
+def test_raising_window_drops_exactly_the_x_ending_terms(label):
+    """x_i y^A with the window of the y's and h's against the full
+    product with its x-containing monomials filtered out, each on a fresh
+    algebra so that neither route reads the other's pair products."""
+    alg = LieAlgebraData(build_root_system(label))
+    ref = LieAlgebraData(build_root_system(label))
+    m, l = alg.m, alg.l
+    pad = (0,) * (l + m)
+    compared = dropped = 0
+    for i, alpha in enumerate(alg.rs.simple_roots()):
+        x_exps = [0] * alg.d
+        x_exps[alg.x_index(alg.root_position(alpha))] = 1
+        x_exps = tuple(x_exps)
+        for nu in category.gamma_elements(alg, 5):
+            for mono in category.weight_space_basis(alg, nu):
+                full = ref.kernel.multiply_monomials(x_exps, mono + pad)
+                kept = {e: c for e, c in full.items() if not any(e[m + l:])}
+                got = alg.kernel.multiply_monomials(x_exps, mono + pad, (0, m + l))
+                assert got == kept, (i, mono)
+                compared += 1
+                dropped += len(full) - len(kept)
+    assert compared and dropped
 
 
 def test_simple_weight_mult_examples(a1):

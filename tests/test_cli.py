@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -442,6 +443,79 @@ def test_json_output_matches_recorded_digest(capsys, command):
     assert code == 0
     assert err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == JSON_DIGESTS[command]
+
+
+# sha256 of stdout, stderr and the exit code of help and usage-error calls at
+# an 80-column terminal, recorded when every call built all twelve subcommands
+CLI_SURFACE_DIGESTS = {
+    "--help":
+        "a4b498e2370f85387f2f0b6533d681a532169cb3018369201a7e3a1d6128274e",
+    "":
+        "75e1f7592db28f5450a2e7083f0bd96e536a2e03a027f9c5a15bc36be68612fd",
+    "roots --help":
+        "875b55da0b1f229a6c207a1440ed33c056be3b62d00f246e612b67c10f15164c",
+    "weyl-orbit --help":
+        "fc552d31ccb6e688b1ffc0662421c2888c6d045886997d1d4cf420eca99d4ae7",
+    "kostant --help":
+        "894c34b42bf5d1d974846f51a609451f4f809ab14da62e313d263032a2334abf",
+    "verma-mult --help":
+        "2a6447a7e411e7463e15f112871dcb252b85ed06358a2ebc67bd2cbed70b873f",
+    "central-char --help":
+        "30169bb034ffb95362497bba8e5fa51ab5c012c246932ad99b531dc3439b3ba4",
+    "linked --help":
+        "1366a3ea6523a0ce40885ab94dae0079045a1512d7b6bcdf12120488e8c7abc9",
+    "norm --help":
+        "a6f2919c4485c6a3b14bba71cd6261ba3e7863d6706112a513d9b1534dfe88a6",
+    "shapovalov --help":
+        "e545823dc9a890dc21081133ef3c3b193c0d7beb08ea3c11d2d0a9d7d2a222b8",
+    "maximal-vectors --help":
+        "26491df9e92018df4812b180674197e6ad734f45e3abbe467062f08668d0624c",
+    "decomp --help":
+        "e954fd1e19777c50929f30e0fb3db9801ec839bc78748cd7538a3c91822a217d",
+    "block --help":
+        "0f342257c2e1650b307a31ea6cba4d145208a522274493c2d1536d5a72b57f2e",
+    "selftest --help":
+        "e136aaf3dee9decb41f6cc0d243ce74fb1a3b609e3c2c2d689265166c2eb9271",
+    "blok":
+        "77876e475d53aafb1f6374f8fd1fd29a049b339fce208711beb14cfb4728964b",
+    "block --type A2 --weight 0,0 extra":
+        "9eb797c0d42759f098b72bee202cb49eef796cce2161230faa605f47d7782d90",
+    "block --type A2 --weight 0,0 --bogus":
+        "1fe222cf6e768ed28d25b782ffc733ce898c80326a6f50253d24cf3469312094",
+    "weyl-orbit --type A2 --weight 0,0 --antidominance bogus":
+        "fda534769ef53a1567dd99b80228e816ad9e869827232905e108d662eae93c26",
+    "verma-mult --type A2 --weight 0,0 --depth two":
+        "8af8c00a0d49f514fbe743531e9abefc578dfcbf0bdc47512b4a46453843df20",
+    "-- block --type A2 --weight 0,0":
+        "f770b2c8964321a72bcc3b7c89f07afec04fd160c4dde71d31985a66cc060c20",
+}
+
+
+@pytest.mark.parametrize("command", sorted(CLI_SURFACE_DIGESTS),
+                         ids=lambda command: command or "no-arguments")
+def test_cli_surface_matches_recorded_digest(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = cli.main(command.split())
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    digest = hashlib.sha256(f"{out}\0{err}\0{code}".encode()).hexdigest()
+    assert digest == CLI_SURFACE_DIGESTS[command]
+
+
+def test_each_call_builds_only_its_own_subcommand(capsys, monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                        lambda self, *args, **kw: built.append(
+                            add_parser(self, *args, **kw)) or built[-1])
+    argv = ["block", "--type", "A1", "--weight", "0", "--json"]
+    assert run_cli(capsys, *argv)[0] == 0
+    assert len(built) == 1
+    assert run_cli(capsys, *argv)[0] == 0
+    assert len(built) == 2
+    assert built[0] is not built[1]
 
 
 # -- norm: large values and random input ----------------------------------------
