@@ -24,7 +24,9 @@ its entries are polynomials in U(h), each one word sigma(y^A) y^B
 straightened with the kernel's U(h) window, once per unordered pair.
 Weight-space bases, x_i matrices and Shapovalov polynomials are
 memoized in ``alg.cache``, one table per function name, and are freed
-with the algebra.
+with the algebra.  Every entry point reads nu through
+``RootSystem.gamma_point`` and every Kostant number P(nu) is
+``RootSystem.kostant_p``, whose memo this module never reads.
 """
 
 from __future__ import annotations
@@ -37,24 +39,15 @@ from typing import Dict, List, Optional, Tuple, Union
 from . import exactla
 from .errors import ConsistencyError, DepthOverflowError, DomainError
 from .liealg import LieAlgebraData, UEAElement
-from .rootdata import RootSystem, Weight
+from .rootdata import Weight
 
 RootVec = Tuple[int, ...]
 YMono = Tuple[int, ...]
 
 
-def _gamma_point(alg: LieAlgebraData, nu) -> Optional[RootVec]:
-    """nu as an int tuple if it lies in Gamma, else None; checks the rank."""
-    given = tuple(nu)
-    if len(given) != alg.l:
-        raise DomainError("coordinate vector has wrong rank")
-    point = tuple(map(int, given))
-    return point if point == given and min(point) >= 0 else None
-
-
 def weight_space_basis(alg: LieAlgebraData, nu: RootVec) -> Tuple[YMono, ...]:
     """Monomials y^A of weight -nu in lex order, memoized; empty off Gamma."""
-    nu = _gamma_point(alg, nu)
+    nu = alg.rs.gamma_point(nu)
     if nu is None:
         return ()
     return _slot_tails(alg.cache.setdefault("weight_space_basis", {}), alg, nu, 0)
@@ -128,7 +121,7 @@ class VermaSlice:
     def basis(self, nu) -> Tuple[YMono, ...]:
         """The PBW basis of M(lambda)_{lambda-nu}; empty off the slice,
         DomainError for a nu of the wrong rank."""
-        nu = _gamma_point(self.alg, nu)
+        nu = self.alg.rs.gamma_point(nu)
         if nu is None or sum(nu) > self.depth:
             return ()
         basis = weight_space_basis(self.alg, nu)
@@ -140,9 +133,6 @@ class VermaSlice:
 
     def dimension(self, nu) -> int:
         return len(self.basis(nu))
-
-    def highest_vector(self) -> VermaVector:
-        return VermaVector(self, {(0,) * self.alg.m: 1})
 
     def vector(self, terms) -> VermaVector:
         return VermaVector(self, terms)
@@ -210,7 +200,7 @@ def maximal_vectors(alg: LieAlgebraData, lam: Weight, nu, depth: Optional[int] =
     this is the nullspace of the stacked x_i matrices at nu.  Empty off
     Gamma, whatever the depth; the slice depth defaults to height(nu).
     """
-    nu = _gamma_point(alg, nu)
+    nu = alg.rs.gamma_point(nu)
     if nu is None:
         return []
     height = sum(nu)
@@ -258,7 +248,7 @@ def raising_matrix(alg: LieAlgebraData, i: int, nu: RootVec):
     when nu - alpha_i is not in Gamma.
     """
     cache = alg.cache.setdefault("raising_matrix", {})
-    nu = _gamma_point(alg, nu)
+    nu = alg.rs.gamma_point(nu)
     key = (i, nu)
     got = cache.get(key)
     if got is not None:
@@ -297,13 +287,6 @@ def raising_matrix(alg: LieAlgebraData, i: int, nu: RootVec):
     return result
 
 
-def _kostant_at(rs: RootSystem, nu: RootVec) -> int:
-    """P(nu) for an integer tuple nu, off the memo of ``kostant_p``."""
-    if min(nu) < 0:
-        return 0
-    return rs.kostant_table().get((nu, 0)) or rs.kostant_p(nu)
-
-
 class VermaModule:
     """M(lam) with its quotient maps onto the simple module L(lam).
 
@@ -332,7 +315,6 @@ class VermaModule:
         # an int is an identity quotient of that dimension, a list a
         # primitive row basis
         self._quotients: Dict[RootVec, Union[int, List[List[int]]]] = {}
-        self._kostant = alg.rs.kostant_table()
 
     def _columns(self, i: int, nu: RootVec):
         """The x_i matrix at nu evaluated at lam (scaled), as sparse
@@ -384,8 +366,7 @@ class VermaModule:
                 stack.pop()
                 continue
             if not any(all(map(ge, mu, wall)) for wall in self._walls):
-                # P(mu) >= 1 from the memo, or from kostant_p on a miss
-                quotients[mu] = self._kostant.get((mu, 0)) or self.alg.rs.kostant_p(mu)
+                quotients[mu] = self.alg.rs.kostant_p(mu)
                 stack.pop()
                 continue
             missing = [up for up in (_lower(mu, i) for i in range(self.alg.l))
@@ -400,13 +381,13 @@ class VermaModule:
     def jantzen_bounds(self, nu: RootVec) -> Tuple[int, int]:
         """(max, sum) over the walls n*beta of P(nu - n*beta): the maximal
         submodule at lam-nu has a dimension in between (Jantzen, LNM 750)."""
-        below = [_kostant_at(self.alg.rs, tuple(map(sub, nu, wall)))
-                 for wall in self._walls]
+        kostant_p = self.alg.rs.kostant_p
+        below = [kostant_p(tuple(map(sub, nu, wall))) for wall in self._walls]
         return max(below, default=0), sum(below)
 
     def simple_mult(self, nu) -> int:
         """dim L(lam)_{lam-nu}; 0 off Gamma, as at a non-integral nu."""
-        nu = _gamma_point(self.alg, nu)
+        nu = self.alg.rs.gamma_point(nu)
         if nu is None:
             return 0
         quotient = self._quotient(nu)
@@ -437,7 +418,7 @@ def shapovalov_polynomial_matrix(alg: LieAlgebraData, nu: RootVec):
     and only A <= B is straightened.  Empty off Gamma.
     """
     cache = alg.cache.setdefault("shapovalov_polynomial_matrix", {})
-    nu = _gamma_point(alg, nu)
+    nu = alg.rs.gamma_point(nu)
     if nu is None:
         return (), ()
     got = cache.get(nu)
@@ -669,7 +650,7 @@ def block_report(alg: LieAlgebraData, lam: Weight,
     rs = alg.rs
 
     def simple_dim(k, nu):  # dim L(mu_k)_{mu_k - nu}
-        return sum(c * _kostant_at(rs, tuple(map(sub, nu, diff))) for c, diff in terms[k])
+        return sum(c * rs.kostant_p(tuple(map(sub, nu, diff))) for c, diff in terms[k])
 
     # table rows: for each nu among the pairwise differences,
     # dim L(mu_k)_{mu_k - nu} for every class member k
@@ -680,7 +661,7 @@ def block_report(alg: LieAlgebraData, lam: Weight,
         module = VermaModule(alg, cls[k])
         for nu, dim in zip(nus, column):
             low, high = module.jantzen_bounds(nu)
-            if not low <= _kostant_at(rs, nu) - dim <= high:
+            if not low <= rs.kostant_p(nu) - dim <= high:
                 raise ConsistencyError(f"dim L_{k} at {nu} breaks the Jantzen bounds")
     tables = tuple(zip(nus, zip(*columns)))
 

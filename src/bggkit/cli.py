@@ -24,7 +24,7 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import category, gaussnorm, harish, jsonio, liealg, selftest
+from . import category, exactla, gaussnorm, harish, jsonio, liealg, selftest
 from .errors import BGGKitError, ConsistencyError, DomainError, UsageError
 from .pbw import KERNEL_IMPL
 from .rootdata import (STRICT, WIDE, CartanMatrixInput, RootSystem, Weight,
@@ -254,6 +254,11 @@ def cmd_shapovalov(args) -> int:
     vec = _nu(alg.rs, args.nu)
     matrix = category.shapovalov_matrix(alg, lam, vec)
     rank = category.simple_weight_mult(alg, lam, vec)
+    # the form's radical is the maximal submodule: two engines, one rank
+    form_rank = exactla.rank(matrix)
+    if form_rank != rank:
+        raise ConsistencyError(f"Shapovalov matrix has rank {form_rank}, "
+                               f"the radical recursion gives {rank}")
     if args.json:
         _emit({
             "weight": jsonio.weight_to_json(lam),

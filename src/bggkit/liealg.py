@@ -263,14 +263,6 @@ class LieAlgebraData:
                     table[(hi, lo)] = entries
         return table
 
-    def bracket_basis(self, i: int, j: int) -> Dict[int, int]:
-        """[b_i, b_j] as a sparse integer vector over basis indices."""
-        if i == j:
-            return {}
-        if i > j:
-            return dict(self._table.get((i, j), ()))
-        return {k: -c for k, c in self._table.get((j, i), ())}
-
     # -- elements -----------------------------------------------------------
 
     def zero(self) -> "UEAElement":

@@ -15,13 +15,19 @@ denominators of C^{-1}: an integral weight v has simple-root coordinates
 M v / D and height form . v / D, the height form being the column sums
 of M.  ``RootSystem.gamma_coords`` is the one test of mu <= lam, that is
 of lam - mu lying in Gamma, the nonnegative integer span of the simple
-roots.  Dot orbits come in block ordering, sorted by (-form . v, v).
+roots; ``RootSystem.gamma_point`` is the one test of a vector nu given in
+simple-root coordinates.  ``kostant_p`` memoizes P(nu) for every nu it
+is asked, off Gamma too, and no other module reads its keys.  Dot orbits
+come in block ordering, sorted by (-form . v, v).
 
 The Weyl group rests on one primitive, the simple reflection of a
 coordinate tuple (``RootSystem.reflect``).  An element w is a reduced
 word plus its key w^{-1} rho, an integer tuple that determines w because
 rho is regular; the key of w s_i is s_i of the key of w, and s_i is a
 right descent of w exactly when the i-th entry of the key is negative.
+The group (the orbit of rho) and each dot orbit come from one
+breadth-first closure under the simple reflections, capped at
+WEYL_ENUMERATION_CAP elements.
 The Bruhat order uses the lifting property (Bjorner-Brenti, GTM 231,
 2.2.7): for a right descent s of w, u <= w iff us <= ws when s is also a
 right descent of u, and iff u <= ws when it is not.
@@ -275,6 +281,19 @@ class RootSystem:
             return None
         return tuple(n // den for n in coords)
 
+    def gamma_point(self, nu) -> Optional[Tuple[int, ...]]:
+        """nu as an int tuple if it lies in Gamma, else None.
+
+        The one test of a coordinate vector nu (simple-root coordinates):
+        DomainError on the wrong rank, None on a negative or non-integral
+        coordinate.
+        """
+        given = tuple(nu)
+        if len(given) != self.rank:
+            raise DomainError("coordinate vector has wrong rank")
+        point = tuple(map(int, given))
+        return point if point == given and min(point) >= 0 else None
+
     def rho(self) -> Weight:
         """Half-sum of positive roots; equals (1,...,1) in H-coordinates."""
         return Weight([1] * self.rank)
@@ -304,6 +323,27 @@ class RootSystem:
         rho = self.rho()
         return w.act(lam + rho) - rho
 
+    def _closure(self, start) -> dict:
+        """The orbit of an integer tuple under the simple reflections, by
+        breadth-first search: {v: word} with ``reflect(start, *word) == v``
+        and the word as short as any.  DomainError past
+        WEYL_ENUMERATION_CAP elements."""
+        found = {start: ()}
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                word = found[v]
+                for i in range(self.rank):
+                    img = self.reflect(v, i)
+                    if img not in found:
+                        found[img] = word + (i,)
+                        nxt.append(img)
+                        if len(found) > WEYL_ENUMERATION_CAP:
+                            raise DomainError("Weyl group too large to enumerate")
+            frontier = nxt
+        return found
+
     def dot_orbit(self, lam: Weight):
         """{w . lam : w in W}, deduplicated, in block ordering.
 
@@ -314,20 +354,9 @@ class RootSystem:
         first.
         """
         scale, v = lam.scaled()
-        start = tuple(x + scale for x in v)
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for i in range(self.rank):
-                    img = self.reflect(v, i)
-                    if img not in seen:
-                        seen.add(img)
-                        nxt.append(img)
-            frontier = nxt
         form = self._height_form
-        ordered = sorted(seen, key=lambda v: (-sum(map(mul, form, v)), v))
+        ordered = sorted(self._closure(tuple(x + scale for x in v)),
+                         key=lambda v: (-sum(map(mul, form, v)), v))
         values = {x: Fraction(x - scale, scale) for x in set().union(*ordered)}
         return [Weight._exact(tuple(map(values.__getitem__, v))) for v in ordered]
 
@@ -360,20 +389,20 @@ class RootSystem:
     def kostant_p(self, nu) -> int:
         """Number of ways to write nu as a nonnegative sum of positive roots.
 
-        Memoized recursion over the deterministic root order; returns 0
-        off the support (any negative or non-integral coordinate).
+        Memo first: P(nu) is kept at key (nu, 0) of ``cache["kostant_p"]``,
+        0 off Gamma and 1 at nu = 0 included, so a repeated nu costs one
+        lookup; a miss goes through ``gamma_point`` and the recursion over
+        the deterministic root order.
         """
-        given = tuple(nu)
-        nu = tuple(map(int, given))
-        if len(nu) != self.rank:
-            raise DomainError("coordinate vector has wrong rank")
-        if nu != given or any(c < 0 for c in nu):
-            return 0
-        return self._kostant(nu, 0, self.kostant_table())
-
-    def kostant_table(self) -> dict:
-        """The memo of ``kostant_p``: P(nu) is at key (nu, 0), nu != 0."""
-        return self.cache.setdefault("kostant_p", {})
+        table = self.cache.get("kostant_p")  # not setdefault: no new dict per hit
+        if table is None:
+            table = self.cache["kostant_p"] = {}
+        key = (tuple(nu), 0)
+        got = table.get(key)
+        if got is None:
+            point = self.gamma_point(key[0])
+            got = table[key] = 0 if point is None else self._kostant(point, 0, table)
+        return got
 
     def _kostant(self, nu, k, table):
         if not any(nu):
@@ -513,21 +542,7 @@ class WeylGroup:
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
-        rho = (1,) * rs.rank
-        found = {rho: ()}
-        frontier = [rho]
-        while frontier:
-            nxt = []
-            for key in frontier:
-                word = found[key]
-                for i in range(rs.rank):
-                    img = rs.reflect(key, i)
-                    if img not in found:
-                        found[img] = word + (i,)
-                        nxt.append(img)
-                        if len(found) > WEYL_ENUMERATION_CAP:
-                            raise DomainError("Weyl group too large to enumerate")
-            frontier = nxt
+        found = rs._closure((1,) * rs.rank)
         ordered = sorted(found.items(), key=lambda kv: (len(kv[1]), kv[1]))
         self.elements = tuple(WeylElement(self, w, k) for k, w in ordered)
         self._by_key = {e.key: e for e in self.elements}

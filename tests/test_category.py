@@ -44,7 +44,7 @@ def test_slice_dimensions(a1, a2):
 def test_act_examples(a1):
     lam = Weight([3])
     s = VermaSlice(a1, lam, 4)
-    v = s.highest_vector()
+    v = s.vector({(0,) * a1.m: 1})
     assert s.act(a1.h(0), v).terms == {(0,): F(3)}
     assert s.act(a1.x(0), v).is_zero()
     yv = s.act(a1.y(0), v)
@@ -54,7 +54,7 @@ def test_act_examples(a1):
 def test_act_is_linear_and_compatible(a2):
     lam = Weight([1, 2])
     s = VermaSlice(a2, lam, 4)
-    v = s.highest_vector()
+    v = s.vector({(0,) * a2.m: 1})
     y1, y2 = (a2.y(a2.root_position(r)) for r in a2.rs.simple_roots())
     u1 = y1 * y2
     u2 = y2 * y1
@@ -68,7 +68,7 @@ def test_act_is_linear_and_compatible(a2):
 
 def test_act_depth_overflow(a1):
     s = VermaSlice(a1, Weight([0]), 2)
-    v = s.highest_vector()
+    v = s.vector({(0,) * a1.m: 1})
     deep = a1.monomial((3, 0, 0))
     with pytest.raises(DepthOverflowError):
         s.act(deep, v)

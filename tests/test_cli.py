@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bggkit
-from bggkit import category, cli, selftest
+from bggkit import category, cli, rootdata, selftest
 from bggkit.errors import ConsistencyError
+from bggkit.rootdata import build_root_system
 
 
 def run_cli(capsys, *argv):
@@ -117,6 +118,33 @@ def test_shapovalov_command(capsys):
     data = json.loads(out)
     assert data["matrix"] == [[12]]
     assert data["rank"] == 1
+
+
+def test_shapovalov_rank_disagreement_is_a_consistency_error(capsys, monkeypatch):
+    radical_rank = category.simple_weight_mult
+    monkeypatch.setattr(category, "simple_weight_mult",
+                        lambda alg, lam, nu: radical_rank(alg, lam, nu) + 1)
+    code, out, err = run_cli(capsys, "shapovalov", "--type", "A2",
+                             "--weight", "1,1", "--nu", "1,1", "--json")
+    assert code == cli.EXIT_CONSISTENCY
+    assert out == ""
+    assert err == ("internal consistency error: Shapovalov matrix has rank 2, "
+                   "the radical recursion gives 3\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["weyl-orbit", "--weight", "0,0"],
+    ["linked", "--weights", "0,0;-2,1"],
+    ["decomp", "--weight", "0,0"],
+    ["block", "--weight", "0,0"],
+], ids=lambda argv: argv[0])
+def test_orbit_past_the_enumeration_cap_is_refused(capsys, monkeypatch, argv):
+    # a regular A2 orbit has 6 weights; with the cap at 5 it is refused
+    monkeypatch.setattr(rootdata, "WEYL_ENUMERATION_CAP", 5)
+    monkeypatch.setattr(cli, "cached_root_system", build_root_system)
+    code, out, err = run_cli(capsys, *argv[:1], "--type", "A2", *argv[1:])
+    assert (code, out, err) == (cli.EXIT_DOMAIN, "",
+                                "error: Weyl group too large to enumerate\n")
 
 
 def test_maximal_vectors_command(capsys):

@@ -172,14 +172,13 @@ def test_invert_equals_naive_gauss_jordan():
 
 
 def _adjoint_matrices(alg):
+    """ad(b_i) as dense matrices, read straight off the bracket table."""
     d = alg.d
-    ad = []
-    for i in range(d):
-        mat = [[0] * d for _ in range(d)]
-        for j in range(d):
-            for k, c in alg.bracket_basis(i, j).items():
-                mat[k][j] = c
-        ad.append(mat)
+    ad = [[[0] * d for _ in range(d)] for _ in range(d)]
+    for (hi, lo), entries in alg._table.items():
+        for k, c in entries:
+            ad[hi][k][lo] = c
+            ad[lo][k][hi] = -c
     return ad
 
 

@@ -450,13 +450,11 @@ def test_casimir_central_and_weight_zero():
 def _dense_casimir(alg):
     """Reference Casimir: dense ad matrices, inverted Killing form, dual basis."""
     d = alg.d
-    ad = []
-    for i in range(d):
-        mat = [[0] * d for _ in range(d)]
-        for j in range(d):
-            for k, c in alg.bracket_basis(i, j).items():
-                mat[k][j] = c
-        ad.append(mat)
+    ad = [[[0] * d for _ in range(d)] for _ in range(d)]
+    for (hi, lo), entries in alg._table.items():
+        for k, c in entries:
+            ad[hi][k][lo] = c
+            ad[lo][k][hi] = -c
     killing = [[sum(ad[i][p][q] * ad[j][q][p] for p in range(d) for q in range(d))
                 for j in range(d)] for i in range(d)]
     inv = exactla.invert(killing)

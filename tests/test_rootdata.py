@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from bggkit import cli
+from bggkit import cli, rootdata, selftest
 from bggkit.errors import DomainError, NotARootError, NotFiniteTypeError
 from bggkit.rootdata import (STRICT, WIDE, CartanMatrixInput, Weight,
                              build_root_system, cached_root_system)
@@ -452,6 +452,63 @@ def test_kostant_brute_force_small():
                 if tuple(total) == nu:
                     count += 1
             assert rs.kostant_p(nu) == count
+
+
+@pytest.mark.parametrize("nu, point", [
+    ((0, 0), (0, 0)),
+    ((2, 1), (2, 1)),
+    ([1, 0], (1, 0)),
+    ((-1, 0), None),
+    ((3, -2), None),
+    ((F(3, 2), 1), None),
+    ((1.7, 1), None),
+    ((F(2), 2.0), (2, 2)),
+    ((F(0), 1.0), (0, 1)),
+], ids=["zero", "ints", "list", "negative", "negative-second", "fraction",
+        "float", "integral-fraction-and-float", "integral-zero-fraction"])
+def test_gamma_point_contract(rs_a2, nu, point):
+    got = rs_a2.gamma_point(nu)
+    assert got == point
+    if got is not None:
+        assert type(got) is tuple and all(type(c) is int for c in got)
+
+
+@pytest.mark.parametrize("nu", [(), (1,), (1, 0, 0), (F(1, 2), -1, 0)])
+def test_gamma_point_and_kostant_p_reject_wrong_rank(rs_a2, nu):
+    with pytest.raises(DomainError, match="coordinate vector has wrong rank"):
+        rs_a2.gamma_point(nu)
+    with pytest.raises(DomainError, match="coordinate vector has wrong rank"):
+        rs_a2.kostant_p(nu)
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_kostant_p_cold_warm_and_cleared_match_brute_force(label, monkeypatch):
+    rs = build_root_system(label)
+    box = list(itertools.product(range(-2, 7), repeat=rs.rank))
+    expected = {nu: selftest._kostant_brute_force(rs, nu) for nu in box}
+    assert expected[(0,) * rs.rank] == 1 and expected[(-1,) + (0,) * (rs.rank - 1)] == 0
+    assert [rs.kostant_p(nu) for nu in box] == list(expected.values())  # cold
+    with monkeypatch.context() as patch:
+        # warm: every answer, off-Gamma zeros and P(0) included, is a memo hit
+        def no_validation(nu):
+            raise AssertionError(f"kostant_p missed its memo at {nu}")
+        patch.setattr(rs, "gamma_point", no_validation)
+        assert [rs.kostant_p(nu) for nu in box] == list(expected.values())
+        assert rs.kostant_p([F(2)] + [0] * (rs.rank - 1)) == 1  # equal key, any spelling
+    rs.cache.clear()
+    assert [rs.kostant_p(nu) for nu in reversed(box)] == list(reversed(expected.values()))
+
+
+def test_weyl_enumeration_cap_bounds_group_and_orbits(monkeypatch):
+    monkeypatch.setattr(rootdata, "WEYL_ENUMERATION_CAP", 5)
+    rs = build_root_system("A2")
+    with pytest.raises(DomainError, match="Weyl group too large to enumerate"):
+        rs.dot_orbit(Weight([0, 0]))  # regular: 6 weights
+    with pytest.raises(DomainError, match="Weyl group too large to enumerate"):
+        rs.weyl_group()
+    # singular: lam + rho = (0, 1) is fixed by s_1, so 3 weights
+    assert rs.dot_orbit(Weight([-1, 0])) == [Weight([-1, 0]), Weight([0, -2]),
+                                              Weight([-2, -1])]
 
 
 def test_weyl_dimension_examples(rs_a1, rs_a2):
