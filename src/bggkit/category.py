@@ -4,14 +4,14 @@ Simple multiplicities come from the radical recursion: for nu != 0, a
 vector of M(lambda)_{lambda-nu} lies in the maximal submodule exactly
 when every simple x_i sends it there, so dim L(lambda)_{lambda-nu} is
 the rank of the x_i matrices composed with the quotient maps one level
-up (``VermaModule``).  By the Shapovalov determinant formula the
-maximal submodule meets M(lambda)_{lambda-nu} only when nu lies on a
-wall of lambda, nu - n*beta in Gamma for a positive root beta with
-n = <lambda+rho, beta-check> a positive integer; off the walls the
-quotient map is the identity and costs no rank, on them it is a
-primitive row basis.  The x_i matrices are affine in lambda.  Block
-decomposition matrices are then solved from the unitriangular character
-system
+up (``VermaModule``), filled in height order.  By the Shapovalov
+determinant formula the maximal submodule meets M(lambda)_{lambda-nu}
+only when nu lies on a wall of lambda, nu - n*beta in Gamma for a
+positive root beta with n = <lambda+rho, beta-check> a positive
+integer; off the walls the quotient map is the identity and costs no
+rank, on them it is a primitive row basis.  The x_i matrices are
+affine in lambda.  Block decomposition matrices are then solved from
+the unitriangular character system
 
     dim M(lam_i)_{mu_j} = sum_k D[i][k] * dim L(mu_k)_{mu_j}
 
@@ -33,8 +33,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import ge, mul, sub
-from typing import Dict, List, Optional, Tuple, Union
+from itertools import product
+from operator import add, mul, sub
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import exactla
 from .errors import ConsistencyError, DepthOverflowError, DomainError
@@ -235,6 +236,12 @@ def _lower(nu: RootVec, i: int) -> Optional[RootVec]:
     return nu[:i] + (nu[i] - 1,) + nu[i + 1:]
 
 
+def _box(corner: Iterable[int]):
+    """The nu with 0 <= nu <= corner, in lex order; none if corner < 0
+    anywhere."""
+    return product(*(range(c + 1) for c in corner))
+
+
 def raising_matrix(alg: LieAlgebraData, i: int, nu: RootVec):
     """The simple x_i from M_{lam-nu} to M_{lam-nu+alpha_i}, for every lam.
 
@@ -298,10 +305,12 @@ class VermaModule:
     M_{lam-nu} (nu != 0) lies in the maximal submodule exactly when
     x_i . v does for every simple i.  So dim L(lam)_{lam-nu} is the rank
     of the stacked map M_{lam-nu} -> sum_i L_{lam-nu+alpha_i}: the x_i
-    matrices followed by the quotient maps already found one level up,
-    kept as a primitive integer row basis (``exactla.row_basis``).  lam
-    is scaled by the lcm of its denominators, which leaves every rank as
-    it is, so the recursion never builds a Fraction.
+    matrices followed by the quotient maps one level up, kept as a
+    primitive integer row basis (``exactla.row_basis``).  The maps are
+    filled in height order, so the level above is always done: over
+    Gamma up to a depth for ``verma_is_simple``, over the box [0, nu] for
+    ``simple_mult``.  lam is scaled by the lcm of its denominators, which
+    leaves every rank as it is, so the recursion never builds a Fraction.
     """
 
     def __init__(self, alg: LieAlgebraData, lam: Weight):
@@ -351,32 +360,21 @@ class VermaModule:
                             for targets, values in columns])
         return out
 
-    def _quotient(self, nu: RootVec) -> Union[int, List[List[int]]]:
-        """The quotient map M_{lam-nu} -> L(lam)_{lam-nu}, whose kernel is
-        the maximal submodule at nu: its dimension P(nu) off the walls,
-        where it is the identity, else a row basis.  The maps one level
-        up are found first, depth first, with an explicit stack; every
-        level above an identity is an identity too.
+    def _fill(self, nus: Sequence[RootVec], region) -> None:
+        """The quotient maps M_{lam-nu} -> L(lam)_{lam-nu}, whose kernel is
+        the maximal submodule at nu, at every nu of nus not yet known.
+        nus is in height order and holds the upper neighbours of each of
+        its members; region(wall) is the set of d >= 0 with wall + d in
+        nus.  So the nu that a wall reaches are found once, as a set: there
+        the map is a row basis, elsewhere the identity, kept as P(nu).
         """
+        reached = {tuple(map(add, wall, d)) for wall in self._walls for d in region(wall)}
         quotients = self._quotients
-        stack = [nu]
-        while stack:
-            mu = stack[-1]
-            if mu in quotients:
-                stack.pop()
-                continue
-            if not any(all(map(ge, mu, wall)) for wall in self._walls):
-                quotients[mu] = self.alg.rs.kostant_p(mu)
-                stack.pop()
-                continue
-            missing = [up for up in (_lower(mu, i) for i in range(self.alg.l))
-                       if up is not None and up not in quotients]
-            if missing:
-                stack.extend(missing)
-                continue
-            quotients[mu] = exactla.row_basis(self._stacked(mu))
-            stack.pop()
-        return quotients[nu]
+        kostant_p = self.alg.rs.kostant_p
+        for nu in nus:
+            if nu not in quotients:
+                quotients[nu] = (exactla.row_basis(self._stacked(nu)) if nu in reached
+                                 else kostant_p(nu))
 
     def jantzen_bounds(self, nu: RootVec) -> Tuple[int, int]:
         """(max, sum) over the walls n*beta of P(nu - n*beta): the maximal
@@ -390,7 +388,10 @@ class VermaModule:
         nu = self.alg.rs.gamma_point(nu)
         if nu is None:
             return 0
-        quotient = self._quotient(nu)
+        if nu not in self._quotients:  # fill the box [0, nu], by height
+            self._fill(sorted(_box(nu), key=sum),
+                       lambda wall: _box(map(sub, nu, wall)))
+        quotient = self._quotients[nu]
         return quotient if isinstance(quotient, int) else len(quotient)
 
 
@@ -480,11 +481,12 @@ def verma_is_simple(alg: LieAlgebraData, lam: Weight, depth: int) -> SimplicityR
     """
     module = VermaModule(alg, lam)
     verdict = not module._walls
+    nus = gamma_elements(alg, depth)
+    module._fill(nus, lambda wall: gamma_elements(alg, depth - sum(wall))
+                 if sum(wall) <= depth else ())
     ranks = []
-    for nu in gamma_elements(alg, depth):
-        if not any(nu):
-            continue
-        quotient = module._quotient(nu)
+    for nu in nus[1:]:  # nus[0] is 0
+        quotient = module._quotients[nu]
         if isinstance(quotient, int):
             ranks.append((nu, quotient, quotient))
         else:

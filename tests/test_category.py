@@ -175,17 +175,34 @@ def test_shapovalov_window_matches_full_product(label, height):
 
 @pytest.mark.parametrize("label, depth", [("A1", 8), ("A2", 4), ("B2", 4), ("G2", 3),
                                           ("A3", 4), ("G2", 4)])
-def test_verma_module_matches_shapovalov_rank(label, depth):
-    """The radical recursion against the rank of the contravariant form."""
+def test_verma_module_matches_shapovalov_rank(monkeypatch, label, depth):
+    """The radical recursion against the rank of the contravariant form,
+    through both entry points: the audit fills Gamma to the depth at
+    once, simple_mult one box [0, nu] at a time, here in reverse height
+    order, and the two leave the same quotient maps at every nu."""
     alg = _alg(label)
+    audits = []
+
+    class Audited(VermaModule):
+        def __init__(self, *args):
+            super().__init__(*args)
+            audits.append(self)
+
+    monkeypatch.setattr(category, "VermaModule", Audited)
+    nus = category.gamma_elements(alg, depth)
     rng = random.Random(1152)
     for den in (1, 2, 3):
         for _ in range(4):
             lam = Weight([F(rng.randint(-4 * den, 4 * den), den) for _ in range(alg.l)])
+            expected = {nu: exactla.rank(shapovalov_matrix(alg, lam, nu)) if any(nu) else 1
+                        for nu in nus}
+            report = verma_is_simple(alg, lam, depth)
+            assert report.ranks == tuple((nu, expected[nu], alg.rs.kostant_p(nu))
+                                         for nu in nus[1:]), lam
             module = VermaModule(alg, lam)
-            for nu in category.gamma_elements(alg, depth):
-                expected = exactla.rank(shapovalov_matrix(alg, lam, nu)) if any(nu) else 1
-                assert module.simple_mult(nu) == expected, (lam, nu)
+            for nu in reversed(nus):
+                assert module.simple_mult(nu) == expected[nu], (lam, nu)
+            assert module._quotients == audits[-1]._quotients, lam
 
 
 @pytest.mark.parametrize("label, coords", [
@@ -193,9 +210,10 @@ def test_verma_module_matches_shapovalov_rank(label, depth):
     ("A2", (0, F(1, 2))), ("B2", (1, F(-3, 2))),
 ], ids=["A2-wall-free", "A3-minus-rho", "A2-0,0", "A2-one-wall", "B2-mixed"])
 def test_rank_work_only_on_walls(monkeypatch, label, coords):
-    """The audit reduces a stacked matrix once at each nu that a wall
-    reaches and builds x_i matrices nowhere else.  (A stack can be empty,
-    with no x_i matrix, when every quotient above it is zero.)"""
+    """The audit, and simple_mult on the box [0, nu], reduce a stacked
+    matrix once at each nu that a wall reaches and build x_i matrices
+    nowhere else.  (A stack can be empty, with no x_i matrix, when every
+    quotient above it is zero.)"""
     alg = _alg(label)
     lam = Weight(list(coords))
     reduced = []
@@ -220,6 +238,13 @@ def test_rank_work_only_on_walls(monkeypatch, label, coords):
     assert raised <= on_walls
     assert len(reduced) == len(on_walls)
     assert report.nondegenerate == (not on_walls)
+    reduced.clear()
+    raised.clear()
+    VermaModule(alg, lam).simple_mult((2,) * alg.l)
+    in_box = {nu for nu in itertools.product(range(3), repeat=alg.l)
+              if not selftest._degeneracy_prediction(alg, lam, nu)}
+    assert raised <= in_box
+    assert len(reduced) == len(in_box)
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3"])
@@ -589,7 +614,9 @@ def test_memo_tables_live_in_one_cache_per_owner(label, run, rs_tables, alg_tabl
     assert set(vars(rs)) == rs_attributes and set(vars(alg)) == alg_attributes
     assert set(rs.cache) == rs_tables and set(alg.cache) == alg_tables
     assert run(alg) == cold  # warm
+    assert alg.kernel._pair_cache  # the PBW pair products live on the kernel
     alg.cache.clear()
+    alg.kernel._pair_cache.clear()
     assert run(alg) == cold
     rs.cache.clear()
     assert build_chevalley(rs) is not alg
