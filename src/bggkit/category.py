@@ -47,18 +47,33 @@ YMono = Tuple[int, ...]
 
 
 def weight_space_basis(alg: LieAlgebraData, nu: RootVec) -> Tuple[YMono, ...]:
-    """Monomials y^A of weight -nu in lex order, memoized; empty off Gamma."""
+    """Monomials y^A of weight -nu in lex order, memoized; empty off Gamma.
+
+    A basis is checked against the Kostant number P(nu) when it is first
+    built, and only a checked basis is kept, so every reader of a y-basis
+    reads a checked one.
+    """
     nu = alg.rs.gamma_point(nu)
     if nu is None:
         return ()
-    return _slot_tails(alg.cache.setdefault("weight_space_basis", {}), alg, nu, 0)
+    cache = alg.cache.setdefault("weight_space_basis", {})
+    got = cache.get((nu, 0))
+    if got is None:
+        got = _slot_tails(cache, alg, nu, 0)
+        expected = alg.rs.kostant_p(nu)
+        if len(got) != expected:
+            raise ConsistencyError(
+                f"weight space at {nu} has size {len(got)}, expected P = {expected}")
+        cache[(nu, 0)] = got
+    return got
 
 
 def _slot_tails(cache, alg: LieAlgebraData, rest: RootVec, slot: int) -> Tuple[tuple, ...]:
     """The exponent tails (e_slot, ..., e_{m-1}) of y-monomials of weight
     -rest, in lex order: slot k is the y of positive root m-1-k.  Memoized
-    by (rest, slot), so the weight spaces of one algebra share their
-    sub-problems; the basis at nu is the entry (nu, 0)."""
+    by (rest, slot) for slot > 0, so the weight spaces of one algebra
+    share their sub-problems; the basis at nu, the entry (nu, 0), is
+    stored by ``weight_space_basis`` once checked."""
     key = (rest, slot)
     got = cache.get(key)
     if got is not None:
@@ -74,17 +89,18 @@ def _slot_tails(cache, alg: LieAlgebraData, rest: RootVec, slot: int) -> Tuple[t
             e += 1
             rest = tuple(map(sub, rest, beta))
         got = tuple(out)
-    cache[key] = got
+    if slot:
+        cache[key] = got
     return got
 
 
 class VermaVector:
-    """Element of a truncated Verma module: map from y-monomials to scalars."""
+    """Element of M(lambda): map from y-monomials to scalars."""
 
-    __slots__ = ("slice", "terms")
+    __slots__ = ("alg", "terms")
 
-    def __init__(self, vslice: "VermaSlice", terms):
-        self.slice = vslice
+    def __init__(self, alg: LieAlgebraData, terms):
+        self.alg = alg
         self.terms = {tuple(k): Fraction(v) for k, v in terms.items() if v}
 
     def is_zero(self) -> bool:
@@ -96,7 +112,7 @@ class VermaVector:
     def __repr__(self):
         if not self.terms:
             return "0"
-        alg = self.slice.alg
+        alg = self.alg
         bits = []
         for mono, c in sorted(self.terms.items()):
             body = "*".join(alg.basis_label(i) + (f"^{e}" if e > 1 else "")
@@ -106,11 +122,7 @@ class VermaVector:
 
 
 class VermaSlice:
-    """Weight spaces of the Verma module at lambda down to depth N.
-
-    Bases are indexed by nu in Gamma with height(nu) <= N and built only
-    when asked for; each basis size is checked against the Kostant number.
-    """
+    """The action of U(g) on the Verma module at lambda down to depth N."""
 
     def __init__(self, alg: LieAlgebraData, lam: Weight, depth: int):
         if depth < 0:
@@ -118,25 +130,6 @@ class VermaSlice:
         self.alg = alg
         self.lam = lam
         self.depth = depth
-
-    def basis(self, nu) -> Tuple[YMono, ...]:
-        """The PBW basis of M(lambda)_{lambda-nu}; empty off the slice,
-        DomainError for a nu of the wrong rank."""
-        nu = self.alg.rs.gamma_point(nu)
-        if nu is None or sum(nu) > self.depth:
-            return ()
-        basis = weight_space_basis(self.alg, nu)
-        if len(basis) != self.alg.rs.kostant_p(nu):
-            raise ConsistencyError(
-                f"weight space at {nu} has size {len(basis)}, "
-                f"expected P = {self.alg.rs.kostant_p(nu)}")
-        return basis
-
-    def dimension(self, nu) -> int:
-        return len(self.basis(nu))
-
-    def vector(self, terms) -> VermaVector:
-        return VermaVector(self, terms)
 
     def mono_depth(self, mono: YMono) -> int:
         m = self.alg.m
@@ -172,7 +165,7 @@ class VermaSlice:
                         raise DepthOverflowError(
                             "action leaves the truncated slice; extend depth")
                     out[ypart] = out.get(ypart, Fraction(0)) + val
-        return VermaVector(self, out)
+        return VermaVector(alg, out)
 
 
 def gamma_elements(alg: LieAlgebraData, max_height: int) -> Tuple[RootVec, ...]:
@@ -199,27 +192,21 @@ def maximal_vectors(alg: LieAlgebraData, lam: Weight, nu, depth: Optional[int] =
 
     Killing the simple generators x_i suffices since they generate n, so
     this is the nullspace of the stacked x_i matrices at nu.  Empty off
-    Gamma, whatever the depth; the slice depth defaults to height(nu).
+    Gamma, whatever the depth; DomainError for a depth below height(nu).
     """
     nu = alg.rs.gamma_point(nu)
     if nu is None:
         return []
-    height = sum(nu)
-    if depth is None:
-        depth = height
-    if height > depth:
+    if depth is not None and sum(nu) > depth:
         raise DomainError("nu lies below the requested truncation depth")
-    vslice = VermaSlice(alg, lam, depth)
-    basis = vslice.basis(nu)
-    if not basis:
-        return []
+    basis = weight_space_basis(alg, nu)
     module = VermaModule(alg, lam)
     rows = [row for i in range(alg.l) if _lower(nu, i) is not None
             for row in module.raising_rows(i, nu)]
     if not rows:
-        return [vslice.vector({mono: 1}) for mono in basis]
+        return [VermaVector(alg, {mono: 1}) for mono in basis]
     kernel = exactla.nullspace(rows, width=len(basis))
-    return [vslice.vector({mono: coef for mono, coef in zip(basis, vec)})
+    return [VermaVector(alg, {mono: coef for mono, coef in zip(basis, vec)})
             for vec in kernel]
 
 
@@ -540,27 +527,24 @@ def decomposition_matrix(alg: LieAlgebraData, lam: Weight,
     auto_depth = sum(diffs[0][-1])
     n = auto_depth if depth is None else max(depth, auto_depth)
 
-    # dim L(mu_k)_{mu_j} and dim M(mu_k)_{mu_j} at the pairwise differences
-    modules = tuple(VermaModule(alg, w) for w in cls)
-    sm = {}
-    kostant = {}
-    for k in range(s):
-        for j in range(s):
-            diff = diffs[k][j]
-            if diff is None:
-                sm[(k, j)] = kostant[(k, j)] = 0
-            else:
-                sm[(k, j)] = modules[k].simple_mult(diff)
-                kostant[(k, j)] = rs.kostant_p(diff)
+    # dim L(mu_k)_{mu_j} and dim M(mu_k)_{mu_j} at the pairwise differences.
+    # mu_k - mu_j <= mu_k - mu_{s-1}, the last member being the minimum of
+    # the class, so asking for that difference first fills one box per module
+    sm = []
+    for k, row in enumerate(diffs):
+        module = VermaModule(alg, cls[k])
+        module.simple_mult(row[-1])
+        sm.append([0 if d is None else module.simple_mult(d) for d in row])
+    kostant = [[0 if d is None else rs.kostant_p(d) for d in row] for row in diffs]
 
     rows = []
     for i in range(s):
         row = [0] * s
         for j in range(s):
-            acc = kostant[(i, j)]
+            acc = kostant[i][j]
             for k in range(j):
                 if row[k]:
-                    acc -= row[k] * sm[(k, j)]
+                    acc -= row[k] * sm[k][j]
             row[j] = acc
         rows.append(tuple(row))
 
@@ -573,8 +557,8 @@ def decomposition_matrix(alg: LieAlgebraData, lam: Weight,
     # re-check the defining character identity after the solve
     for i in range(s):
         for j in range(s):
-            lhs = kostant[(i, j)]
-            rhs = sum(rows[i][k] * sm[(k, j)] for k in range(s))
+            lhs = kostant[i][j]
+            rhs = sum(rows[i][k] * sm[k][j] for k in range(s))
             if lhs != rhs:
                 raise ConsistencyError("character identity fails after solve")
 
@@ -669,11 +653,15 @@ def block_report(alg: LieAlgebraData, lam: Weight,
 
     findim = tuple(w.is_dominant_integral for w in cls)
     checks = []
-    w0 = rs.weyl_group().longest_element
     for k, w in enumerate(cls):
         if not findim[k]:
             continue
-        span = rs.gamma_coords(w - w0.act(w))
+        # the lowest weight w0 w: the one antidominant weight of the
+        # W-orbit, reached by reflecting while some coordinate is positive
+        low = w.coords
+        while max(low) > 0:
+            low = rs.reflect(low, next(i for i, c in enumerate(low) if c > 0))
+        span = rs.gamma_coords(w - Weight(low))
         if span is None:
             raise ConsistencyError("support of a finite-dimensional simple "
                                    "is not in the root lattice")

@@ -143,9 +143,10 @@ def cmd_verma_mult(args) -> int:
     lam = _weight(alg.rs, args.weight)
     if args.nu is not None:
         vec = _nu(alg.rs, args.nu)
-        depth = max(sum(vec), args.depth or 0)
-        vslice = category.VermaSlice(alg, lam, depth)
-        dim = vslice.dimension(vec)
+        # the slice reaches max(height(nu), --depth), which must be >= 0
+        if max(sum(vec), args.depth or 0) < 0:
+            raise DomainError("depth must be nonnegative")
+        dim = len(category.weight_space_basis(alg, vec))
         if args.json:
             _emit({"weight": jsonio.weight_to_json(lam), "nu": list(vec),
                    "dimension": dim})

@@ -286,12 +286,15 @@ class RootSystem:
 
         The one test of a coordinate vector nu (simple-root coordinates):
         DomainError on the wrong rank, None on a negative or non-integral
-        coordinate.
+        coordinate, nan and the infinities included.
         """
         given = tuple(nu)
         if len(given) != self.rank:
             raise DomainError("coordinate vector has wrong rank")
-        point = tuple(map(int, given))
+        try:
+            point = tuple(map(int, given))
+        except (ValueError, OverflowError):  # int() of nan, of an infinity
+            return None
         return point if point == given and min(point) >= 0 else None
 
     def rho(self) -> Weight:

@@ -24,7 +24,7 @@ def test_criterion_02_kostant_oracle():
 
 
 def test_criterion_03_verma_dimensions():
-    # slice basis sizes equal Kostant numbers, 20 random weights per type
+    # weight-space basis sizes equal Kostant numbers up to height 6
     _run(3)
 
 

@@ -5,8 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from bggkit import category, exactla, harish, selftest
-from bggkit.category import (VermaModule, VermaSlice, block_report,
+from bggkit import category, cli, exactla, harish, rootdata, selftest
+from bggkit.category import (VermaModule, VermaSlice, VermaVector, block_report,
                              cartan_matrix, decomposition_matrix,
                              maximal_vectors, projective_filtration_matrix,
                              raising_matrix, shapovalov_matrix,
@@ -22,29 +22,28 @@ def _alg(label):
 
 # -- Verma slices and the action ------------------------------------------------
 
-def test_slice_refuses_nu_of_the_wrong_rank(a2):
-    s = VermaSlice(a2, Weight([0, 0]), 3)
+def test_weight_space_basis_refuses_nu_of_the_wrong_rank(a2):
     with pytest.raises(DomainError, match="wrong rank"):
-        s.basis((1,))
+        category.weight_space_basis(a2, (1,))
     with pytest.raises(DomainError, match="wrong rank"):
-        s.dimension((1, 1, 0))
+        category.weight_space_basis(a2, (1, 1, 0))
 
 
-def test_slice_dimensions(a1, a2):
-    s = VermaSlice(a1, Weight([7]), 6)
-    assert s.dimension((0,)) == 1
-    for k in range(1, 7):
-        assert s.dimension((k,)) == 1
-    s2 = VermaSlice(a2, Weight([0, 0]), 3)
-    assert s2.dimension((1, 1)) == 2
-    assert s2.dimension((2, 1)) == 2
-    assert s2.dimension((5, 5)) == 0
+def test_weight_space_basis_dimensions(a1, a2):
+    for k in range(7):
+        assert category.weight_space_basis(a1, (k,)) == ((k,),)
+    assert len(category.weight_space_basis(a2, (1, 1))) == 2
+    assert len(category.weight_space_basis(a2, (2, 1))) == 2
+    assert len(category.weight_space_basis(a2, (5, 5))) == 6
+    assert category.weight_space_basis(a2, (-1, 5)) == ()
+    for nu in category.gamma_elements(a2, 6):
+        assert len(category.weight_space_basis(a2, nu)) == a2.rs.kostant_p(nu)
 
 
 def test_act_examples(a1):
     lam = Weight([3])
     s = VermaSlice(a1, lam, 4)
-    v = s.vector({(0,) * a1.m: 1})
+    v = VermaVector(a1, {(0,) * a1.m: 1})
     assert s.act(a1.h(0), v).terms == {(0,): F(3)}
     assert s.act(a1.x(0), v).is_zero()
     yv = s.act(a1.y(0), v)
@@ -54,7 +53,7 @@ def test_act_examples(a1):
 def test_act_is_linear_and_compatible(a2):
     lam = Weight([1, 2])
     s = VermaSlice(a2, lam, 4)
-    v = s.vector({(0,) * a2.m: 1})
+    v = VermaVector(a2, {(0,) * a2.m: 1})
     y1, y2 = (a2.y(a2.root_position(r)) for r in a2.rs.simple_roots())
     u1 = y1 * y2
     u2 = y2 * y1
@@ -68,7 +67,7 @@ def test_act_is_linear_and_compatible(a2):
 
 def test_act_depth_overflow(a1):
     s = VermaSlice(a1, Weight([0]), 2)
-    v = s.vector({(0,) * a1.m: 1})
+    v = VermaVector(a1, {(0,) * a1.m: 1})
     deep = a1.monomial((3, 0, 0))
     with pytest.raises(DepthOverflowError):
         s.act(deep, v)
@@ -278,17 +277,20 @@ def test_jantzen_sum_formula_bounds(label):
 
 
 _OFF_GAMMA = (F(5, 2), 1)  # int() per coordinate would read (2, 1)
+_NON_FINITE = ((float("nan"), 0), (float("inf"), 0), (0, float("-inf")))
 
 
 @pytest.mark.parametrize("call, empty", [
-    (lambda alg: category.weight_space_basis(alg, _OFF_GAMMA), ()),
-    (lambda alg: maximal_vectors(alg, Weight([0, 0]), _OFF_GAMMA), []),
-    (lambda alg: category.shapovalov_polynomial_matrix(alg, _OFF_GAMMA), ((), ())),
-    (lambda alg: shapovalov_matrix(alg, Weight([0, 0]), _OFF_GAMMA), []),
+    (lambda alg, nu: category.weight_space_basis(alg, nu), ()),
+    (lambda alg, nu: maximal_vectors(alg, Weight([0, 0]), nu), []),
+    (lambda alg, nu: category.shapovalov_polynomial_matrix(alg, nu), ((), ())),
+    (lambda alg, nu: shapovalov_matrix(alg, Weight([0, 0]), nu), []),
+    (lambda alg, nu: simple_weight_mult(alg, Weight([0, 0]), nu), 0),
 ], ids=["weight_space_basis", "maximal_vectors", "shapovalov_polynomial_matrix",
-        "shapovalov_matrix"])
+        "shapovalov_matrix", "simple_weight_mult"])
 def test_non_integral_nu_is_off_gamma(a2, call, empty):
-    assert call(a2) == empty
+    for nu in (_OFF_GAMMA,) + _NON_FINITE:
+        assert call(a2, nu) == empty
 
 
 def test_raising_matrix_rejects_non_integral_nu(a2):
@@ -579,6 +581,55 @@ def test_depth_override_extends(a1):
     assert dec.entries == ((1, 1), (0, 1))
 
 
+@pytest.mark.parametrize("label, coords", [
+    ("A2", (0, 0)), ("B2", (0, 0)), ("G2", (0, 0)), ("G2", (0, -1)), ("A3", (0, 0, 0)),
+], ids=["A2", "B2", "G2", "G2-singular", "A3"])
+def test_decomposition_matrix_fills_each_module_once(monkeypatch, label, coords):
+    fills = []
+    fill = VermaModule._fill
+
+    def counted(module, nus, region):
+        fills.append(module.lam)
+        return fill(module, nus, region)
+
+    monkeypatch.setattr(VermaModule, "_fill", counted)
+    dec = decomposition_matrix(_alg(label), Weight(coords))
+    assert sorted(fills, key=repr) == sorted(dec.class_weights, key=repr)
+
+
+@pytest.mark.parametrize("label", ["B2", "A3"])
+def test_block_walks_only_its_orbit(monkeypatch, label):
+    # W has 8 and 24 elements, the dot orbit of -rho one
+    monkeypatch.setattr(rootdata, "WEYL_ENUMERATION_CAP", 5)
+    rs = build_root_system(label)
+    rep = block_report(build_chevalley(rs), -rs.rho())
+    assert rep.decomposition == rep.cartan == ((1,),)
+    assert "weyl_group" not in rs.cache
+
+
+def test_the_engine_checks_its_y_bases(monkeypatch, capsys):
+    # (1, 2) = mu_1 - mu_5 is the corner of the box that M(-2,1) fills in
+    # the A2 block of (0,0): no x_i maps into it, and its basis is read
+    # only to build the x_i matrices there
+    corner = (1, 2)
+    slot_tails = category._slot_tails
+
+    def short(cache, alg, rest, slot):
+        got = slot_tails(cache, alg, rest, slot)
+        return got[1:] if (rest, slot) == (corner, 0) else got
+
+    monkeypatch.setattr(category, "_slot_tails", short)
+    message = r"weight space at \(1, 2\) has size 1, expected P = 2"
+    with pytest.raises(ConsistencyError, match=message):
+        simple_weight_mult(build_chevalley(build_root_system("A2")), Weight([-2, 1]), corner)
+    with pytest.raises(ConsistencyError, match=message):
+        block_report(build_chevalley(build_root_system("A2")), Weight([0, 0]))
+    monkeypatch.setattr(cli, "cached_root_system", build_root_system)
+    assert cli.main(["block", "--type", "A2", "--weight", "0,0"]) == cli.EXIT_CONSISTENCY
+    assert capsys.readouterr().err == (
+        "internal consistency error: weight space at (1, 2) has size 1, expected P = 2\n")
+
+
 # -- cache ownership --------------------------------------------------------------
 
 def _block(alg):
@@ -598,7 +649,7 @@ def _shapovalov(alg):
 
 
 @pytest.mark.parametrize("label, run, rs_tables, alg_tables", [
-    ("A2", _block, {"build_chevalley", "kostant_p", "weyl_group"},
+    ("A2", _block, {"build_chevalley", "kostant_p"},
      {"weight_space_basis", "raising_matrix", "gamma_elements"}),
     ("B2", _central_char, {"build_chevalley"}, {"casimir", "is_central"}),
     ("A2", _shapovalov, {"build_chevalley", "kostant_p"},

@@ -147,6 +147,15 @@ def test_orbit_past_the_enumeration_cap_is_refused(capsys, monkeypatch, argv):
                                 "error: Weyl group too large to enumerate\n")
 
 
+def test_block_past_the_weyl_cap_walks_only_its_orbit(capsys):
+    # |W(E7)| = 2,903,040 is past the cap; the dot orbit of -rho is {-rho}
+    code, out, err = run_cli(capsys, "block", "--type", "E7",
+                             "--weight=-1,-1,-1,-1,-1,-1,-1", "--json")
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["D"] == data["C"] == [[1]]
+
+
 def test_maximal_vectors_command(capsys):
     code, out, _ = run_cli(capsys, "maximal-vectors", "--type", "A1",
                            "--weight", "3", "--nu", "4", "--json")

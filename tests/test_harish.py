@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from bggkit import harish, liealg
-from bggkit.category import VermaSlice
+from bggkit.category import VermaSlice, VermaVector
 from bggkit.errors import DomainError
 from bggkit.harish import (CentralCharacter, central_character, gamma_twist,
                            hc_psi, is_central)
@@ -193,8 +193,7 @@ def test_casimir_acts_by_central_character(a2):
     for coords in ((0, 0), (2, 1), (-1, 3)):
         lam = Weight(coords)
         vslice = VermaSlice(a2, lam, 2)
-        v = vslice.vector({(0,) * a2.m: 1})
-        action = vslice.act(omega, v)
+        action = vslice.act(omega, VermaVector(a2, {(0,) * a2.m: 1}))
         scalar = central_character(lam, omega)
         expected = {} if scalar == 0 else {(0,) * a2.m: scalar}
         assert action.terms == expected

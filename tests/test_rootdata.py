@@ -464,11 +464,17 @@ def test_kostant_brute_force_small():
     ((1.7, 1), None),
     ((F(2), 2.0), (2, 2)),
     ((F(0), 1.0), (0, 1)),
+    ((float("nan"), 0), None),
+    ((float("inf"), 0), None),
+    ((0, float("-inf")), None),
 ], ids=["zero", "ints", "list", "negative", "negative-second", "fraction",
-        "float", "integral-fraction-and-float", "integral-zero-fraction"])
+        "float", "integral-fraction-and-float", "integral-zero-fraction",
+        "nan", "inf", "minus-inf"])
 def test_gamma_point_contract(rs_a2, nu, point):
     got = rs_a2.gamma_point(nu)
     assert got == point
+    if point is None:
+        assert rs_a2.kostant_p(nu) == 0
     if got is not None:
         assert type(got) is tuple and all(type(c) is int for c in got)
 
