@@ -40,7 +40,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 from . import exactla
 from .errors import ConsistencyError, DepthOverflowError, DomainError
 from .liealg import LieAlgebraData, UEAElement
-from .rootdata import Weight
+from .rootdata import RootSystem, Weight
 
 RootVec = Tuple[int, ...]
 YMono = Tuple[int, ...]
@@ -366,9 +366,7 @@ class VermaModule:
     def jantzen_bounds(self, nu: RootVec) -> Tuple[int, int]:
         """(max, sum) over the walls n*beta of P(nu - n*beta): the maximal
         submodule at lam-nu has a dimension in between (Jantzen, LNM 750)."""
-        kostant_p = self.alg.rs.kostant_p
-        below = [kostant_p(tuple(map(sub, nu, wall))) for wall in self._walls]
-        return max(below, default=0), sum(below)
+        return _jantzen_bounds(self.alg.rs, self._walls, nu)
 
     def simple_mult(self, nu) -> int:
         """dim L(lam)_{lam-nu}; 0 off Gamma, as at a non-integral nu."""
@@ -380,6 +378,12 @@ class VermaModule:
                        lambda wall: _box(map(sub, nu, wall)))
         quotient = self._quotients[nu]
         return quotient if isinstance(quotient, int) else len(quotient)
+
+
+def _jantzen_bounds(rs: RootSystem, walls, nu: RootVec) -> Tuple[int, int]:
+    """``VermaModule.jantzen_bounds`` read off the module's walls."""
+    below = [rs.kostant_p(tuple(map(sub, nu, wall))) for wall in walls]
+    return max(below, default=0), sum(below)
 
 
 # -- Shapovalov form ---------------------------------------------------------
@@ -494,14 +498,15 @@ class DecompositionMatrix:
     """[M(lam) : L(mu)] over a linkage class, rows and columns in block order.
 
     ``diffs`` holds the table of mu_k - mu_j in simple-root coordinates
-    (None off Gamma); ``block_report`` reuses it, and it takes no part
-    in equality.
+    (None off Gamma) and ``walls`` the walls n*beta of each mu_k;
+    ``block_report`` reuses both, and they take no part in equality.
     """
 
     class_weights: Tuple[Weight, ...]
     entries: Tuple[Tuple[int, ...], ...]
     depth: int
     diffs: Tuple[tuple, ...] = field(default=(), compare=False, repr=False)
+    walls: Tuple[tuple, ...] = field(default=(), compare=False, repr=False)
 
     @property
     def size(self) -> int:
@@ -531,10 +536,12 @@ def decomposition_matrix(alg: LieAlgebraData, lam: Weight,
     # mu_k - mu_j <= mu_k - mu_{s-1}, the last member being the minimum of
     # the class, so asking for that difference first fills one box per module
     sm = []
+    walls = []
     for k, row in enumerate(diffs):
         module = VermaModule(alg, cls[k])
         module.simple_mult(row[-1])
         sm.append([0 if d is None else module.simple_mult(d) for d in row])
+        walls.append(tuple(module._walls))
     kostant = [[0 if d is None else rs.kostant_p(d) for d in row] for row in diffs]
 
     rows = []
@@ -562,7 +569,7 @@ def decomposition_matrix(alg: LieAlgebraData, lam: Weight,
             if lhs != rhs:
                 raise ConsistencyError("character identity fails after solve")
 
-    return DecompositionMatrix(cls, tuple(rows), n, diffs)
+    return DecompositionMatrix(cls, tuple(rows), n, diffs, tuple(walls))
 
 
 def projective_filtration_matrix(dec: DecompositionMatrix) -> Tuple[Tuple[int, ...], ...]:
@@ -643,10 +650,9 @@ def block_report(alg: LieAlgebraData, lam: Weight,
     nus = sorted({d for row in dec.diffs for d in row if d is not None},
                  key=lambda v: (sum(v), v))
     columns = [[simple_dim(k, nu) for nu in nus] for k in range(s)]
-    for k, column in enumerate(columns):
-        module = VermaModule(alg, cls[k])
+    for k, (walls, column) in enumerate(zip(dec.walls, columns)):
         for nu, dim in zip(nus, column):
-            low, high = module.jantzen_bounds(nu)
+            low, high = _jantzen_bounds(rs, walls, nu)
             if not low <= rs.kostant_p(nu) - dim <= high:
                 raise ConsistencyError(f"dim L_{k} at {nu} breaks the Jantzen bounds")
     tables = tuple(zip(nus, zip(*columns)))

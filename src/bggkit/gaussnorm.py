@@ -9,18 +9,21 @@ only holds for r > 1.
 
 The norm checks work on integers, in units of 1/b for s = a/b: a term
 with coefficient n/m and degree |A| scores |A| a - b (v_p(n) - v_p(m)).
-``log_norm`` builds one Fraction, from the best score, and
+``log_norm`` reduces the best score over b with one gcd, and
 ``check_ultrametric`` scores u, v and u+v in one pass over the union of
-the two supports without building u+v or any LogNorm.  The prime is
-checked once, when the NormParam is made.
+the two supports without building u+v or any LogNorm.  A LogNorm is an
+exact integer pair in lowest terms: its sums, shifts and comparisons work
+in integers, and a Fraction is built only when its value is read.  The
+prime is checked once, when the NormParam is made.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from math import gcd
+from typing import Optional
 
 from .errors import DomainError
 from .liealg import UEAElement
@@ -83,7 +86,8 @@ def _vp_int(n: int, p: int) -> int:
 
 def vp(c, p: int) -> int:
     """p-adic valuation of a nonzero rational; |c| = p^(-vp(c))."""
-    c = Fraction(c)
+    if not isinstance(c, Fraction):
+        c = Fraction(c)
     if c == 0:
         raise DomainError("valuation of zero is undefined")
     p = _checked_prime(p)
@@ -108,11 +112,25 @@ class NormParam:
 _BOTTOM = float("-inf")
 
 
-@dataclass(frozen=True, order=False)
 class LogNorm:
-    """log_p of a Gauss norm; value None encodes the norm of zero."""
+    """log_p of a Gauss norm; value None encodes the norm of zero.
 
-    value: Optional[Fraction]
+    The value is kept exact as an integer pair (num, den) in lowest terms
+    with den > 0, and den = 0 at the bottom.  Sums, shifts and
+    comparisons work on the pair (a/b <= c/d iff ad <= cb); ``value``
+    builds its Fraction only when read.  Instances are immutable.
+    """
+
+    __slots__ = ("_num", "_den")
+
+    def __init__(self, value: Optional[Fraction]):
+        if value is None:
+            num, den = 0, 0
+        else:
+            value = Fraction(value)
+            num, den = value.numerator, value.denominator
+        _set_num(self, num)
+        _set_den(self, den)
 
     @classmethod
     def bottom(cls) -> "LogNorm":
@@ -123,56 +141,122 @@ class LogNorm:
         return cls(Fraction(value))
 
     @property
-    def is_bottom(self) -> bool:
-        return self.value is None
+    def value(self) -> Optional[Fraction]:
+        den = self._den
+        if not den:
+            return None
+        return Fraction(self._num, den)
 
-    def _key(self):
-        return (0,) if self.is_bottom else (1, self.value)
+    @property
+    def is_bottom(self) -> bool:
+        return not self._den
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), (self.value,)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._num == other._num and self._den == other._den
+
+    def __hash__(self):
+        return hash((self.value,))
 
     def __le__(self, other: "LogNorm") -> bool:
-        return self._key() <= other._key()
+        den = self._den
+        if not den:
+            return True
+        oden = other._den
+        return bool(oden) and self._num * oden <= other._num * den
 
     def __lt__(self, other: "LogNorm") -> bool:
-        return self._key() < other._key()
+        oden = other._den
+        if not oden:
+            return False
+        den = self._den
+        return not den or self._num * oden < other._num * den
 
     def plus(self, other: "LogNorm") -> "LogNorm":
         """Sum in log scale (product of norms); bottom is absorbing."""
-        if self.is_bottom or other.is_bottom:
-            return LogNorm.bottom()
-        return LogNorm(self.value + other.value)
+        if not self._den or not other._den:
+            return _BOTTOM_NORM
+        return _sum(self._num, self._den, other._num, other._den)
 
     def shift(self, delta) -> "LogNorm":
-        if self.is_bottom:
+        if not self._den:
             return self
-        return LogNorm(self.value + Fraction(delta))
+        if isinstance(delta, int):  # num + delta*den stays coprime to den
+            return _pair(self._num + delta * self._den, self._den)
+        delta = Fraction(delta)
+        return _sum(self._num, self._den, delta.numerator, delta.denominator)
+
+    def __repr__(self):
+        return f"LogNorm(value={self.value!r})"
 
     def __str__(self):
-        return "-inf" if self.is_bottom else str(self.value)
+        return "-inf" if not self._den else str(self.value)
+
+
+_set_num = LogNorm._num.__set__
+_set_den = LogNorm._den.__set__
+
+
+def _pair(num: int, den: int) -> LogNorm:
+    """The LogNorm num/den, for coprime num and den > 0; no check."""
+    norm = object.__new__(LogNorm)
+    _set_num(norm, num)
+    _set_den(norm, den)
+    return norm
+
+
+def _sum(a: int, b: int, c: int, d: int) -> LogNorm:
+    """a/b + c/d for reduced pairs, reduced through gcd(b, d) rather than
+    a gcd of the full sum (Knuth, TAOCP vol. 2, 4.5.1)."""
+    g = gcd(b, d)
+    if g == 1:
+        return _pair(a * d + b * c, b * d)
+    q = b // g
+    t = a * (d // g) + c * q
+    g = gcd(t, g)
+    return _pair(t // g, q * (d // g))
+
+
+_BOTTOM_NORM = LogNorm(None)
 
 
 def _score(deg: int, coef: Fraction, p: int, a: int, b: int) -> int:
     """deg * a - b * v_p(coef): b times the log norm of one term, for s = a/b.
 
-    Numerator and denominator are coprime, so one remainder decides which
-    of the two p may divide.
+    Numerator and denominator are coprime, so p divides at most one of
+    them, and a term where it divides neither scores deg * a.
     """
     num = coef.numerator
-    if num % p:
-        return deg * a + b * _vp_int(coef.denominator, p)
-    return deg * a - b * _vp_int(num, p)
+    if not num % p:
+        return deg * a - b * _vp_int(num, p)
+    den = coef.denominator
+    if den % p:
+        return deg * a
+    return deg * a + b * _vp_int(den, p)
 
 
 def log_norm(u: UEAElement, np: NormParam) -> LogNorm:
     """max over the support of (-vp(coefficient) + degree * s)."""
     if u.is_zero():
-        return LogNorm.bottom()
+        return _BOTTOM_NORM
     p, a, b = np.p, np.s.numerator, np.s.denominator
     best = _BOTTOM
     for exps, coef in u.terms.items():
         score = _score(sum(exps), coef, p, a, b)
         if score > best:
             best = score
-    return LogNorm(Fraction(best, b))
+    g = gcd(best, b)
+    return _pair(best // g, b // g)
 
 
 def check_submultiplicative(u: UEAElement, v: UEAElement, np: NormParam) -> bool:

@@ -395,7 +395,8 @@ class RootSystem:
         Memo first: P(nu) is kept at key (nu, 0) of ``cache["kostant_p"]``,
         0 off Gamma and 1 at nu = 0 included, so a repeated nu costs one
         lookup; a miss goes through ``gamma_point`` and the recursion over
-        the deterministic root order.
+        the deterministic root order.  A nu holding a nan is not stored:
+        nan != nan, so its key would never be hit again.
         """
         table = self.cache.get("kostant_p")  # not setdefault: no new dict per hit
         if table is None:
@@ -404,7 +405,9 @@ class RootSystem:
         got = table.get(key)
         if got is None:
             point = self.gamma_point(key[0])
-            got = table[key] = 0 if point is None else self._kostant(point, 0, table)
+            got = 0 if point is None else self._kostant(point, 0, table)
+            if point is not None or all(c == c for c in key[0]):
+                table[key] = got
         return got
 
     def _kostant(self, nu, k, table):

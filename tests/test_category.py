@@ -597,6 +597,27 @@ def test_decomposition_matrix_fills_each_module_once(monkeypatch, label, coords)
     assert sorted(fills, key=repr) == sorted(dec.class_weights, key=repr)
 
 
+@pytest.mark.parametrize("label, coords", [
+    ("A2", (0, 0)), ("B2", (0, 0)), ("G2", (0, -1)),
+], ids=["A2", "B2", "G2-singular"])
+def test_block_report_finds_each_members_walls_once(monkeypatch, label, coords):
+    calls = []
+    pairings = rootdata.RootSystem.integral_pairings
+
+    def counted(rs, lam):
+        calls.append(lam)
+        return pairings(rs, lam)
+
+    monkeypatch.setattr(rootdata.RootSystem, "integral_pairings", counted)
+    alg = _alg(label)
+    rep = block_report(alg, Weight(list(coords)))
+    assert len(calls) == len(rep.class_weights)
+    # the walls kept for the Jantzen check are those of the modules
+    monkeypatch.undo()
+    dec = decomposition_matrix(alg, Weight(list(coords)))
+    assert dec.walls == tuple(tuple(VermaModule(alg, w)._walls) for w in dec.class_weights)
+
+
 @pytest.mark.parametrize("label", ["B2", "A3"])
 def test_block_walks_only_its_orbit(monkeypatch, label):
     # W has 8 and 24 elements, the dot orbit of -rho one

@@ -471,6 +471,51 @@ JSON_DIGESTS = {
         "9290f68aaa84d46befdcc8f99610fa8cb00a8a7588e0a4d5912950549c88bb98",
     "shapovalov --type A2 --weight 1/2,1 --nu 2,2":
         "718e940c3c2bfe510e7fabcd69cdffeb313a9d576b3b1302f7a0bc46088e89da",
+    # recorded when each log norm was a Fraction-valued dataclass: p in
+    # {2, 5}, s in {1, 3/2}, p only in a numerator or only in a denominator,
+    # the zero element, and a pair (the submultiplicativity verdict)
+    ('norm --type A1 --prime 2 --log-radius 1 '
+     '--element [{"exps":[1,0,1],"coef":"12/7"},{"exps":[0,1,0],"coef":-5}]'):
+        "21581e5076ddb4eb1eefd9866b5705bb95a4ab041c51afd6d4255fee6df33408",
+    ('norm --type A1 --prime 5 --log-radius 3/2 '
+     '--element [{"exps":[0,1,0],"coef":"3/25"},{"exps":[0,0,0],"coef":"7/10"}]'):
+        "09b4cdb5067f7b53fff66cc9819c08e03f4938e6ad43bbfa74a22201907800bd",
+    ('norm --type B2 --prime 5 --log-radius 1 '
+     '--element []'):
+        "1fab5bbde865e0ce39679a122876879c3db8c9dbae71548346b0d20bd24a83fa",
+    ('norm --type A2 --prime 2 --log-radius 3/2 '
+     '--element [{"exps":[1,0,0,0,0,0,0,1],"coef":"-8/3"},{"exps":[0,0,0,1,0,0,0,0],"coef":"1/6"}] '
+     '--element [{"exps":[0,1,0,0,0,0,1,0],"coef":"5/4"},{"exps":[0,0,0,0,0,0,0,0],"coef":"20"}]'):
+        "44ab54a600c10457f7c2d56d681ca23fd2756f343812cd84546b47aea28f306d",
+    ('norm --type G2 --prime 5 --log-radius 1 '
+     '--element [{"exps":[0,0,0,0,0,0,1,1,0,0,0,0,0,0],"coef":"1250/7"},{"exps":[0,0,0,0,0,0,0,0,0,0,0,0,0,1],"coef":"-500"}]'):
+        "3b169af6a9097ad4f5f2d1c48c2fe42f27e645526bc01f6f1fe1b06ed7a957bb",
+    ('norm --type B2 --prime 2 --log-radius 3/2 '
+     '--element [{"exps":[0,0,0,0,1,0,0,0,0,0],"coef":"9/16"},{"exps":[0,0,0,0,0,0,0,0,0,3],"coef":"-24"}]'):
+        "ef16cc4566eacdc7e851dd8bf848e083cd65ddae0cb0056d6863f2f0fedf34e5",
+}
+
+# sha256 of the text stdout of the norm rows of JSON_DIGESTS, recorded with them
+TEXT_DIGESTS = {
+    ('norm --type A1 --prime 2 --log-radius 1 '
+     '--element [{"exps":[1,0,1],"coef":"12/7"},{"exps":[0,1,0],"coef":-5}]'):
+        "dd51d04c06819792e8cd4861de55520e78563c17c29687148e9855eca5a7717e",
+    ('norm --type A1 --prime 5 --log-radius 3/2 '
+     '--element [{"exps":[0,1,0],"coef":"3/25"},{"exps":[0,0,0],"coef":"7/10"}]'):
+        "42f11e205966c9b985e3fc9d8905d3b596551b2c29e0b97e1cc085bb3f0b54bf",
+    ('norm --type B2 --prime 5 --log-radius 1 '
+     '--element []'):
+        "476a52572f803ab5adbbcb664e95b5ebec73190714cc24d4de9532875ec87c64",
+    ('norm --type A2 --prime 2 --log-radius 3/2 '
+     '--element [{"exps":[1,0,0,0,0,0,0,1],"coef":"-8/3"},{"exps":[0,0,0,1,0,0,0,0],"coef":"1/6"}] '
+     '--element [{"exps":[0,1,0,0,0,0,1,0],"coef":"5/4"},{"exps":[0,0,0,0,0,0,0,0],"coef":"20"}]'):
+        "a6caea5a1709d5c8e4d71648ebdac91978abecfa0d7183ba441073fe1a770cce",
+    ('norm --type G2 --prime 5 --log-radius 1 '
+     '--element [{"exps":[0,0,0,0,0,0,1,1,0,0,0,0,0,0],"coef":"1250/7"},{"exps":[0,0,0,0,0,0,0,0,0,0,0,0,0,1],"coef":"-500"}]'):
+        "744e352e328eb78d524962d2135fd54729d394cc9f04fb9c94816d1f98c61cd7",
+    ('norm --type B2 --prime 2 --log-radius 3/2 '
+     '--element [{"exps":[0,0,0,0,1,0,0,0,0,0],"coef":"9/16"},{"exps":[0,0,0,0,0,0,0,0,0,3],"coef":"-24"}]'):
+        "fe0b6ed3fbcc237e6b807aed459c054a154bdbca519c7798c5dc7a8f6767d1cd",
 }
 
 
@@ -480,6 +525,14 @@ def test_json_output_matches_recorded_digest(capsys, command):
     assert code == 0
     assert err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == JSON_DIGESTS[command]
+
+
+@pytest.mark.parametrize("command", sorted(TEXT_DIGESTS))
+def test_text_output_matches_recorded_digest(capsys, command):
+    code, out, err = run_cli(capsys, *command.split())
+    assert code == 0
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == TEXT_DIGESTS[command]
 
 
 # sha256 of stdout, stderr and the exit code of help and usage-error calls at

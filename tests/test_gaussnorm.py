@@ -1,5 +1,10 @@
+import dataclasses
+import itertools
+import pickle
 import random
+from dataclasses import dataclass
 from fractions import Fraction as F
+from typing import Optional
 
 import pytest
 
@@ -167,15 +172,30 @@ def _random_element(alg, rng, p):
     return UEAElement(alg, terms)
 
 
+def _denominator_only_element(alg, rng, p):
+    """1 to 3 terms whose coefficients hold p in the denominator only."""
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        exps = [0] * alg.d
+        for _ in range(rng.randint(0, 4)):
+            exps[rng.randrange(alg.d)] += 1
+        num = 0
+        while num % p == 0:
+            num = rng.choice([-1, 1]) * rng.randint(1, 40)
+        terms[tuple(exps)] = F(num, rng.randint(1, 9) * p ** rng.randint(1, 3))
+    return UEAElement(alg, terms)
+
+
 @pytest.mark.parametrize("label", ["A1", "B2", "G2"])
 def test_log_norm_matches_division_oracle(label):
     alg = build_chevalley(cached_root_system(label))
     rng = random.Random(17)
-    cases = 0
+    cases = denominator_only = 0
     for p in (2, 3, 5, 7):
         elements = [alg.zero()]
         elements += [_random_element(alg, rng, p) for _ in range(12)]
         elements.append(elements[-1] * elements[-2])
+        elements += [_denominator_only_element(alg, rng, p) for _ in range(6)]
         for s in (F(1, 3), F(1, 2), F(1), F(5, 2), F(7)):
             np = NormParam(p, s)
             for u in elements:
@@ -187,7 +207,10 @@ def test_log_norm_matches_division_oracle(label):
                                for e, c in u.terms.items())
                 assert got == LogNorm.of(expected), (label, p, s, u)
                 cases += 1
+                denominator_only += all(c.numerator % p and not c.denominator % p
+                                        for c in u.terms.values())
     assert cases > 150
+    assert denominator_only > 100
 
 
 def _ultrametric_reference(u, v, np):
@@ -238,6 +261,18 @@ def test_ultrametric_matches_reference(label):
                 assert check_ultrametric(u, v, np) == _ultrametric_reference(u, v, np), \
                     (label, p, s, u, v)
     assert cancelling > 30
+    # p in the denominators only, on shared keys and apart
+    for p in (2, 3, 5, 7):
+        pairs = []
+        for _ in range(10):
+            u = _denominator_only_element(alg, rng, p)
+            w = _denominator_only_element(alg, rng, p)
+            pairs += [(u, w), (u, u), (u, u + w), (u, w - u)]
+        for s in (F(1, 3), F(5, 2)):
+            np = NormParam(p, s)
+            for u, v in pairs:
+                assert check_ultrametric(u, v, np) == _ultrametric_reference(u, v, np), \
+                    (label, p, s, u, v)
 
 
 def test_ultrametric_rejects_elements_of_different_algebras(a1, b2):
@@ -245,3 +280,99 @@ def test_ultrametric_rejects_elements_of_different_algebras(a1, b2):
         check_ultrametric(a1.x(0), b2.x(0), NormParam(2, F(1)))
     with pytest.raises(DomainError):
         check_ultrametric(a1.zero(), b2.zero(), NormParam(2, F(1)))
+
+
+# -- LogNorm against the Fraction-valued dataclass it replaced ------------------
+
+@dataclass(frozen=True, order=False)
+class _FractionLogNorm:
+    """The earlier LogNorm, a frozen dataclass over a Fraction."""
+
+    value: Optional[F]
+
+    @classmethod
+    def bottom(cls):
+        return cls(None)
+
+    @classmethod
+    def of(cls, value):
+        return cls(F(value))
+
+    @property
+    def is_bottom(self):
+        return self.value is None
+
+    def _key(self):
+        return (0,) if self.is_bottom else (1, self.value)
+
+    def __le__(self, other):
+        return self._key() <= other._key()
+
+    def __lt__(self, other):
+        return self._key() < other._key()
+
+    def plus(self, other):
+        if self.is_bottom or other.is_bottom:
+            return _FractionLogNorm.bottom()
+        return _FractionLogNorm(self.value + other.value)
+
+    def shift(self, delta):
+        if self.is_bottom:
+            return self
+        return _FractionLogNorm(self.value + F(delta))
+
+    def __str__(self):
+        return "-inf" if self.is_bottom else str(self.value)
+
+
+_FractionLogNorm.__qualname__ = "LogNorm"  # the repr names the class
+
+
+def _same(got, ref):
+    """got (a LogNorm) shows the reference's value, hash, repr and str."""
+    assert type(got) is LogNorm
+    assert got.value == ref.value and type(got.value) is type(ref.value)
+    assert got.is_bottom == ref.is_bottom
+    assert hash(got) == hash(ref) == hash((ref.value,))
+    assert repr(got) == repr(ref)
+    assert str(got) == str(ref)
+
+
+def test_log_norm_values_match_the_fraction_dataclass():
+    rng = random.Random(31)
+    values = [F(rng.randint(-60, 60), rng.choice([1, 1, 2, 3, 4, 6, 9, 10, 12, 35]))
+              for _ in range(40)]
+    values += [F(0), F(-7), F(1, 10 ** 20), F(-10 ** 20, 3)]
+    pairs = [(LogNorm.of(v), _FractionLogNorm.of(v)) for v in values]
+    pairs.append((LogNorm.bottom(), _FractionLogNorm.bottom()))
+    pairs.append((LogNorm(None), _FractionLogNorm(None)))
+    for got, ref in pairs:
+        _same(got, ref)
+        _same(LogNorm(ref.value), ref)
+    deltas = [0, 3, -5, True, False, F(1, 2), F(-7, 6), F(5, 4), F(9, 3), 2 ** 70]
+    for (a, ra), (b, rb) in itertools.product(pairs, repeat=2):
+        _same(a.plus(b), ra.plus(rb))
+        assert (a <= b) == (ra <= rb) and (a < b) == (ra < rb), (ra, rb)
+        assert (a >= b) == (ra >= rb) and (a > b) == (ra > rb), (ra, rb)
+        assert (a == b) == (ra == rb) and (a != b) == (ra != rb), (ra, rb)
+    for (got, ref), delta in itertools.product(pairs, deltas):
+        _same(got.shift(delta), ref.shift(delta))
+
+
+def test_log_norm_equality_hash_and_immutability():
+    assert LogNorm(F(4, 2)) == LogNorm.of(2)
+    assert hash(LogNorm(F(4, 2))) == hash(LogNorm.of(2)) == hash((F(2),))
+    assert LogNorm.of(F(1, 2)) != LogNorm.bottom()
+    assert LogNorm.of(0) != LogNorm.bottom()
+    assert LogNorm.of(1) != F(1) and LogNorm.of(1) != _FractionLogNorm.of(1)
+    assert len({LogNorm.of(F(6, 4)), LogNorm(F(3, 2)), LogNorm.bottom(),
+                LogNorm(None)}) == 2
+    norm = LogNorm.of(F(3, 2))
+    for name in ("value", "_num", "_den", "other"):
+        with pytest.raises(AttributeError):
+            setattr(norm, name, 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        norm.value = F(1)
+    assert norm == LogNorm.of(F(3, 2))
+    for original in (norm, LogNorm.bottom()):
+        assert pickle.loads(pickle.dumps(original)) == original

@@ -487,6 +487,20 @@ def test_gamma_point_and_kostant_p_reject_wrong_rank(rs_a2, nu):
         rs_a2.kostant_p(nu)
 
 
+def test_kostant_p_stores_no_entry_for_a_nan():
+    rs = build_root_system("A2")
+    rs.kostant_p((2, 2))
+    before = len(rs.cache["kostant_p"])
+    # nan != nan: a stored key would never be hit again
+    assert [rs.kostant_p((float("nan"), 0)) for _ in range(3)] == [0, 0, 0]
+    assert rs.kostant_p((1, float("nan"))) == 0
+    assert len(rs.cache["kostant_p"]) == before
+    # off-Gamma nu that equal themselves are still kept
+    for nu in ((-1, 3), (F(3, 2), 1), (float("inf"), 0)):
+        assert rs.kostant_p(nu) == 0
+    assert len(rs.cache["kostant_p"]) == before + 3
+
+
 @pytest.mark.parametrize("label", ["A2", "B2", "G2"])
 def test_kostant_p_cold_warm_and_cleared_match_brute_force(label, monkeypatch):
     rs = build_root_system(label)
