@@ -513,6 +513,18 @@ class DecompositionMatrix:
         return len(self.class_weights)
 
 
+def _over_unitriangular(row, upper) -> Tuple[int, ...]:
+    """row * upper^-1 for an upper unitriangular matrix, by forward
+    substitution: x_j = row_j - sum_{k<j} x_k upper[k][j], skipping zero x_k."""
+    x = []
+    for j, acc in enumerate(row):
+        for k, xk in enumerate(x):
+            if xk:
+                acc -= xk * upper[k][j]
+        x.append(acc)
+    return tuple(x)
+
+
 def decomposition_matrix(alg: LieAlgebraData, lam: Weight,
                          depth: Optional[int] = None) -> DecompositionMatrix:
     """Solve the block's character system for [M(lam_i) : L(mu_j)].
@@ -544,16 +556,7 @@ def decomposition_matrix(alg: LieAlgebraData, lam: Weight,
         walls.append(tuple(module._walls))
     kostant = [[0 if d is None else rs.kostant_p(d) for d in row] for row in diffs]
 
-    rows = []
-    for i in range(s):
-        row = [0] * s
-        for j in range(s):
-            acc = kostant[i][j]
-            for k in range(j):
-                if row[k]:
-                    acc -= row[k] * sm[k][j]
-            row[j] = acc
-        rows.append(tuple(row))
+    rows = [_over_unitriangular(row, sm) for row in kostant]
 
     for i in range(s):
         if rows[i][i] != 1:
@@ -631,11 +634,8 @@ def block_report(alg: LieAlgebraData, lam: Weight,
             if proj[j][i] != dec.entries[i][j]:
                 raise ConsistencyError("reciprocity identity broken in report")
 
-    # D is upper unitriangular: D^-1 = 1 - (D - 1) D^-1, from the last row up
-    inv = {}
-    for k in reversed(range(s)):
-        inv[k] = [int(j == k) - sum(dec.entries[k][m] * inv[m][j] for m in range(k + 1, s))
-                  for j in range(s)]
+    inv = [_over_unitriangular([int(j == k) for j in range(s)], dec.entries)
+           for k in range(s)]
     # ch L(mu_k) = sum_j D^-1[k][j] ch M(mu_j), as (D^-1[k][j], mu_k - mu_j)
     terms = [[(c, diff) for c, diff in zip(inv[k], dec.diffs[k]) if c] for k in range(s)]
     if any(diff is None for row in terms for _, diff in row):

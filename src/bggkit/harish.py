@@ -3,7 +3,9 @@
 The untwisted projection phi (hc_project) evaluated at lambda gives the
 scalar by which a central element acts on a highest weight module of
 weight lambda; the rho-twisted psi = gamma o phi is the version that is
-invariant under the ordinary Weyl action.  Linkage classes are Weyl dot
+invariant under the ordinary Weyl action.  The twist gamma, h_i -> h_i - 1,
+is a ring map of U(h) = S(h), so h_substitute multiplies its image out
+with U(g)'s own product.  Linkage classes are Weyl dot
 orbits, and CentralCharacter equality is decided by orbit membership of
 the representatives.  is_central, re-exported from liealg, commutes an
 element with the 2l Chevalley generators; the Casimir is verified by it.

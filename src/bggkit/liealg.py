@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb, lcm, prod
+from math import lcm, prod
 from operator import index, mul
 from typing import Dict, Optional, Tuple
 
@@ -481,30 +481,22 @@ def bracket(u: UEAElement, v: UEAElement) -> UEAElement:
 
 
 def h_substitute(p: UEAElement, shifts) -> UEAElement:
-    """Substitute h_i -> h_i + shift_i in an element of U(h), exactly."""
-    alg = p.alg
-    lo = alg.m
+    """Substitute h_i -> h_i + shift_i in an element of U(h), exactly.
+
+    The substitution is a ring map of U(h) = S(h), so each term c h^e goes
+    to c prod_i (h_i + shift_i)^{e_i}, multiplied out with U(g)'s product.
+    """
+    alg, one = p.alg, p.alg.one()
+    lo, hi = alg.m, alg.m + alg.l
     shifts = [Fraction(s) for s in shifts]
-    out: Dict[Exps, Fraction] = {}
+    linear = [alg.h(i) + s * one for i, s in zip(range(alg.l), shifts)]
+    out = alg.zero()
     for exps, coef in p.terms.items():
-        if any(exps[:lo]) or any(exps[alg.m + alg.l:]):
+        if any(exps[:lo]) or any(exps[hi:]):
             raise DomainError("substitution requires an element of U(h)")
-        # expand prod_i (h_i + s_i)^{e_i} by binomials
-        expansion = {(): coef}
-        for i in range(alg.l):
-            e = exps[lo + i]
-            nxt: Dict[Tuple[int, ...], Fraction] = {}
-            for prefix, c in expansion.items():
-                for k in range(e + 1):
-                    term = c * comb(e, k) * shifts[i] ** (e - k)
-                    if term:
-                        key = prefix + (k,)
-                        nxt[key] = nxt.get(key, Fraction(0)) + term
-            expansion = nxt
-        for hexps, c in expansion.items():
-            full = (0,) * lo + hexps + (0,) * alg.m
-            out[full] = out.get(full, Fraction(0)) + c
-    return UEAElement(alg, out)
+        out = out + prod((linear[i] ** exps[lo + i] for i in range(alg.l)),
+                         start=coef * one)
+    return out
 
 
 def is_central(z: UEAElement) -> bool:

@@ -581,6 +581,34 @@ def test_depth_override_extends(a1):
     assert dec.entries == ((1, 1), (0, 1))
 
 
+def test_unitriangular_solve_matches_the_inverse():
+    """row * U^-1 against exactla.invert, the fraction-free elimination on
+    [U | I], on seeded upper unitriangular matrices up to 12 x 12, the size
+    of G2's regular block."""
+    rng = random.Random(12)
+    for n in list(range(1, 13)) * 3:
+        upper = [[int(i == j) if j <= i else rng.choice([0, 0, 1, 2, -1, -3, 5])
+                  for j in range(n)] for i in range(n)]
+        inverse = exactla.invert(upper)
+        for k in range(n):
+            unit = [int(j == k) for j in range(n)]
+            assert category._over_unitriangular(unit, upper) == tuple(inverse[k])
+        row = [rng.randint(-20, 20) for _ in range(n)]
+        expected = tuple(sum(row[k] * inverse[k][j] for k in range(n)) for j in range(n))
+        assert category._over_unitriangular(row, upper) == expected
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3"])
+def test_unitriangular_solve_inverts_d(label):
+    alg = _alg(label)
+    d = decomposition_matrix(alg, Weight([0] * alg.l)).entries
+    s = len(d)
+    inv = [category._over_unitriangular([int(j == k) for j in range(s)], d)
+           for k in range(s)]
+    assert [[sum(d[i][k] * inv[k][j] for k in range(s)) for j in range(s)]
+            for i in range(s)] == [[int(i == j) for j in range(s)] for i in range(s)]
+
+
 @pytest.mark.parametrize("label, coords", [
     ("A2", (0, 0)), ("B2", (0, 0)), ("G2", (0, 0)), ("G2", (0, -1)), ("A3", (0, 0, 0)),
 ], ids=["A2", "B2", "G2", "G2-singular", "A3"])

@@ -429,6 +429,56 @@ def test_h_substitute_shifts(a2):
     assert shifted == expected
 
 
+def _cartan_element(alg, rng):
+    """Up to 4 terms of degree <= 4 in U(h), Fraction coefficients; may be 0."""
+    terms = {}
+    for _ in range(rng.randint(0, 4)):
+        exps = [0] * alg.d
+        for _ in range(rng.randint(0, 4)):
+            exps[alg.h_index(rng.randrange(alg.l))] += 1
+        terms[tuple(exps)] = F(rng.randint(-9, 9), rng.randint(1, 5))
+    return UEAElement(alg, terms)
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_h_substitute_matches_shifted_evaluation(label):
+    """Substituting s and evaluating at lam is evaluating at lam + s; the
+    right side never multiplies in U(g), so it checks the ring product."""
+    alg = build_chevalley(cached_root_system(label))
+    rng = random.Random(23)
+    pool = [F(0), F(-2), F(3), F(1, 2), F(-5, 3)]
+    shift_lists = [[F(0)] * alg.l, [F(-1)] * alg.l, [F(-7, 4)] * alg.l]
+    shift_lists += [[rng.choice(pool) + F(rng.randint(-3, 3), rng.randint(1, 4))
+                     for _ in range(alg.l)] for _ in range(5)]
+    elements = [alg.zero(), alg.one()] + [_cartan_element(alg, rng) for _ in range(25)]
+    for p in elements:
+        for shifts in shift_lists:
+            shifted = h_substitute(p, shifts)
+            for _ in range(3):
+                lam = [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(alg.l)]
+                moved = Weight([a + b for a, b in zip(lam, shifts)])
+                assert shifted.evaluate_at(Weight(lam)) == p.evaluate_at(moved), (p, shifts)
+
+
+def test_h_substitute_errors(a2):
+    h1 = a2.h(0)
+    for p in (a2.x(0), a2.y(1), h1 + a2.x(0), a2.x(0) + h1):
+        with pytest.raises(DomainError, match="element of U\\(h\\)"):
+            h_substitute(p, [1, 1])
+    # a short shift list is read only when a term is
+    assert h_substitute(a2.zero(), []) == a2.zero()
+    assert h_substitute(a2.zero(), [1]) == a2.zero()
+    for p in (h1, a2.one(), a2.h(1) * h1):
+        with pytest.raises(IndexError):
+            h_substitute(p, [1])
+    # entries past the rank are ignored, but every shift is read first
+    assert h_substitute(h1, [1, 0, 5]) == h1 + a2.one()
+    with pytest.raises(ValueError):
+        h_substitute(a2.x(0), ["one", 1])
+    with pytest.raises(TypeError):
+        h_substitute(a2.zero(), [1, 1, None])
+
+
 # -- Casimir ------------------------------------------------------------------------
 
 def test_casimir_a1_value(a1):
