@@ -70,7 +70,7 @@ def weight_space_basis(alg: LieAlgebraData, nu: RootVec) -> Tuple[YMono, ...]:
 
 def _slot_tails(cache, alg: LieAlgebraData, rest: RootVec, slot: int) -> Tuple[tuple, ...]:
     """The exponent tails (e_slot, ..., e_{m-1}) of y-monomials of weight
-    -rest, in lex order: slot k is the y of positive root m-1-k.  Memoized
+    -rest, in lex order, each y stepping by its index weight.  Memoized
     by (rest, slot) for slot > 0, so the weight spaces of one algebra
     share their sub-problems; the basis at nu, the entry (nu, 0), is
     stored by ``weight_space_basis`` once checked."""
@@ -81,13 +81,13 @@ def _slot_tails(cache, alg: LieAlgebraData, rest: RootVec, slot: int) -> Tuple[t
     if slot == alg.m:
         got = () if any(rest) else ((),)
     else:
-        beta = alg.rs.positive_roots[alg.m - 1 - slot]
+        step = alg.index_weights[slot]  # -beta for the y of root beta
         out = []
         e = 0
         while min(rest) >= 0:
             out.extend((e,) + tail for tail in _slot_tails(cache, alg, rest, slot + 1))
             e += 1
-            rest = tuple(map(sub, rest, beta))
+            rest = tuple(map(add, rest, step))
         got = tuple(out)
     if slot:
         cache[key] = got
@@ -131,11 +131,6 @@ class VermaSlice:
         self.lam = lam
         self.depth = depth
 
-    def mono_depth(self, mono: YMono) -> int:
-        m = self.alg.m
-        roots = self.alg.rs.positive_roots
-        return sum(e * sum(roots[m - 1 - k]) for k, e in enumerate(mono))
-
     def act(self, u: UEAElement, vec: VermaVector) -> VermaVector:
         """u . vec through the quotient presentation: x kills the top
         vector, h acts by lambda there, y's multiply.  Raises on depth
@@ -160,10 +155,11 @@ class VermaSlice:
                             val *= lam.coords[i] ** e
                     if not val:
                         continue
-                    ypart = mono[:m]
-                    if self.mono_depth(ypart) > self.depth:
+                    # the window left no x: the weight is minus the depth
+                    if -sum(alg.monomial_weight(mono)) > self.depth:
                         raise DepthOverflowError(
                             "action leaves the truncated slice; extend depth")
+                    ypart = mono[:m]
                     out[ypart] = out.get(ypart, Fraction(0)) + val
         return VermaVector(alg, out)
 
@@ -203,8 +199,6 @@ def maximal_vectors(alg: LieAlgebraData, lam: Weight, nu, depth: Optional[int] =
     module = VermaModule(alg, lam)
     rows = [row for i in range(alg.l) if _lower(nu, i) is not None
             for row in module.raising_rows(i, nu)]
-    if not rows:
-        return [VermaVector(alg, {mono: 1}) for mono in basis]
     kernel = exactla.nullspace(rows, width=len(basis))
     return [VermaVector(alg, {mono: coef for mono, coef in zip(basis, vec)})
             for vec in kernel]

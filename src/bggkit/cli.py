@@ -143,7 +143,8 @@ def cmd_verma_mult(args) -> int:
     lam = _weight(alg.rs, args.weight)
     if args.nu is not None:
         vec = _nu(alg.rs, args.nu)
-        # the slice reaches max(height(nu), --depth), which must be >= 0
+        # the answer is P(nu) whatever --depth says, but a negative --depth
+        # with a negative height(nu) stays a domain error (exit 1)
         if max(sum(vec), args.depth or 0) < 0:
             raise DomainError("depth must be nonnegative")
         dim = len(category.weight_space_basis(alg, vec))

@@ -12,11 +12,13 @@ Structure constants follow the extraspecial-pair convention: the
 earliest positive summand of each non-simple root gets coefficient
 p+1 > 0, and every other N_{a,b} follows in closed form from those
 (Carter, *Simple Groups of Lie Type*, 4.1-4.2), one height at a time.
-The bracket table is read once off the index weights: the Cartan pairing
-for [h, b], the coroot for [x_a, y_a], and N_{a,b} for two roots whose
-sum is a root.  The finished table is re-verified against the Jacobi
-identity before use, exhaustively but read off the table, so a convention
-bug cannot escape as silent wrong arithmetic.
+The bracket table is read once off the index weights: the root's weight
+b(h_k) for [h_k, b], the coroot for [x_a, y_a], and N_{a,b} for two roots
+whose sum is a root.  Root weights come from the root system's integer
+table of them, which ``rootdata`` reads off the Cartan matrix; this module
+never reads that matrix.  The finished table is re-verified against the
+Jacobi identity before use, exhaustively but read off the table, so a
+convention bug cannot escape as silent wrong arithmetic.
 
 One invariant form, the Killing form's Cartan block K_h, gives the root
 lengths that N_{a,b} reads (only their ratios inside a simple component)
@@ -43,8 +45,8 @@ Exps = Tuple[int, ...]
 
 def _killing_cartan_block(rs: RootSystem):
     """K_h and its inverse, K(h_i, h_j) = sum over roots of alpha(h_i) alpha(h_j)."""
-    cart, l = rs.cartan.entries, rs.rank
-    values = [[sum(map(mul, row, r)) for row in cart] for r in rs.positive_roots]
+    l = rs.rank
+    values = [rs._root_weight[r] for r in rs.positive_roots]
     killing = [[2 * sum(v[i] * v[j] for v in values) for j in range(l)]
                for i in range(l)]
     try:
@@ -54,18 +56,16 @@ def _killing_cartan_block(rs: RootSystem):
 
 
 def _root_lengths(rs: RootSystem) -> Dict[Root, Fraction]:
-    """(r, r) = w_r^T K_h^-1 w_r for every root r, w_r = (r(h_1), ..., r(h_l)) = C r.
+    """(r, r) = w_r^T K_h^-1 w_r for every root r, w_r = (r(h_1), ..., r(h_l))
+    read from the root system's weight table.
 
-    Read as r^T G r / den, G = C^T (den K_h^-1) C an integer Gram matrix.
+    Read as w_r^T F w_r / den, F = den K_h^-1 an integer matrix.
     """
     _, inv = _killing_cartan_block(rs)
     den = lcm(*(x.denominator for row in inv for x in row))
     form = [[int(x * den) for x in row] for row in inv]
-    cart, pairs = rs.cartan.entries, list(itertools.product(range(rs.rank), repeat=2))
-    gram = {(i, j): sum(cart[k][i] * form[k][m] * cart[m][j] for k, m in pairs)
-            for i, j in pairs}
-    return {r: Fraction(sum(r[i] * g * r[j] for (i, j), g in gram.items()), den)
-            for r in rs.roots}
+    return {r: Fraction(sum(map(mul, w, (sum(map(mul, row, w)) for row in form))), den)
+            for r, w in rs._root_weight.items()}
 
 
 def _structure_constants(rs: RootSystem) -> Dict[Tuple[Root, Root], int]:
@@ -232,12 +232,7 @@ class LieAlgebraData:
         """
         weights = self.index_weights
         basis_of = {w: k for k, w in enumerate(weights) if any(w)}
-        cart = self.rs.cartan.entries
-        l = self.l
-
-        def pairing(r, k):
-            return sum(cart[k][j] * r[j] for j in range(l))
-
+        pairing = self.rs._root_weight  # pairing[r][k] = r(h_k)
         table = {}
         for hi in range(self.d):
             a = weights[hi]
@@ -246,9 +241,9 @@ class LieAlgebraData:
                 if not any(a):
                     if not any(b):
                         continue
-                    entries = [(lo, pairing(b, hi - self.m))]
+                    entries = [(lo, pairing[b][hi - self.m])]
                 elif not any(b):
-                    entries = [(hi, -pairing(a, lo - self.m))]
+                    entries = [(hi, -pairing[a][lo - self.m])]
                 else:
                     s = tuple(x + y for x, y in zip(a, b))
                     if not any(s):  # a is positive: x's follow y's

@@ -9,7 +9,10 @@ Conventions used throughout bggkit:
   downstream matrix inherits its reproducibility from this order.
 
 Roots convert to weights through the Cartan matrix: the weight
-coordinates of ``alpha = sum_j c_j alpha_j`` are ``C . c``.  The way
+coordinates of ``alpha = sum_j c_j alpha_j`` are ``C . c``, one private
+formula that the root closure, ``RootSystem.root_to_weight`` and the
+integer table of every root's weight all use; the Lie algebra reads
+root weights from that table and never the Cartan matrix.  The way
 back is one integer root-lattice map M = D C^{-1}, D the lcm of the
 denominators of C^{-1}: an integral weight v has simple-root coordinates
 M v / D and height form . v / D, the height form being the column sums
@@ -38,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import lcm, prod
 from operator import add, index, mul, neg, sub
 from typing import Iterable, Optional, Tuple
 
@@ -217,6 +220,12 @@ def _height(root: Root) -> int:
     return sum(root)
 
 
+def _weight_of(cart, v) -> tuple:
+    """C . v = (v(h_1), ..., v(h_l)) for v in simple-root coordinates."""
+    l = len(cart)
+    return tuple(sum(cart[i][j] * v[j] for j in range(l)) for i in range(l))
+
+
 class RootSystem:
     """Finite root system with positive roots and coroots precomputed.
 
@@ -235,6 +244,7 @@ class RootSystem:
         self.roots = frozenset(roots)
         self._coroot = dict(coroots)
         self._root_index = {r: i for i, r in enumerate(self.positive_roots)}
+        self._root_weight = {r: _weight_of(cartan.entries, r) for r in self.roots}
         inverse = exactla.invert(cartan.entries)  # the root-lattice map
         self._root_denominator = lcm(*(x.denominator for row in inverse for x in row))
         self._root_map = tuple(tuple(int(x * self._root_denominator) for x in row)
@@ -243,7 +253,7 @@ class RootSystem:
         self._cartan_columns = tuple(zip(*cartan.entries))
         self.cache = {}
         for alpha in self.positive_roots:
-            if self.pairing_root(self.root_to_weight(alpha), alpha) != 2:
+            if sum(map(mul, self._coroot[alpha], self._root_weight[alpha])) != 2:
                 raise ConsistencyError(f"alpha(h_alpha) != 2 for {alpha}")
 
     # -- basic data ----------------------------------------------------
@@ -261,10 +271,7 @@ class RootSystem:
 
     def root_to_weight(self, alpha) -> Weight:
         """View a root (simple-root coordinates) as a Weight (H-coordinates)."""
-        c = tuple(alpha)
-        cart = self.cartan.entries
-        return Weight(sum(cart[i][j] * c[j] for j in range(self.rank))
-                      for i in range(self.rank))
+        return Weight(_weight_of(self.cartan.entries, tuple(alpha)))
 
     def gamma_coords(self, lam: Weight) -> Optional[Tuple[int, ...]]:
         """Simple-root coordinates of lam if it lies in Gamma, else None.
@@ -431,19 +438,18 @@ class RootSystem:
         return total
 
     def weyl_dimension(self, lam: Weight) -> int:
-        """dim of the simple module at a dominant integral weight."""
+        """dim of the simple module at a dominant integral weight, by
+        Weyl's formula prod <lam + rho, beta-check> / prod <rho, beta-check>
+        over the positive roots, in integers."""
         if not lam.is_dominant_integral:
             raise DomainError(f"{lam!r} is not dominant integral")
-        rho = self.rho()
-        num = Fraction(1)
-        den = Fraction(1)
-        for alpha in self.positive_roots:
-            num *= self.pairing_root(lam + rho, alpha)
-            den *= self.pairing_root(rho, alpha)
-        value = num / den
-        if value.denominator != 1:
+        shifted = tuple(c.numerator + 1 for c in lam.coords)  # lam + rho
+        coroots = [self._coroot[beta] for beta in self.positive_roots]
+        value, rest = divmod(prod(sum(map(mul, h, shifted)) for h in coroots),
+                             prod(map(sum, coroots)))  # <rho, h> = sum(h)
+        if rest:
             raise ConsistencyError("Weyl dimension did not come out integral")
-        return int(value)
+        return value
 
     def __repr__(self):
         tag = self.cartan.label or f"rank {self.rank}"
@@ -479,18 +485,18 @@ def build_root_system(source) -> RootSystem:
         nxt = []
         for alpha in frontier:
             d = roots[alpha]
+            w = _weight_of(cart, alpha)
             for i in range(l):
-                # s_i(alpha) = alpha - alpha(h_i) alpha_i, with
-                # alpha(h_i) = sum_j C[i][j] alpha_j-coords
-                pair = sum(cart[i][j] * alpha[j] for j in range(l))
-                beta = tuple(c - (pair if j == i else 0) for j, c in enumerate(alpha))
+                # s_i(alpha) = alpha - alpha(h_i) alpha_i, alpha(h_i) = w[i]
+                beta = tuple(c - (w[i] if j == i else 0) for j, c in enumerate(alpha))
                 if beta in roots:
                     continue
                 if abs(_height(beta)) > HEIGHT_BOUND:
                     raise NotFiniteTypeError(
                         "root closure exceeded height bound "
                         f"{HEIGHT_BOUND}; Cartan matrix is not of finite type")
-                # coroot transforms the same way: h_beta = s_i(h_alpha)
+                # coroot transforms the same way: h_beta = s_i(h_alpha), with
+                # alpha_i(h_alpha) = sum_j d_j C[j][i]
                 cpair = sum(d[j] * cart[j][i] for j in range(l))
                 dbeta = tuple(c - (cpair if j == i else 0) for j, c in enumerate(d))
                 roots[beta] = dbeta

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import random
 from fractions import Fraction as F
 
@@ -96,6 +97,26 @@ def test_maximal_vectors_off_gamma_is_empty(a1, a2):
     assert maximal_vectors(a1, Weight([0]), (-1,)) == []
     assert maximal_vectors(a1, Weight([0]), (-1,), depth=0) == []
     assert maximal_vectors(a2, Weight([0, 0]), (-2, 1)) == []
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2"])
+def test_maximal_vectors_at_nu_zero_is_the_top_vector(label, capsys):
+    # no x_i applies at nu = 0: the kernel of no rows is the whole space
+    alg = _alg(label)
+    zero = (0,) * alg.l
+    for coords in ([0] * alg.l, [1] + [-2] * (alg.l - 1), [F(1, 2)] * alg.l):
+        (top,) = maximal_vectors(alg, Weight(coords), zero)
+        assert top.terms == {(0,) * alg.m: 1}
+    zeros = ",".join(["0"] * alg.l)
+    argv = ["maximal-vectors", "--type", label, "--weight=" + zeros, "--nu=" + zeros]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr() == (f"1 maximal vector(s) at nu={zeros}\n  1*1.v\n", "")
+    assert cli.main(argv + ["--json"]) == 0
+    out, err = capsys.readouterr()
+    assert (json.loads(out), err) == ({"count": 1, "nu": list(zero),
+                                       "weight": list(zero),
+                                       "vectors": [[{"coef": 1,
+                                                     "exps": [0] * alg.m}]]}, "")
 
 
 def test_maximal_vector_a2_nontrivial(a2):

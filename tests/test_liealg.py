@@ -3,6 +3,7 @@ import itertools
 import random
 import re
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
@@ -248,6 +249,50 @@ def test_root_lengths_are_the_symmetrizer_form_per_component(label):
     for ratios in factors.values():
         (factor,) = ratios
         assert factor > 0
+
+
+def _gram_lengths(rs):
+    """Reference (r, r) = r^T (C^T F C) r / den, F = den K_h^-1, with K_h
+    and the Gram matrix read off the Cartan matrix here."""
+    cart, l = rs.cartan.entries, rs.rank
+    weights = [[sum(c * x for c, x in zip(row, r)) for row in cart]
+               for r in rs.positive_roots]
+    killing = [[2 * sum(w[i] * w[j] for w in weights) for j in range(l)]
+               for i in range(l)]
+    inv = exactla.invert(killing)
+    den = lcm(*(x.denominator for row in inv for x in row))
+    pairs = list(itertools.product(range(l), repeat=2))
+    gram = {(i, j): sum(cart[k][i] * inv[k][m] * den * cart[m][j] for k, m in pairs)
+            for i, j in pairs}
+    return {r: F(sum(r[i] * g * r[j] for (i, j), g in gram.items()), den)
+            for r in rs.roots}
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3",
+                                   "C4", "D4", "G2", "F4", "E6", "E7", "E8",
+                                   *_BLOCK_SUMS])
+def test_root_lengths_match_the_gram_matrix_route(label):
+    rs = _system(label)
+    assert liealg._root_lengths(rs) == _gram_lengths(rs)
+
+
+class _UnreadableCartan:
+    """Stands in for a root system's Cartan matrix; reading it fails."""
+
+    label = "unreadable"
+
+    @property
+    def entries(self):
+        raise AssertionError("the Cartan matrix was read outside rootdata")
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "C3"])
+def test_algebra_reads_no_cartan_matrix(label):
+    rs = build_root_system(label)
+    rs.cartan = _UnreadableCartan()
+    alg = LieAlgebraData(rs)
+    assert alg._table == build_chevalley(cached_root_system(label))._table
+    assert casimir(alg) == _dense_casimir(alg)
 
 
 def _dense_jacobi_failure(d, table):

@@ -541,6 +541,74 @@ def test_weyl_dimension_examples(rs_a1, rs_a2):
         rs_a2.weyl_dimension(Weight([F(1, 2), 0]))
 
 
+def _weyl_dimension_by_fractions(rs, lam):
+    """Reference: Weyl's formula in Fractions through pairing_root."""
+    rho = rs.rho()
+    num = den = F(1)
+    for alpha in rs.positive_roots:
+        num *= rs.pairing_root(lam + rho, alpha)
+        den *= rs.pairing_root(rho, alpha)
+    return num / den
+
+
+_FEW_WEIGHTS = {"F4": [(0, 0, 0, 1), (1, 0, 0, 0), (1, 2, 0, 3), (2, 1, 1, 0)],
+                "E6": [(0, 0, 0, 0, 0, 1), (0, 1, 0, 0, 0, 0), (1, 0, 2, 0, 1, 3)]}
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "C3", "G2", "F4", "E6"])
+def test_weyl_dimension_matches_fraction_formula(label):
+    rs = cached_root_system(label)
+    weights = _FEW_WEIGHTS.get(label) or itertools.product(range(4), repeat=rs.rank)
+    for coords in weights:
+        lam = Weight(coords)
+        got = rs.weyl_dimension(lam)
+        assert type(got) is int
+        assert got == _weyl_dimension_by_fractions(rs, lam)
+    with pytest.raises(DomainError, match="not dominant integral"):
+        rs.weyl_dimension(Weight([-1] + [0] * (rs.rank - 1)))
+    with pytest.raises(DomainError, match="not dominant integral"):
+        rs.weyl_dimension(Weight([F(1, 2)] + [0] * (rs.rank - 1)))
+
+
+# -- the root-weight table ---------------------------------------------------------
+
+_TABLE_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D4", "G2",
+                "F4", "E6", "E7", "E8"]
+
+
+def _reflect_root(cart, r, i):
+    """s_i r = r - r(h_i) alpha_i in simple-root coordinates, with
+    r(h_i) = sum_j C[i][j] r_j read off the Cartan matrix here."""
+    pair = sum(c * x for c, x in zip(cart[i], r))
+    return tuple(x - pair if j == i else x for j, x in enumerate(r))
+
+
+@pytest.mark.parametrize("label", _TABLE_TYPES)
+def test_root_weight_table_is_w_equivariant(label):
+    """weight(s_i r) == reflect(weight(r), i): reflect acts on weights
+    through the Cartan columns, a route other than the table's C . r."""
+    rs = cached_root_system(label)
+    cart, table = rs.cartan.entries, rs._root_weight
+    assert set(table) == rs.roots
+    for i, alpha in enumerate(rs.simple_roots()):
+        assert table[alpha] == tuple(row[i] for row in cart)
+    for r, w in table.items():
+        assert all(type(x) is int for x in w)
+        assert rs.root_to_weight(r) == Weight(w)
+        for i in range(rs.rank):
+            assert table[_reflect_root(cart, r, i)] == rs.reflect(w, i)
+    for alpha in rs.positive_roots:
+        assert rs.pairing_root(Weight(table[alpha]), alpha) == 2
+
+
+def test_root_to_weight_keeps_its_exceptions(rs_a2):
+    assert rs_a2.root_to_weight([1, 1]) == Weight([1, 1])
+    with pytest.raises(IndexError):
+        rs_a2.root_to_weight((1,))
+    with pytest.raises(TypeError):
+        rs_a2.root_to_weight(1)
+
+
 def test_weight_arithmetic():
     a = Weight([1, F(1, 2)])
     b = Weight([0, F(3, 2)])
