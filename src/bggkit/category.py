@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from . import exactla
@@ -310,8 +310,11 @@ class VermaModule:
         """The x_i matrix at nu evaluated at lam (scaled), as sparse
         columns (rows, values)."""
         point = self._point
+        matrix = self.alg.cache.get("raising_matrix", {}).get((i, nu))
+        if matrix is None:  # a miss validates nu and builds the matrix
+            matrix = raising_matrix(self.alg, i, nu)
         return [(targets, [sum(map(mul, form, point)) for form in forms])
-                for targets, forms in raising_matrix(self.alg, i, nu)]
+                for targets, forms in matrix]
 
     def raising_rows(self, i: int, nu: RootVec) -> List[List[int]]:
         """The x_i matrix at nu evaluated at lam (scaled), as dense rows."""
@@ -657,11 +660,8 @@ def block_report(alg: LieAlgebraData, lam: Weight,
         if not findim[k]:
             continue
         # the lowest weight w0 w: the one antidominant weight of the
-        # W-orbit, reached by reflecting while some coordinate is positive
-        low = w.coords
-        while max(low) > 0:
-            low = rs.reflect(low, next(i for i, c in enumerate(low) if c > 0))
-        span = rs.gamma_coords(w - Weight(low))
+        # W-orbit, minus the dominant point of the orbit of -w
+        span = rs.gamma_coords(w + Weight(rs._dominant(tuple(map(neg, w.coords)))))
         if span is None:
             raise ConsistencyError("support of a finite-dimensional simple "
                                    "is not in the root lattice")

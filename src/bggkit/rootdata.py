@@ -15,22 +15,25 @@ integer table of every root's weight all use; the Lie algebra reads
 root weights from that table and never the Cartan matrix.  The way
 back is one integer root-lattice map M = D C^{-1}, D the lcm of the
 denominators of C^{-1}: an integral weight v has simple-root coordinates
-M v / D and height form . v / D, the height form being the column sums
-of M.  ``RootSystem.gamma_coords`` is the one test of mu <= lam, that is
+M v / D.  ``RootSystem.gamma_coords`` is the one test of mu <= lam, that is
 of lam - mu lying in Gamma, the nonnegative integer span of the simple
 roots; ``RootSystem.gamma_point`` is the one test of a vector nu given in
 simple-root coordinates.  ``kostant_p`` memoizes P(nu) for every nu it
 is asked, off Gamma too, and no other module reads its keys.  Dot orbits
-come in block ordering, sorted by (-form . v, v).
+come in block ordering: by decreasing height, then by coordinates.
 
 The Weyl group rests on one primitive, the simple reflection of a
 coordinate tuple (``RootSystem.reflect``).  An element w is a reduced
 word plus its key w^{-1} rho, an integer tuple that determines w because
 rho is regular; the key of w s_i is s_i of the key of w, and s_i is a
 right descent of w exactly when the i-th entry of the key is negative.
-The group (the orbit of rho) and each dot orbit come from one
-breadth-first closure under the simple reflections, capped at
-WEYL_ENUMERATION_CAP elements.
+The group (the orbit of rho) comes from a breadth-first closure under
+the simple reflections, which gives each element a shortest word.  A dot
+orbit needs no words: it is walked as a tree hanging from its one
+dominant point, and two weights are linked when their dominant points
+agree.  An orbit's size is read off the positive roots before any walk,
+so a group or orbit past WEYL_ENUMERATION_CAP elements is refused at
+once.
 The Bruhat order uses the lifting property (Bjorner-Brenti, GTM 231,
 2.2.7): for a right descent s of w, u <= w iff us <= ws when s is also a
 right descent of u, and iff u <= ws when it is not.
@@ -41,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import lcm, prod
 from operator import add, index, mul, neg, sub
 from typing import Iterable, Optional, Tuple
@@ -249,7 +253,6 @@ class RootSystem:
         self._root_denominator = lcm(*(x.denominator for row in inverse for x in row))
         self._root_map = tuple(tuple(int(x * self._root_denominator) for x in row)
                                for row in inverse)
-        self._height_form = tuple(map(sum, zip(*self._root_map)))
         self._cartan_columns = tuple(zip(*cartan.entries))
         self.cache = {}
         for alpha in self.positive_roots:
@@ -269,9 +272,16 @@ class RootSystem:
         except KeyError:
             raise NotARootError(f"{tuple(alpha)} is not a root") from None
 
+    def _ranked(self, coords) -> tuple:
+        """coords as a tuple; DomainError unless it has this system's rank."""
+        coords = tuple(coords)
+        if len(coords) != self.rank:
+            raise DomainError("coordinate vector has wrong rank")
+        return coords
+
     def root_to_weight(self, alpha) -> Weight:
         """View a root (simple-root coordinates) as a Weight (H-coordinates)."""
-        return Weight(_weight_of(self.cartan.entries, tuple(alpha)))
+        return Weight(_weight_of(self.cartan.entries, self._ranked(alpha)))
 
     def gamma_coords(self, lam: Weight) -> Optional[Tuple[int, ...]]:
         """Simple-root coordinates of lam if it lies in Gamma, else None.
@@ -295,9 +305,7 @@ class RootSystem:
         DomainError on the wrong rank, None on a negative or non-integral
         coordinate, nan and the infinities included.
         """
-        given = tuple(nu)
-        if len(given) != self.rank:
-            raise DomainError("coordinate vector has wrong rank")
+        given = self._ranked(nu)
         try:
             point = tuple(map(int, given))
         except (ValueError, OverflowError):  # int() of nan, of an infinity
@@ -313,7 +321,7 @@ class RootSystem:
     def pairing_root(self, lam: Weight, alpha) -> Fraction:
         """<lambda, alpha-check> = lambda(h_alpha)."""
         h = self.coroot(alpha)
-        return sum(c * x for c, x in zip(h, lam.coords))
+        return sum(map(mul, h, self._ranked(lam.coords)))
 
     # -- Weyl group -----------------------------------------------------
 
@@ -333,52 +341,88 @@ class RootSystem:
         rho = self.rho()
         return w.act(lam + rho) - rho
 
-    def _closure(self, start) -> dict:
-        """The orbit of an integer tuple under the simple reflections, by
-        breadth-first search: {v: word} with ``reflect(start, *word) == v``
-        and the word as short as any.  DomainError past
-        WEYL_ENUMERATION_CAP elements."""
-        found = {start: ()}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                word = found[v]
-                for i in range(self.rank):
-                    img = self.reflect(v, i)
-                    if img not in found:
-                        found[img] = word + (i,)
-                        nxt.append(img)
-                        if len(found) > WEYL_ENUMERATION_CAP:
-                            raise DomainError("Weyl group too large to enumerate")
-            frontier = nxt
-        return found
+    def _dominant(self, v) -> tuple:
+        """The one dominant point of v's W-orbit (Humphreys, Reflection
+        Groups and Coxeter Groups, 1.12): s_i v for the first i with
+        v_i < 0, until there is none.  Each step adds -v_i alpha_i, so the
+        walk ends."""
+        while min(v) < 0:
+            v = self.reflect(v, next(i for i, x in enumerate(v) if x < 0))
+        return v
+
+    def _orbit_size(self, top) -> int:
+        """|W . top| for a dominant integer tuple top; DomainError past
+        WEYL_ENUMERATION_CAP.  |W| is the product of (ht beta + 1) / ht beta
+        over the positive roots (Macdonald's product for the Poincare
+        polynomial at t = 1), and the stabilizer of top is the parabolic
+        subgroup of the simple reflections fixing it, whose positive roots
+        are the beta with <top, beta-check> = 0, heights unchanged."""
+        num = den = 1
+        for beta in self.positive_roots:
+            if any(map(mul, self._coroot[beta], top)):  # nonnegative terms
+                height = _height(beta)
+                num *= height + 1
+                den *= height
+        size = num // den
+        if size > WEYL_ENUMERATION_CAP:
+            raise DomainError("Weyl group too large to enumerate")
+        return size
 
     def dot_orbit(self, lam: Weight):
-        """{w . lam : w in W}, deduplicated, in block ordering.
+        """{w . lam : w in W}, each weight once, in block ordering.
 
-        lam + rho is scaled by the lcm of its denominators and closed
-        under the simple reflections as an integer tuple v.  Sorting by
-        (-form . v, v) sorts the weights v / scale - rho by (-height,
+        lam + rho is scaled by the lcm of its denominators to an integer
+        tuple and reflected to the dominant point of its orbit.  The orbit
+        is the tree that hangs from that point (Bjorner-Brenti, GTM 231,
+        2.4): the parent of u is s_i u for i its first negative coordinate,
+        so from u the child s_i u is taken when u_i > 0 and
+        u_j >= C[j][i] u_i for every j < i.  A child sits u_i lower than
+        its parent (s_i u = u - u_i alpha_i), so sorting by (depth below
+        the top, v) sorts the weights v / scale - rho by (-height,
         coordinates), as that map is increasing in v; mu < lam puts lam
-        first.
+        first.  The walk visits at most ``_orbit_size`` nodes and must find
+        exactly that many weights, else ConsistencyError.
         """
         scale, v = lam.scaled()
-        form = self._height_form
-        ordered = sorted(self._closure(tuple(x + scale for x in v)),
-                         key=lambda v: (-sum(map(mul, form, v)), v))
-        values = {x: Fraction(x - scale, scale) for x in set().union(*ordered)}
-        return [Weight._exact(tuple(map(values.__getitem__, v))) for v in ordered]
+        top = self._dominant(self._ranked(x + scale for x in v))
+        size = self._orbit_size(top)
+        columns = self._cartan_columns
+        splits = [(i, columns[i], range(i)) for i in range(self.rank)]
+        nodes = [(0, top)]
+        for depth, u in islice(nodes, size):  # appended children in turn
+            for i, column, before in splits:
+                ui = u[i]
+                if ui > 0:
+                    for j in before:
+                        if u[j] < column[j] * ui:
+                            break
+                    else:
+                        nodes.append((depth + ui,
+                                      tuple([x - c * ui for x, c in zip(u, column)])))
+        if len(nodes) != size:
+            raise ConsistencyError(f"dot orbit walk found {len(nodes)} weights, "
+                                   f"the product formula {size}")
+        nodes.sort()
+        values = {x: Fraction(x - scale, scale)
+                  for x in {x for _, u in nodes for x in u}}
+        return [Weight._exact(tuple(map(values.__getitem__, u))) for _, u in nodes]
 
     def is_linked(self, lam: Weight, mu: Weight) -> bool:
-        """True iff mu lies in the dot orbit of lam (same fiber of pi)."""
-        return any(mu == nu for nu in self.dot_orbit(lam))
+        """True iff mu lies in the dot orbit of lam (same fiber of pi):
+        lam + rho and mu + rho, scaled by one common denominator, have the
+        same dominant point.  DomainError when lam's orbit is past
+        WEYL_ENUMERATION_CAP, as for ``dot_orbit``."""
+        (a, u), (b, v) = lam.scaled(), mu.scaled()
+        scale = lcm(a, b)
+        top = self._dominant(self._ranked((x + a) * (scale // a) for x in u))
+        self._orbit_size(top)
+        return top == self._dominant(self._ranked((x + b) * (scale // b) for x in v))
 
     def integral_pairings(self, lam: Weight):
         """(beta, n) for each positive beta with n = <lam+rho, beta-check> in Z,
         read off h_beta . (s lam + s) for s the lcm of lam's denominators."""
         scale, v = lam.scaled()
-        shifted = tuple(x + scale for x in v)
+        shifted = self._ranked(x + scale for x in v)
         pairs = ((beta, divmod(sum(map(mul, self._coroot[beta], shifted)), scale))
                  for beta in self.positive_roots)
         return [(beta, n) for beta, (n, rest) in pairs if not rest]
@@ -441,9 +485,10 @@ class RootSystem:
         """dim of the simple module at a dominant integral weight, by
         Weyl's formula prod <lam + rho, beta-check> / prod <rho, beta-check>
         over the positive roots, in integers."""
+        coords = self._ranked(lam.coords)
         if not lam.is_dominant_integral:
             raise DomainError(f"{lam!r} is not dominant integral")
-        shifted = tuple(c.numerator + 1 for c in lam.coords)  # lam + rho
+        shifted = tuple(c.numerator + 1 for c in coords)  # lam + rho
         coroots = [self._coroot[beta] for beta in self.positive_roots]
         value, rest = divmod(prod(sum(map(mul, h, shifted)) for h in coroots),
                              prod(map(sum, coroots)))  # <rho, h> = sum(h)
@@ -554,7 +599,20 @@ class WeylGroup:
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
-        found = rs._closure((1,) * rs.rank)
+        rho = (1,) * rs.rank
+        rs._orbit_size(rho)  # |W|, refused past the cap before any walk
+        found = {rho: ()}  # key -> shortest word, by breadth-first search
+        frontier = [rho]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                word = found[v]
+                for i in range(rs.rank):
+                    img = rs.reflect(v, i)
+                    if img not in found:
+                        found[img] = word + (i,)
+                        nxt.append(img)
+            frontier = nxt
         ordered = sorted(found.items(), key=lambda kv: (len(kv[1]), kv[1]))
         self.elements = tuple(WeylElement(self, w, k) for k, w in ordered)
         self._by_key = {e.key: e for e in self.elements}

@@ -326,6 +326,24 @@ def test_nu_of_the_wrong_rank_is_refused(a2):
         VermaModule(a2, Weight([0, 0])).simple_mult((1,))
 
 
+def test_the_verma_audit_reads_the_raising_memo_first(monkeypatch):
+    alg = build_chevalley(build_root_system("A2"))
+    lam = Weight([0, 0])
+    built = []
+    build = category.raising_matrix
+
+    def record(alg_, i, nu):
+        built.append((i, nu))
+        return build(alg_, i, nu)
+
+    monkeypatch.setattr(category, "raising_matrix", record)
+    cold = VermaModule(alg, lam).simple_mult((2, 2))
+    assert built  # a miss builds the matrix through raising_matrix
+    built.clear()
+    assert VermaModule(alg, lam).simple_mult((2, 2)) == cold
+    assert built == []  # every x_i matrix is a memo hit
+
+
 def test_raising_matrix_rejects_h_degree_above_one():
     alg = LieAlgebraData(build_root_system("A1"))
 

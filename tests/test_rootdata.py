@@ -354,22 +354,98 @@ def test_dot_orbit_order_matches_fraction_heights(label):
         assert orbit == expected
 
 
-@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "B3"])
+def _regular_and_singular(rs, rng):
+    """An integral weight with lam + rho regular, and one with a zero in
+    lam + rho."""
+    while True:
+        regular = Weight([rng.randint(-6, 6) for _ in range(rs.rank)])
+        if all(rs.pairing_root(regular + rs.rho(), b) for b in rs.positive_roots):
+            break
+    singular = [rng.randint(-6, 6) for _ in range(rs.rank)]
+    singular[rng.randrange(rs.rank)] = -1
+    return [regular, Weight(singular)]
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "B2", "B3", "C3",
+                                   "D4", "G2", "F4"])
 def test_dot_orbit_is_the_weyl_group_image(label):
-    """The orbit, closed under simple reflections on integers, against
-    w . lam over the enumerated Weyl group; its weights keep the Weight
-    contract (Fraction coordinates, hash, eq, integrality)."""
+    """The orbit, walked as a tree from its dominant point, against
+    w . lam over the breadth-first words of the Weyl group: each weight
+    once, in the order of Fraction heights, and the cap refusing exactly
+    past the orbit's size.  Its weights keep the Weight contract
+    (Fraction coordinates, hash, eq, integrality)."""
     rs = cached_root_system(label)
     weyl = rs.weyl_group()
     rng = random.Random(label)
-    for den in (1, 1, 2, 3):
-        lam = Weight([F(rng.randint(-5 * den, 5 * den), den) for _ in range(rs.rank)])
+    weights = [Weight([F(rng.randint(-5 * den, 5 * den), den) for _ in range(rs.rank)])
+               for den in (1, 1, 2, 3)]
+    for lam in weights + _regular_and_singular(rs, rng):
         orbit = rs.dot_orbit(lam)
+        assert len(set(orbit)) == len(orbit)
         assert set(orbit) == {rs.dot_action(w, lam) for w in weyl}
+        heights = {mu: sum(_fraction_root_coords(rs, mu)) for mu in orbit}
+        assert orbit == sorted(orbit, key=lambda mu: (-heights[mu], mu.coords))
         for mu in orbit:
             assert all(type(c) is F for c in mu.coords)
             assert mu == Weight(mu.coords) and hash(mu) == hash(Weight(mu.coords))
             assert mu.is_integral == lam.is_integral
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rootdata, "WEYL_ENUMERATION_CAP", len(orbit))
+            assert rs.dot_orbit(lam) == orbit and rs.is_linked(lam, orbit[-1])
+            patch.setattr(rootdata, "WEYL_ENUMERATION_CAP", len(orbit) - 1)
+            for refused in (rs.dot_orbit, lambda mu: rs.is_linked(mu, mu)):
+                with pytest.raises(DomainError, match="Weyl group too large"):
+                    refused(lam)
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "G2", "C3"])
+def test_is_linked_agrees_with_orbit_membership(label):
+    rs = cached_root_system(label)
+    rng = random.Random(label)
+    linked = 0
+    for _ in range(12):
+        den = rng.choice((1, 1, 2, 3))
+        lam = Weight([F(rng.randint(-5 * den, 5 * den), den) for _ in range(rs.rank)])
+        orbit = rs.dot_orbit(lam)
+        # an orbit member, a near miss, and a weight of another denominator
+        mu = rng.choice(orbit)
+        near = mu + Weight([int(i == 0) for i in range(rs.rank)])
+        other = Weight([F(rng.randint(-10, 10), rng.choice((1, 2))) for _ in range(rs.rank)])
+        for nu in (mu, near, other):
+            assert rs.is_linked(lam, nu) == (nu in orbit) == rs.is_linked(nu, lam)
+            linked += nu in orbit
+    assert 12 <= linked < 36  # both answers are exercised
+
+
+def test_orbits_past_the_cap_are_refused_before_any_walk():
+    # |W(E8)| = 696,729,600: the refusal costs no enumeration
+    rs = build_root_system("E8")
+    lam = Weight([0] * 8)
+    for refused in (rs.dot_orbit, lambda mu: rs.is_linked(mu, mu),
+                    lambda mu: rs.weyl_group()):
+        with pytest.raises(DomainError, match="Weyl group too large to enumerate"):
+            refused(lam)
+    assert rs.dot_orbit(Weight([-1] * 8)) == [Weight([-1] * 8)]
+
+
+_A2_WRONG_RANK = {
+    "weyl_dimension": lambda rs, v: rs.weyl_dimension(Weight(v)),
+    "pairing_root": lambda rs, v: rs.pairing_root(Weight(v), (1, 0)),
+    "root_to_weight": lambda rs, v: rs.root_to_weight(v),
+    "is_antidominant": lambda rs, v: rs.is_antidominant(Weight(v)),
+    "integral_pairings": lambda rs, v: rs.integral_pairings(Weight(v)),
+    "dot_orbit": lambda rs, v: rs.dot_orbit(Weight(v)),
+    "is_linked": lambda rs, v: rs.is_linked(Weight(v), Weight([0, 0])),
+    "is_linked_second": lambda rs, v: rs.is_linked(Weight([0, 0]), Weight(v)),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_A2_WRONG_RANK))
+def test_wrong_rank_is_a_domain_error(rs_a2, call):
+    # each used to truncate, or to fail with an IndexError
+    for v in ([1], [-5], [1, 1, 7], [0, 0, -1]):
+        with pytest.raises(DomainError, match="wrong rank"):
+            _A2_WRONG_RANK[call](rs_a2, v)
 
 
 def test_block_ordering_examples(rs_a1, rs_a2):
@@ -603,8 +679,9 @@ def test_root_weight_table_is_w_equivariant(label):
 
 def test_root_to_weight_keeps_its_exceptions(rs_a2):
     assert rs_a2.root_to_weight([1, 1]) == Weight([1, 1])
-    with pytest.raises(IndexError):
-        rs_a2.root_to_weight((1,))
+    for short_or_long in ((1,), (1, 1, 9)):
+        with pytest.raises(DomainError, match="wrong rank"):
+            rs_a2.root_to_weight(short_or_long)
     with pytest.raises(TypeError):
         rs_a2.root_to_weight(1)
 
