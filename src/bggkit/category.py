@@ -9,9 +9,14 @@ determinant formula the maximal submodule meets M(lambda)_{lambda-nu}
 only when nu lies on a wall of lambda, nu - n*beta in Gamma for a
 positive root beta with n = <lambda+rho, beta-check> a positive
 integer; off the walls the quotient map is the identity and costs no
-rank, on them it is a primitive row basis.  The x_i matrices are
-affine in lambda.  Block decomposition matrices are then solved from
-the unitriangular character system
+rank, on them it is a primitive row basis.  The depth audit of
+``verma_is_simple`` goes further: where exactly one wall n*beta reaches
+nu, the embedding M(s_beta . lambda) in M(lambda) and Jantzen's sum
+formula both give the maximal submodule dimension P(nu - n*beta), so the
+rank there is read, not eliminated, and row bases are taken only where
+walls meet and at the wall-reached nu that those stacks read.  The x_i
+matrices are affine in lambda.  Block decomposition matrices are then
+solved from the unitriangular character system
 
     dim M(lam_i)_{mu_j} = sum_k D[i][k] * dim L(mu_k)_{mu_j}
 
@@ -288,10 +293,12 @@ class VermaModule:
     of the stacked map M_{lam-nu} -> sum_i L_{lam-nu+alpha_i}: the x_i
     matrices followed by the quotient maps one level up, kept as a
     primitive integer row basis (``exactla.row_basis``).  The maps are
-    filled in height order, so the level above is always done: over
-    Gamma up to a depth for ``verma_is_simple``, over the box [0, nu] for
-    ``simple_mult``.  lam is scaled by the lcm of its denominators, which
-    leaves every rank as it is, so the recursion never builds a Fraction.
+    filled in height order, so the level above is always done: over the
+    box [0, nu] for ``simple_mult``, and for ``verma_is_simple`` only at
+    the nu where walls meet and the nu their stacks read, since the audit
+    reads a one-wall rank as P(nu) - P(nu - n*beta).  lam is scaled by
+    the lcm of its denominators, which leaves every rank as it is, so the
+    recursion never builds a Fraction.
     """
 
     def __init__(self, alg: LieAlgebraData, lam: Weight):
@@ -344,15 +351,15 @@ class VermaModule:
                             for targets, values in columns])
         return out
 
-    def _fill(self, nus: Sequence[RootVec], region) -> None:
+    def _fill(self, nus: Sequence[RootVec], reached) -> None:
         """The quotient maps M_{lam-nu} -> L(lam)_{lam-nu}, whose kernel is
         the maximal submodule at nu, at every nu of nus not yet known.
-        nus is in height order and holds the upper neighbours of each of
-        its members; region(wall) is the set of d >= 0 with wall + d in
-        nus.  So the nu that a wall reaches are found once, as a set: there
-        the map is a row basis, elsewhere the identity, kept as P(nu).
+        nus is in height order, and with each member that a wall reaches
+        it holds that member's upper neighbours nu - alpha_i, which its
+        stack reads.  reached holds the nu that a wall reaches (the
+        caller finds them once, as a set): there the map is a row basis,
+        elsewhere the identity, kept as P(nu).
         """
-        reached = {tuple(map(add, wall, d)) for wall in self._walls for d in region(wall)}
         quotients = self._quotients
         kostant_p = self.alg.rs.kostant_p
         for nu in nus:
@@ -371,8 +378,9 @@ class VermaModule:
         if nu is None:
             return 0
         if nu not in self._quotients:  # fill the box [0, nu], by height
-            self._fill(sorted(_box(nu), key=sum),
-                       lambda wall: _box(map(sub, nu, wall)))
+            reached = {tuple(map(add, wall, d))
+                       for wall in self._walls for d in _box(map(sub, nu, wall))}
+            self._fill(sorted(_box(nu), key=sum), reached)
         quotient = self._quotients[nu]
         return quotient if isinstance(quotient, int) else len(quotient)
 
@@ -460,25 +468,57 @@ def verma_is_simple(alg: LieAlgebraData, lam: Weight, depth: int) -> SimplicityR
     The verdict is STRICT antidominance: lam has no wall exactly when no
     <lam+rho, beta-check> is a positive integer.  The audit records
     dim L(lam)_{lam-nu} (the rank of the contravariant form) at every nu
-    up to the depth.  An antidominant verdict with a rank drop is
-    impossible and raises ConsistencyError.  A strictly antidominant lam
-    has no walls, so every audited quotient is an identity and the drop
-    cannot happen by construction; the check stays, and selftest
-    criterion 6 and the Shapovalov-rank test cross-check the walls by
-    other routes.
+    up to the depth.  Where no wall reaches nu the rank is P(nu).  Where
+    one wall n*beta reaches nu it is P(nu) - P(nu - n*beta), read, not
+    eliminated: M(s_beta . lam) embeds in the maximal submodule
+    (Humphreys, GSM 94, 4.6), and Jantzen's sum formula bounds that
+    submodule's dimension by the sum of P(nu - n*beta) over the walls
+    (Jantzen, LNM 750; Humphreys 5.3), the one term here.  The radical
+    recursion runs only where two walls meet and at the wall-reached nu
+    that such a nu stacks on, above it; a one-wall nu among those must
+    give the read rank, else ConsistencyError.  An antidominant verdict
+    with a rank drop is impossible and raises ConsistencyError.  A
+    strictly antidominant lam has no walls, so every audited rank is
+    P(nu) and the drop cannot happen by construction; the check stays,
+    and selftest criterion 6 and the Shapovalov-rank test cross-check
+    the walls by other routes.
     """
     module = VermaModule(alg, lam)
     verdict = not module._walls
     nus = gamma_elements(alg, depth)
-    module._fill(nus, lambda wall: gamma_elements(alg, depth - sum(wall))
-                 if sum(wall) <= depth else ())
+    # nu -> [nu - wall for each wall that reaches nu], one region per wall
+    reach: Dict[RootVec, List[RootVec]] = {}
+    for wall in module._walls:
+        height = sum(wall)
+        if height <= depth:
+            for d in gamma_elements(alg, depth - height):
+                reach.setdefault(tuple(map(add, wall, d)), []).append(d)
+    # deepest first: a reached nu needs its map where two walls meet it or
+    # where a nu + alpha_i that needs one stacks on it; fill those and the
+    # identities they stack on
+    fill = set()
+    for nu in reversed(nus):
+        below = reach.get(nu)
+        if below is not None and (len(below) > 1 or nu in fill):
+            fill.add(nu)
+            fill.update(_lower(nu, i) for i in range(alg.l) if nu[i])
+    module._fill([nu for nu in nus if nu in fill], reach)
+    kostant_p = alg.rs.kostant_p
+    quotients = module._quotients
     ranks = []
     for nu in nus[1:]:  # nus[0] is 0
-        quotient = module._quotients[nu]
-        if isinstance(quotient, int):
-            ranks.append((nu, quotient, quotient))
+        dim = kostant_p(nu)
+        below = reach.get(nu)
+        if below is None:
+            rank = dim
+        elif nu not in quotients:
+            rank = dim - kostant_p(below[0])
         else:
-            ranks.append((nu, len(quotient), alg.rs.kostant_p(nu)))
+            rank = len(quotients[nu])
+            if len(below) == 1 and rank != dim - kostant_p(below[0]):
+                raise ConsistencyError(
+                    f"rank {rank} at {nu} is not P(nu) - P(nu - n*beta) on its one wall")
+        ranks.append((nu, rank, dim))
     report = SimplicityReport(verdict, depth, tuple(ranks))
     if verdict and not report.nondegenerate:
         raise ConsistencyError(

@@ -6,9 +6,11 @@ weight lambda; the rho-twisted psi = gamma o phi is the version that is
 invariant under the ordinary Weyl action.  The twist gamma, h_i -> h_i - 1,
 is a ring map of U(h) = S(h), so h_substitute multiplies its image out
 with U(g)'s own product.  Linkage classes are Weyl dot
-orbits, and CentralCharacter equality is decided by orbit membership of
-the representatives.  is_central, re-exported from liealg, commutes an
-element with the 2l Chevalley generators; the Casimir is verified by it.
+orbits, and CentralCharacter equality is decided by
+``RootSystem.is_linked``, which compares the dominant points of the
+representatives' orbits.  is_central, re-exported from liealg, commutes
+an element with the 2l Chevalley generators; the Casimir is verified by
+it.
 """
 
 from __future__ import annotations
@@ -44,7 +46,9 @@ class CentralCharacter:
 
     Caches the Casimir evaluation, the one central generator bggkit
     constructs explicitly.  (A full topological generating set of the
-    center is not built; orbit membership decides equality exactly.)
+    center is not built; linkage decides equality exactly.)  Equal
+    characters have the same orbit and so the same canonical
+    representative, which the hash reads.
     """
 
     def __init__(self, alg: LieAlgebraData, lam: Weight):
@@ -63,7 +67,7 @@ class CentralCharacter:
     def __eq__(self, other):
         return (isinstance(other, CentralCharacter)
                 and self.rs is other.rs
-                and other.representative in self.orbit)
+                and self.rs.is_linked(self.representative, other.representative))
 
     def __hash__(self):
         return hash((id(self.rs), self.canonical_representative.coords))

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import json
@@ -193,14 +194,31 @@ def test_shapovalov_window_matches_full_product(label, height):
             [[p.terms for p in row] for row in expected], (label, nu)
 
 
+def _wall_vectors(rs, lam):
+    """The walls n*beta of lam, n = <lam+rho, beta-check> a positive
+    integer, through Fraction pairings."""
+    shifted = lam + rs.rho()
+    return [tuple(int(n) * b for b in beta) for beta in rs.positive_roots
+            for n in (rs.pairing_root(shifted, beta),) if n.denominator == 1 and n > 0]
+
+
+def _walls_reaching(walls, nu):
+    """How many of the walls reach nu: nu - wall >= 0."""
+    return sum(all(c >= w for c, w in zip(nu, wall)) for wall in walls)
+
+
 @pytest.mark.parametrize("label, depth", [("A1", 8), ("A2", 4), ("B2", 4), ("G2", 3),
                                           ("A3", 4), ("G2", 4)])
 def test_verma_module_matches_shapovalov_rank(monkeypatch, label, depth):
     """The radical recursion against the rank of the contravariant form,
-    through both entry points: the audit fills Gamma to the depth at
-    once, simple_mult one box [0, nu] at a time, here in reverse height
-    order, and the two leave the same quotient maps at every nu."""
+    through both entry points: the audit, which reads the rank where one
+    wall reaches nu and eliminates where walls meet, and simple_mult,
+    which fills one box [0, nu] at a time, here in reverse height order.
+    Where the audit built a quotient map, simple_mult built the same one.
+    The weights reach one-wall nu, and multi-wall nu wherever there are
+    two positive roots."""
     alg = _alg(label)
+    rs = alg.rs
     audits = []
 
     class Audited(VermaModule):
@@ -211,18 +229,26 @@ def test_verma_module_matches_shapovalov_rank(monkeypatch, label, depth):
     monkeypatch.setattr(category, "VermaModule", Audited)
     nus = category.gamma_elements(alg, depth)
     rng = random.Random(1152)
-    for den in (1, 2, 3):
-        for _ in range(4):
-            lam = Weight([F(rng.randint(-4 * den, 4 * den), den) for _ in range(alg.l)])
-            expected = {nu: exactla.rank(shapovalov_matrix(alg, lam, nu)) if any(nu) else 1
-                        for nu in nus}
-            report = verma_is_simple(alg, lam, depth)
-            assert report.ranks == tuple((nu, expected[nu], alg.rs.kostant_p(nu))
-                                         for nu in nus[1:]), lam
-            module = VermaModule(alg, lam)
-            for nu in reversed(nus):
-                assert module.simple_mult(nu) == expected[nu], (lam, nu)
-            assert module._quotients == audits[-1]._quotients, lam
+    weights = [Weight([F(rng.randint(-4 * den, 4 * den), den) for _ in range(alg.l)])
+               for den in (1, 2, 3) for _ in range(4)]
+    # omega_1: its walls 2*alpha_1 and alpha_2 meet at height 3
+    weights.append(Weight([1] + [0] * (alg.l - 1)))
+    reaching = collections.Counter()
+    for lam in weights:
+        expected = {nu: exactla.rank(shapovalov_matrix(alg, lam, nu)) if any(nu) else 1
+                    for nu in nus}
+        report = verma_is_simple(alg, lam, depth)
+        assert report.ranks == tuple((nu, expected[nu], rs.kostant_p(nu))
+                                     for nu in nus[1:]), lam
+        module = VermaModule(alg, lam)
+        for nu in reversed(nus):
+            assert module.simple_mult(nu) == expected[nu], (lam, nu)
+        audited = audits[-1]._quotients
+        assert {nu: module._quotients[nu] for nu in audited} == audited, lam
+        walls = _wall_vectors(rs, lam)
+        reaching.update(min(_walls_reaching(walls, nu), 2) for nu in nus[1:])
+    assert reaching[1]
+    assert reaching[2] or rs.num_positive == 1
 
 
 @pytest.mark.parametrize("label, coords", [
@@ -230,10 +256,12 @@ def test_verma_module_matches_shapovalov_rank(monkeypatch, label, depth):
     ("A2", (0, F(1, 2))), ("B2", (1, F(-3, 2))),
 ], ids=["A2-wall-free", "A3-minus-rho", "A2-0,0", "A2-one-wall", "B2-mixed"])
 def test_rank_work_only_on_walls(monkeypatch, label, coords):
-    """The audit, and simple_mult on the box [0, nu], reduce a stacked
-    matrix once at each nu that a wall reaches and build x_i matrices
-    nowhere else.  (A stack can be empty, with no x_i matrix, when every
-    quotient above it is zero.)"""
+    """The audit reduces a stacked matrix once at each nu where two walls
+    meet and at each wall-reached nu above one (nu <= it), which such a
+    stack reads, and builds x_i matrices nowhere else; simple_mult on
+    the box [0, nu] reduces once at each nu that a wall reaches.  (A
+    stack can be empty, with no x_i matrix, when every quotient above it
+    is zero.)"""
     alg = _alg(label)
     lam = Weight(list(coords))
     reduced = []
@@ -255,8 +283,11 @@ def test_rank_work_only_on_walls(monkeypatch, label, coords):
     # selftest's reading of the Shapovalov determinant's support
     on_walls = {nu for nu, _, _ in report.ranks
                 if not selftest._degeneracy_prediction(alg, lam, nu)}
-    assert raised <= on_walls
-    assert len(reduced) == len(on_walls)
+    walls = _wall_vectors(alg.rs, lam)
+    meets = {nu for nu in on_walls if _walls_reaching(walls, nu) > 1}
+    above = {nu for nu in on_walls if any(all(a <= b for a, b in zip(nu, top)) for top in meets)}
+    assert raised <= above
+    assert len(reduced) == len(above)
     assert report.nondegenerate == (not on_walls)
     reduced.clear()
     raised.clear()
@@ -265,6 +296,25 @@ def test_rank_work_only_on_walls(monkeypatch, label, coords):
               if not selftest._degeneracy_prediction(alg, lam, nu)}
     assert raised <= in_box
     assert len(reduced) == len(in_box)
+
+
+@pytest.mark.parametrize("label, coords", [
+    ("A2", (1, 1)), ("B2", (1, 1)), ("G2", (1, 0)), ("A3", (0, F(1, 2), 0)),
+], ids=["A2", "B2", "G2", "A3-rational"])
+def test_the_audit_checks_its_one_wall_ranks(monkeypatch, label, coords):
+    """A one-wall nu that the audit eliminates at, because a nu where
+    walls meet stacks on it, must give P(nu) - P(nu - n*beta): a row
+    basis one pivot too long raises there."""
+    alg = _alg(label)
+    row_basis = exactla.row_basis
+
+    def one_pivot_too_many(rows):
+        basis = row_basis(rows)
+        return basis + basis[:1]
+
+    monkeypatch.setattr(exactla, "row_basis", one_pivot_too_many)
+    with pytest.raises(ConsistencyError, match="on its one wall"):
+        verma_is_simple(alg, Weight(list(coords)), 4)
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3"])

@@ -208,3 +208,30 @@ def test_central_character_objects(a1):
     assert c1 != c3
     assert c1.casimir_value == c2.casimir_value
     assert c1.canonical_representative == Weight([3])
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "G2", "A3"])
+def test_central_character_equality_is_orbit_membership(label):
+    """Equality (by linkage) and the hash against membership in the
+    representative's dot orbit, on linked and unlinked pairs with
+    rational weights among them."""
+    alg = liealg.build_chevalley(cached_root_system(label))
+    rng = random.Random(label)
+    answers = set()
+    for _ in range(8):
+        den = rng.choice((1, 1, 2, 3))
+        chi = CentralCharacter(alg, Weight([F(rng.randint(-5 * den, 5 * den), den)
+                                            for _ in range(alg.l)]))
+        orbit = chi.orbit
+        # an orbit member, a near miss, and a weight of another denominator
+        mu = rng.choice(orbit)
+        near = mu + Weight([int(i == 0) for i in range(alg.l)])
+        other = Weight([F(rng.randint(-10, 10), rng.choice((1, 2))) for _ in range(alg.l)])
+        for nu in (mu, near, other):
+            psi = CentralCharacter(alg, nu)
+            assert (chi == psi) == (nu in orbit) == (psi == chi), (chi, nu)
+            if nu in orbit:
+                assert hash(chi) == hash(psi)
+                assert psi.canonical_representative == chi.canonical_representative
+            answers.add(nu in orbit)
+    assert answers == {True, False}
