@@ -4,18 +4,19 @@ Simple multiplicities come from the radical recursion: for nu != 0, a
 vector of M(lambda)_{lambda-nu} lies in the maximal submodule exactly
 when every simple x_i sends it there, so dim L(lambda)_{lambda-nu} is
 the rank of the x_i matrices composed with the quotient maps one level
-up (``VermaModule``), filled in height order.  By the Shapovalov
-determinant formula the maximal submodule meets M(lambda)_{lambda-nu}
-only when nu lies on a wall of lambda, nu - n*beta in Gamma for a
-positive root beta with n = <lambda+rho, beta-check> a positive
-integer; off the walls the quotient map is the identity and costs no
-rank, on them it is a primitive row basis.  The depth audit of
-``verma_is_simple`` goes further: where exactly one wall n*beta reaches
-nu, the embedding M(s_beta . lambda) in M(lambda) and Jantzen's sum
-formula both give the maximal submodule dimension P(nu - n*beta), so the
-rank there is read, not eliminated, and row bases are taken only where
-walls meet and at the wall-reached nu that those stacks read.  The x_i
-matrices are affine in lambda.  Block decomposition matrices are then
+up (``VermaModule``), built in height order at the nu a caller names
+and at the nu their stacks read.  By the Shapovalov determinant formula
+the maximal submodule meets M(lambda)_{lambda-nu} only when nu lies on
+a wall of lambda, nu - n*beta in Gamma for a positive root beta with
+n = <lambda+rho, beta-check> a positive integer; off the walls the
+quotient map is the identity and costs no rank, on them it is a
+primitive row basis.  The depth audit of ``verma_is_simple`` goes
+further: where exactly one wall n*beta reaches nu, the embedding
+M(s_beta . lambda) in M(lambda) and Jantzen's sum formula both give the
+maximal submodule dimension P(nu - n*beta), so the rank there is read,
+not eliminated, and row bases are taken only where walls meet and at
+the wall-reached nu that those stacks read.  The x_i matrices are
+affine in lambda.  Block decomposition matrices are then
 solved from the unitriangular character system
 
     dim M(lam_i)_{mu_j} = sum_k D[i][k] * dim L(mu_k)_{mu_j}
@@ -38,9 +39,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
-from operator import add, mul, neg, sub
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from operator import add, ge, mul, neg, sub
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from . import exactla
 from .errors import ConsistencyError, DepthOverflowError, DomainError
@@ -222,12 +222,6 @@ def _lower(nu: RootVec, i: int) -> Optional[RootVec]:
     return nu[:i] + (nu[i] - 1,) + nu[i + 1:]
 
 
-def _box(corner: Iterable[int]):
-    """The nu with 0 <= nu <= corner, in lex order; none if corner < 0
-    anywhere."""
-    return product(*(range(c + 1) for c in corner))
-
-
 def raising_matrix(alg: LieAlgebraData, i: int, nu: RootVec):
     """The simple x_i from M_{lam-nu} to M_{lam-nu+alpha_i}, for every lam.
 
@@ -292,12 +286,11 @@ class VermaModule:
     x_i . v does for every simple i.  So dim L(lam)_{lam-nu} is the rank
     of the stacked map M_{lam-nu} -> sum_i L_{lam-nu+alpha_i}: the x_i
     matrices followed by the quotient maps one level up, kept as a
-    primitive integer row basis (``exactla.row_basis``).  The maps are
-    filled in height order, so the level above is always done: over the
-    box [0, nu] for ``simple_mult``, and for ``verma_is_simple`` only at
-    the nu where walls meet and the nu their stacks read, since the audit
-    reads a one-wall rank as P(nu) - P(nu - n*beta).  lam is scaled by
-    the lcm of its denominators, which leaves every rank as it is, so the
+    primitive integer row basis (``exactla.row_basis``).  A caller names
+    the nu it needs (``verma_is_simple`` only those where walls meet,
+    since it reads a one-wall rank as P(nu) - P(nu - n*beta)), and
+    ``_fill`` adds the nu their stacks read.  lam is scaled by the lcm
+    of its denominators, which leaves every rank as it is, so the
     recursion never builds a Fraction.
     """
 
@@ -351,21 +344,32 @@ class VermaModule:
                             for targets, values in columns])
         return out
 
-    def _fill(self, nus: Sequence[RootVec], reached) -> None:
-        """The quotient maps M_{lam-nu} -> L(lam)_{lam-nu}, whose kernel is
-        the maximal submodule at nu, at every nu of nus not yet known.
-        nus is in height order, and with each member that a wall reaches
-        it holds that member's upper neighbours nu - alpha_i, which its
-        stack reads.  reached holds the nu that a wall reaches (the
-        caller finds them once, as a set): there the map is a row basis,
-        elsewhere the identity, kept as P(nu).
-        """
+    def _fill(self, wanted: Iterable[RootVec]) -> Dict[RootVec, int]:
+        """Build the quotient maps M_{lam-nu} -> L(lam)_{lam-nu} at each
+        wanted nu not yet known and, in turn, at the nu - alpha_i that a
+        wall-reached one stacks on, in height order: a row basis where a
+        wall n*beta <= nu reaches nu, else the identity, kept as P(nu).
+        Returns dim L(lam)_{lam-nu} at each nu built."""
         quotients = self._quotients
-        kostant_p = self.alg.rs.kostant_p
-        for nu in nus:
-            if nu not in quotients:
-                quotients[nu] = (exactla.row_basis(self._stacked(nu)) if nu in reached
-                                 else kostant_p(nu))
+        built: Dict[RootVec, int] = {}  # nu -> a wall reaches it, then its rank
+        todo = list(wanted)
+        while todo:
+            nu = todo.pop()
+            if nu in built or nu in quotients:
+                continue
+            built[nu] = False
+            for wall in self._walls:
+                if all(map(ge, nu, wall)):
+                    built[nu] = True
+                    todo.extend(_lower(nu, i) for i in range(len(nu)) if nu[i])
+                    break
+        for nu in sorted(built, key=sum):
+            if built[nu]:
+                quotients[nu] = exactla.row_basis(self._stacked(nu))
+                built[nu] = len(quotients[nu])
+            else:
+                built[nu] = quotients[nu] = self.alg.rs.kostant_p(nu)
+        return built
 
     def jantzen_bounds(self, nu: RootVec) -> Tuple[int, int]:
         """(max, sum) over the walls n*beta of P(nu - n*beta): the maximal
@@ -377,10 +381,8 @@ class VermaModule:
         nu = self.alg.rs.gamma_point(nu)
         if nu is None:
             return 0
-        if nu not in self._quotients:  # fill the box [0, nu], by height
-            reached = {tuple(map(add, wall, d))
-                       for wall in self._walls for d in _box(map(sub, nu, wall))}
-            self._fill(sorted(_box(nu), key=sum), reached)
+        if nu not in self._quotients:
+            self._fill([nu])
         quotient = self._quotients[nu]
         return quotient if isinstance(quotient, int) else len(quotient)
 
@@ -493,28 +495,18 @@ def verma_is_simple(alg: LieAlgebraData, lam: Weight, depth: int) -> SimplicityR
         if height <= depth:
             for d in gamma_elements(alg, depth - height):
                 reach.setdefault(tuple(map(add, wall, d)), []).append(d)
-    # deepest first: a reached nu needs its map where two walls meet it or
-    # where a nu + alpha_i that needs one stacks on it; fill those and the
-    # identities they stack on
-    fill = set()
-    for nu in reversed(nus):
-        below = reach.get(nu)
-        if below is not None and (len(below) > 1 or nu in fill):
-            fill.add(nu)
-            fill.update(_lower(nu, i) for i in range(alg.l) if nu[i])
-    module._fill([nu for nu in nus if nu in fill], reach)
+    built = module._fill([nu for nu, below in reach.items() if len(below) > 1])
     kostant_p = alg.rs.kostant_p
-    quotients = module._quotients
     ranks = []
     for nu in nus[1:]:  # nus[0] is 0
         dim = kostant_p(nu)
         below = reach.get(nu)
         if below is None:
             rank = dim
-        elif nu not in quotients:
+        elif nu not in built:
             rank = dim - kostant_p(below[0])
         else:
-            rank = len(quotients[nu])
+            rank = built[nu]
             if len(below) == 1 and rank != dim - kostant_p(below[0]):
                 raise ConsistencyError(
                     f"rank {rank} at {nu} is not P(nu) - P(nu - n*beta) on its one wall")
@@ -581,14 +573,12 @@ def decomposition_matrix(alg: LieAlgebraData, lam: Weight,
     auto_depth = sum(diffs[0][-1])
     n = auto_depth if depth is None else max(depth, auto_depth)
 
-    # dim L(mu_k)_{mu_j} and dim M(mu_k)_{mu_j} at the pairwise differences.
-    # mu_k - mu_j <= mu_k - mu_{s-1}, the last member being the minimum of
-    # the class, so asking for that difference first fills one box per module
+    # dim L(mu_k)_{mu_j} and dim M(mu_k)_{mu_j} at the pairwise differences
     sm = []
     walls = []
     for k, row in enumerate(diffs):
         module = VermaModule(alg, cls[k])
-        module.simple_mult(row[-1])
+        module._fill([d for d in row if d is not None])
         sm.append([0 if d is None else module.simple_mult(d) for d in row])
         walls.append(tuple(module._walls))
     kostant = [[0 if d is None else rs.kostant_p(d) for d in row] for row in diffs]

@@ -164,6 +164,13 @@ def _jacobi_failure(d: int, table) -> Optional[Tuple[int, int, int]]:
     return None
 
 
+def _in_range(value: int, size: int, what: str) -> int:
+    """value, if 0 <= value < size; else DomainError."""
+    if not 0 <= value < size:
+        raise DomainError(f"{what} {value} is outside 0..{size - 1}")
+    return value
+
+
 class LieAlgebraData:
     """Split semisimple Lie algebra with verified integer structure constants."""
 
@@ -277,17 +284,17 @@ class LieAlgebraData:
 
     def basis_element(self, idx: int) -> "UEAElement":
         exps = [0] * self.d
-        exps[idx] = 1
+        exps[_in_range(idx, self.d, "basis index")] = 1
         return self.monomial(exps)
 
     def x(self, pos: int) -> "UEAElement":
-        return self.basis_element(self.x_index(pos))
+        return self.basis_element(self.x_index(_in_range(pos, self.m, "root position")))
 
     def y(self, pos: int) -> "UEAElement":
-        return self.basis_element(self.y_index(pos))
+        return self.basis_element(self.y_index(_in_range(pos, self.m, "root position")))
 
     def h(self, i: int) -> "UEAElement":
-        return self.basis_element(self.h_index(i))
+        return self.basis_element(self.h_index(_in_range(i, self.l, "Cartan index")))
 
     def root_position(self, root) -> int:
         """Position of a positive root in the deterministic root order."""
@@ -335,6 +342,16 @@ class UEAElement:
 
     def __setattr__(self, name, value):
         raise AttributeError("UEAElement is immutable")
+
+    def __reduce__(self):
+        return UEAElement, (self.alg, self.terms)
+
+    # an element stays in its algebra: a deep copy of the algebra would not
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
     # -- ring structure -------------------------------------------------
 

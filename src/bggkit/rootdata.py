@@ -182,6 +182,9 @@ class Weight:
     def __setattr__(self, name, value):
         raise AttributeError("Weight is immutable")
 
+    def __reduce__(self):
+        return Weight, (self.coords,)
+
     def __len__(self):
         return len(self.coords)
 

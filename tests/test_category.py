@@ -1,7 +1,9 @@
 import collections
+import copy
 import dataclasses
 import itertools
 import json
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -705,13 +707,56 @@ def test_decomposition_matrix_fills_each_module_once(monkeypatch, label, coords)
     fills = []
     fill = VermaModule._fill
 
-    def counted(module, nus, region):
+    def counted(module, *args):
         fills.append(module.lam)
-        return fill(module, nus, region)
+        return fill(module, *args)
 
     monkeypatch.setattr(VermaModule, "_fill", counted)
     dec = decomposition_matrix(_alg(label), Weight(coords))
     assert sorted(fills, key=repr) == sorted(dec.class_weights, key=repr)
+
+
+@pytest.mark.parametrize("label, coords", [
+    ("A2", (0, 0)), ("B2", (0, 0)), ("G2", (0, -1)), ("A3", (-1, 0, 0)),
+], ids=["A2", "B2", "G2-singular", "A3-singular"])
+def test_the_fill_order_does_not_matter(monkeypatch, label, coords):
+    """Each member's row of differences asked of simple_mult in height
+    order, in reverse and shuffled: the same answers, the same quotient
+    maps wherever two orders both built one, and no stack reduced twice
+    at one nu of one module."""
+    alg = _alg(label)
+    dec = decomposition_matrix(alg, Weight(list(coords)))
+    stacked = VermaModule._stacked
+    reduced = collections.Counter()
+
+    def counted(module, nu):
+        reduced[module, nu] += 1
+        return stacked(module, nu)
+
+    monkeypatch.setattr(VermaModule, "_stacked", counted)
+    rng = random.Random(2740)
+    for k, member in enumerate(dec.class_weights):
+        row = sorted({d for d in dec.diffs[k] if d is not None}, key=lambda v: (sum(v), v))
+        shuffled = row[:]
+        rng.shuffle(shuffled)
+        modules = []
+        for order in (row, row[::-1], shuffled):
+            module = VermaModule(alg, member)
+            modules.append(module)
+            assert {nu: module.simple_mult(nu) for nu in order} == \
+                {nu: modules[0].simple_mult(nu) for nu in order}, (member, order)
+        for a, b in itertools.combinations(modules, 2):
+            both = a._quotients.keys() & b._quotients.keys()
+            assert {nu: a._quotients[nu] for nu in both} == \
+                {nu: b._quotients[nu] for nu in both}, member
+    assert reduced and max(reduced.values()) == 1
+
+
+def test_block_data_survives_pickle_and_deepcopy(b2):
+    lam = Weight([0, 0])
+    for value in (decomposition_matrix(b2, lam), block_report(b2, lam)):
+        for back in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert back == value and back is not value
 
 
 @pytest.mark.parametrize("label, coords", [

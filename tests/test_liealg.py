@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import itertools
+import pickle
 import random
 import re
 from fractions import Fraction as F
@@ -620,3 +622,31 @@ def test_monomial_validation(a1):
             a1.monomial(exps)
     with pytest.raises(DomainError):
         a1.x(a1.root_position((2,)))
+
+
+@pytest.mark.parametrize("call, arg", [
+    ("x", -1), ("x", 3), ("y", -1), ("y", 3), ("h", -1), ("h", 2),
+    ("basis_element", -1), ("basis_element", 8),
+])
+def test_basis_accessors_refuse_out_of_range_indices(a2, call, arg):
+    # A2: m = 3 positive roots, rank l = 2, dimension d = 8
+    with pytest.raises(DomainError, match="outside"):
+        getattr(a2, call)(arg)
+
+
+def test_element_copies_and_pickles_keep_value_and_hash(b2):
+    u = random_element(b2, random.Random(71))
+    assert copy.copy(u) is u and copy.deepcopy(u) is u
+    back = pickle.loads(pickle.dumps(u))
+    assert back.terms == u.terms and hash(back) == hash(u)
+
+
+def test_element_pickled_with_its_algebra_belongs_to_it():
+    alg = LieAlgebraData(build_root_system("B2"))
+    omega = casimir(alg)  # kept in alg.cache, so the algebra holds an element
+    u = random_element(alg, random.Random(72))
+    alg2, omega2, u2 = pickle.loads(pickle.dumps((alg, omega, u)))
+    assert alg2 is not alg
+    assert omega2.alg is alg2 and u2.alg is alg2 and casimir(alg2) is omega2
+    assert omega2.terms == omega.terms and u2.terms == u.terms
+    assert (u2 * omega2).terms == (u * omega).terms

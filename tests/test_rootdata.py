@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import itertools
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -697,3 +699,12 @@ def test_weight_arithmetic():
     assert Weight([2, 0]).is_dominant_integral
     with pytest.raises(AttributeError):
         a.coords = (F(0),)
+
+
+@pytest.mark.parametrize("coords", [(0,), (0, 0), (F(1, 2), -3), (F(-7, 6), F(5, 2), 0)])
+def test_weight_copies_and_pickles_keep_value_and_hash(coords):
+    w = Weight(coords)
+    for back in (copy.copy(w), copy.deepcopy(w), pickle.loads(pickle.dumps(w))):
+        assert back == w and hash(back) == hash(w)
+        with pytest.raises(AttributeError, match="immutable"):
+            back.coords = ()
