@@ -32,7 +32,12 @@ Weight-space bases, x_i matrices and Shapovalov polynomials are
 memoized in ``alg.cache``, one table per function name, and are freed
 with the algebra.  Every entry point reads nu through
 ``RootSystem.gamma_point`` and every Kostant number P(nu) is
-``RootSystem.kostant_p``, whose memo this module never reads.
+``RootSystem.kostant_p``.  A block works in integer coordinates: each
+member's depth below the top of the block is taken once, the pairwise
+differences are differences of depths, and the box [0, max depth] of
+Kostant numbers is filled once (``RootSystem._kostant_fill``), where the
+Kostant matrix is read; ``block_report`` fills one box that holds every
+nu its tables, Jantzen bounds and Weyl-dimension sums read.
 """
 
 from __future__ import annotations
@@ -246,7 +251,7 @@ def raising_matrix(alg: LieAlgebraData, i: int, nu: RootVec):
     m, l = alg.m, alg.l
     index = {mono: r for r, mono in enumerate(weight_space_basis(alg, target))}
     x_exps = [0] * alg.d
-    x_exps[alg.x_index(alg.root_position(alg.rs.simple_roots()[i]))] = 1
+    x_exps[alg.x_index(alg.simple_positions[i])] = 1
     x_exps = tuple(x_exps)
     pad = (0,) * (l + m)
     window = (0, m + l)  # words ending in an x kill the top vector
@@ -568,20 +573,23 @@ def decomposition_matrix(alg: LieAlgebraData, lam: Weight,
     rs = alg.rs
     cls = tuple(rs.dot_orbit(lam))
     s = len(cls)
-    # diffs[k][j]: mu_k - mu_j in simple-root coordinates, None off Gamma
-    diffs = tuple(tuple(rs.gamma_coords(a - b) for b in cls) for a in cls)
-    auto_depth = sum(diffs[0][-1])
+    depths = [rs.gamma_coords(cls[0] - w) for w in cls]  # mu_0 - mu_k
+    # diffs[k][j]: mu_k - mu_j = depths[j] - depths[k] in simple-root
+    # coordinates, None off Gamma
+    diffs = tuple(tuple(d if min(d) >= 0 else None for d in
+                        (tuple(map(sub, cj, ck)) for cj in depths)) for ck in depths)
+    auto_depth = sum(depths[-1])
     n = auto_depth if depth is None else max(depth, auto_depth)
+    table = rs._kostant_fill(tuple(map(max, zip(*depths))))  # P at every diff
 
     # dim L(mu_k)_{mu_j} and dim M(mu_k)_{mu_j} at the pairwise differences
-    sm = []
-    walls = []
+    sm, walls = [], []
     for k, row in enumerate(diffs):
         module = VermaModule(alg, cls[k])
-        module._fill([d for d in row if d is not None])
-        sm.append([0 if d is None else module.simple_mult(d) for d in row])
+        dims = module._fill([d for d in row if d is not None])
+        sm.append([0 if d is None else dims[d] for d in row])
         walls.append(tuple(module._walls))
-    kostant = [[0 if d is None else rs.kostant_p(d) for d in row] for row in diffs]
+    kostant = [[0 if d is None else table[d] for d in row] for row in diffs]
 
     rows = [_over_unitriangular(row, sm) for row in kostant]
 
@@ -668,14 +676,24 @@ def block_report(alg: LieAlgebraData, lam: Weight,
     if any(diff is None for row in terms for _, diff in row):
         raise ConsistencyError("inverse decomposition matrix leaves the order")
     rs = alg.rs
-
-    def simple_dim(k, nu):  # dim L(mu_k)_{mu_k - nu}
-        return sum(c * rs.kostant_p(tuple(map(sub, nu, diff))) for c, diff in terms[k])
-
+    findim = tuple(w.is_dominant_integral for w in cls)
+    # a finite-dimensional L(w) spans w - w0 w; -w0 w is -w's dominant point
+    spans = {k: rs.gamma_coords(w + Weight(rs._dominant(tuple(map(neg, w.coords)))))
+             for k, w in enumerate(cls) if findim[k]}
+    if None in spans.values():
+        raise ConsistencyError("support of a finite-dimensional simple "
+                               "is not in the root lattice")
     # table rows: for each nu among the pairwise differences,
     # dim L(mu_k)_{mu_k - nu} for every class member k
     nus = sorted({d for row in dec.diffs for d in row if d is not None},
                  key=lambda v: (sum(v), v))
+    # one box holds every nu >= 0 read below, the Weyl sums' nu included
+    rs._kostant_fill(tuple(max((*column, *map(sum, spans.values())))
+                           for column in zip(*nus)))
+
+    def simple_dim(k, nu):  # dim L(mu_k)_{mu_k - nu}
+        return sum(c * rs.kostant_p(tuple(map(sub, nu, diff))) for c, diff in terms[k])
+
     columns = [[simple_dim(k, nu) for nu in nus] for k in range(s)]
     for k, (walls, column) in enumerate(zip(dec.walls, columns)):
         for nu, dim in zip(nus, column):
@@ -684,19 +702,10 @@ def block_report(alg: LieAlgebraData, lam: Weight,
                 raise ConsistencyError(f"dim L_{k} at {nu} breaks the Jantzen bounds")
     tables = tuple(zip(nus, zip(*columns)))
 
-    findim = tuple(w.is_dominant_integral for w in cls)
     checks = []
-    for k, w in enumerate(cls):
-        if not findim[k]:
-            continue
-        # the lowest weight w0 w: the one antidominant weight of the
-        # W-orbit, minus the dominant point of the orbit of -w
-        span = rs.gamma_coords(w + Weight(rs._dominant(tuple(map(neg, w.coords)))))
-        if span is None:
-            raise ConsistencyError("support of a finite-dimensional simple "
-                                   "is not in the root lattice")
+    for k, span in spans.items():
         total = sum(simple_dim(k, nu) for nu in gamma_elements(alg, sum(span)))
-        expected = rs.weyl_dimension(w)
+        expected = rs.weyl_dimension(cls[k])
         if total != expected:
             raise ConsistencyError(
                 f"rank sum {total} disagrees with Weyl dimension {expected}")

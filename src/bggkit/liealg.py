@@ -165,7 +165,14 @@ def _jacobi_failure(d: int, table) -> Optional[Tuple[int, int, int]]:
 
 
 def _in_range(value: int, size: int, what: str) -> int:
-    """value, if 0 <= value < size; else DomainError."""
+    """value as an int, if it is an integer (a bool is not) with
+    0 <= value < size; else DomainError."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        value = index(value)
+    except TypeError:
+        raise DomainError(f"{what} {value!r} is not an integer") from None
     if not 0 <= value < size:
         raise DomainError(f"{what} {value} is outside 0..{size - 1}")
     return value
@@ -189,6 +196,8 @@ class LieAlgebraData:
         weights.extend((0,) * self.l for _ in range(self.l))
         weights.extend(positives)
         self.index_weights: Tuple[Exps, ...] = tuple(weights)
+        # positions of the simple roots alpha_1..alpha_l in the root order
+        self.simple_positions = tuple(map(self.root_position, rs.simple_roots()))
 
         self._table = self._build_table(_structure_constants(rs))
         failure = _jacobi_failure(self.d, self._table)
@@ -346,12 +355,14 @@ class UEAElement:
     def __reduce__(self):
         return UEAElement, (self.alg, self.terms)
 
-    # an element stays in its algebra: a deep copy of the algebra would not
+    # an element stays in its algebra, unless that algebra is being deep
+    # copied: then the copy is an element of the algebra's copy
     def __copy__(self):
         return self
 
     def __deepcopy__(self, memo):
-        return self
+        alg = memo.get(id(self.alg))
+        return self if alg is None else UEAElement(alg, self.terms)
 
     # -- ring structure -------------------------------------------------
 
@@ -524,8 +535,8 @@ def is_central(z: UEAElement) -> bool:
     cached = cache.get(id(z))
     if cached is not None and cached[0] is z:
         return cached[1]
-    simple = [alg.root_position(root) for root in alg.rs.simple_roots()]
-    verdict = all(z * b == b * z for p in simple for b in (alg.x(p), alg.y(p)))
+    verdict = all(z * b == b * z for p in alg.simple_positions
+                  for b in (alg.x(p), alg.y(p)))
     cache[id(z)] = (z, verdict)
     return verdict
 

@@ -18,9 +18,12 @@ denominators of C^{-1}: an integral weight v has simple-root coordinates
 M v / D.  ``RootSystem.gamma_coords`` is the one test of mu <= lam, that is
 of lam - mu lying in Gamma, the nonnegative integer span of the simple
 roots; ``RootSystem.gamma_point`` is the one test of a vector nu given in
-simple-root coordinates.  ``kostant_p`` memoizes P(nu) for every nu it
-is asked, off Gamma too, and no other module reads its keys.  Dot orbits
-come in block ordering: by decreasing height, then by coordinates.
+simple-root coordinates.  ``kostant_p`` memoizes P(nu) keyed by nu, off
+Gamma too, and a miss in Gamma fills the whole box [0, nu] by one height
+recurrence (``_kostant_fill``), so the memo holds every nu of every box
+filled; ``category`` fills a block's box once and reads it back through
+``kostant_p``.  Dot orbits come in block ordering: by decreasing height,
+then by coordinates.
 
 The Weyl group rests on one primitive, the simple reflection of a
 coordinate tuple (``RootSystem.reflect``).  An element w is a reduced
@@ -44,9 +47,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
+from itertools import islice, product
 from math import lcm, prod
-from operator import add, index, mul, neg, sub
+from operator import add, index, le, mul, neg, sub
 from typing import Iterable, Optional, Tuple
 
 from .errors import ConsistencyError, DomainError, NotARootError, NotFiniteTypeError
@@ -446,43 +449,49 @@ class RootSystem:
     def kostant_p(self, nu) -> int:
         """Number of ways to write nu as a nonnegative sum of positive roots.
 
-        Memo first: P(nu) is kept at key (nu, 0) of ``cache["kostant_p"]``,
-        0 off Gamma and 1 at nu = 0 included, so a repeated nu costs one
-        lookup; a miss goes through ``gamma_point`` and the recursion over
-        the deterministic root order.  A nu holding a nan is not stored:
-        nan != nan, so its key would never be hit again.
+        Memo first: P(nu) is kept at key nu of ``cache["kostant_p"]``, 0 off
+        Gamma included, so a repeated nu costs one lookup; a miss goes
+        through ``gamma_point`` and, in Gamma, fills the box [0, nu] with
+        ``_kostant_fill``.  A nu holding a nan is not stored: nan != nan,
+        so its key would never be hit again.
         """
+        key = tuple(nu)
         table = self.cache.get("kostant_p")  # not setdefault: no new dict per hit
-        if table is None:
-            table = self.cache["kostant_p"] = {}
-        key = (tuple(nu), 0)
-        got = table.get(key)
+        got = None if table is None else table.get(key)
         if got is None:
-            point = self.gamma_point(key[0])
-            got = 0 if point is None else self._kostant(point, 0, table)
-            if point is not None or all(c == c for c in key[0]):
-                table[key] = got
+            point = self.gamma_point(key)
+            if point is not None:
+                return self._kostant_fill(point)[point]
+            got = 0
+            if all(c == c for c in key):
+                self.cache.setdefault("kostant_p", {})[key] = got
         return got
 
-    def _kostant(self, nu, k, table):
-        if not any(nu):
-            return 1
-        if k == self.num_positive:
-            return 0
-        key = (nu, k)
-        cached = table.get(key)
-        if cached is not None:
-            return cached
-        alpha = self.positive_roots[k]
-        total = 0
-        rest = nu
-        while True:
-            total += self._kostant(rest, k + 1, table)
-            rest = tuple(a - b for a, b in zip(rest, alpha))
-            if any(c < 0 for c in rest):
-                break
-        table[key] = total
-        return total
+    def _kostant_fill(self, top) -> dict:
+        """The memo of ``kostant_p``, once it holds P on the box [0, top]: each
+        missing nu, in lex order, by ht(nu) P(nu) = sum_beta ht(beta) sum_{k>=1}
+        P(nu - k*beta), the height derivation of prod_beta (1 - e^-beta)^-1 as
+        in Euler's n p(n) = sum sigma(k) p(n-k) (Andrews, 1976), divided exactly
+        or ConsistencyError.  The box is one row-major list: nu - k*beta sits
+        k*offset(beta) cells before nu, earlier in lex order."""
+        table = self.cache.setdefault("kostant_p", {})
+        strides = [prod(t + 1 for t in top[i + 1:]) for i in range(self.rank)]
+        roots = [(_height(beta), sum(map(mul, beta, strides)),
+                  [(i, b) for i, b in enumerate(beta) if b])
+                 for beta in self.positive_roots if all(map(le, beta, top))]
+        flat = []
+        for here, nu in enumerate(product(*(range(t + 1) for t in top))):
+            got = table.get(nu)
+            if got is None:
+                total = sum(height * sum(flat[here - k * offset:here:offset])
+                            for height, offset, support in roots
+                            for k in [min(nu[i] // b for i, b in support)])
+                got, rest = divmod(total, sum(nu)) if any(nu) else (1, 0)
+                if rest:
+                    raise ConsistencyError(f"height recurrence is not exact at {nu}")
+                table[nu] = got
+            flat.append(got)
+        return table
 
     def weyl_dimension(self, lam: Weight) -> int:
         """dim of the simple module at a dominant integral weight, by

@@ -634,6 +634,36 @@ def test_basis_accessors_refuse_out_of_range_indices(a2, call, arg):
         getattr(a2, call)(arg)
 
 
+@pytest.mark.parametrize("call, arg", [
+    ("x", 0.5), ("x", True), ("y", 1.0), ("h", True), ("basis_element", "0"),
+])
+def test_basis_accessors_refuse_indices_that_are_not_integers(a2, call, arg):
+    # a bool is refused although True == 1: x(True) would read as x(1)
+    with pytest.raises(DomainError, match="is not an integer"):
+        getattr(a2, call)(arg)
+
+
+def test_simple_positions_name_the_simple_roots():
+    for label in ("A2", "B3", "G2"):
+        alg = LieAlgebraData(build_root_system(label))
+        roots = alg.rs.positive_roots
+        assert [roots[p] for p in alg.simple_positions] == list(alg.rs.simple_roots())
+
+
+def test_deep_copied_algebra_holds_its_own_elements():
+    alg = LieAlgebraData(build_root_system("A1"))
+    omega = casimir(alg)  # kept in alg.cache, so the algebra holds an element
+    alg2 = copy.deepcopy(alg)
+    omega2 = casimir(alg2)
+    assert alg2 is not alg and omega2.alg is alg2 and omega2.terms == omega.terms
+    assert (omega2 * alg2.x(0)).terms == (omega * alg.x(0)).terms
+    # copied together, the element follows its algebra into the copy
+    alg3, omega3 = copy.deepcopy((alg, omega))
+    assert omega3.alg is alg3 and casimir(alg3) is omega3
+    # on its own, an element is its own deep copy
+    assert copy.deepcopy(omega) is omega
+
+
 def test_element_copies_and_pickles_keep_value_and_hash(b2):
     u = random_element(b2, random.Random(71))
     assert copy.copy(u) is u and copy.deepcopy(u) is u

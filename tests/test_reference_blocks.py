@@ -15,8 +15,10 @@ from pathlib import Path
 import pytest
 
 from bggkit import cli, exactla
+from bggkit.category import decomposition_matrix
+from bggkit.liealg import build_chevalley
 from bggkit.pbw import StraightenKernel
-from bggkit.rootdata import cached_root_system
+from bggkit.rootdata import Weight, cached_root_system
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
@@ -76,3 +78,18 @@ def test_block_work_over_the_reference_members(capsys, monkeypatch):
     assert len(per_block) == 50
     assert counts == {"row_basis": 2494, "kernel": 4404}
     assert min(per_block) >= 1
+
+
+def test_block_differences_are_differences_of_depths():
+    """``DecompositionMatrix.diffs``, read off each member's depth below
+    the top of its block, equals mu_k - mu_j through ``gamma_coords`` on
+    every reference member and on the one-member block of E7 at -rho."""
+    members = [param.values[:2] for param in _members()]
+    members.append(("E7", "-1,-1,-1,-1,-1,-1,-1"))
+    for label, member in members:
+        alg = build_chevalley(cached_root_system(label))
+        dec = decomposition_matrix(alg, Weight([Fraction(x) for x in member.split(",")]))
+        cls = dec.class_weights
+        assert dec.diffs == tuple(tuple(alg.rs.gamma_coords(a - b) for b in cls)
+                                  for a in cls)
+    assert len(cls) == 1 and dec.diffs == (((0,) * 7,),)

@@ -4,12 +4,14 @@ import itertools
 import pickle
 import random
 from fractions import Fraction as F
+from math import prod
 
 import pytest
 from hypothesis import given, strategies as st
 
 from bggkit import cli, rootdata, selftest
-from bggkit.errors import DomainError, NotARootError, NotFiniteTypeError
+from bggkit.errors import (ConsistencyError, DomainError, NotARootError,
+                           NotFiniteTypeError)
 from bggkit.rootdata import (STRICT, WIDE, CartanMatrixInput, Weight,
                              build_root_system, cached_root_system)
 
@@ -595,6 +597,78 @@ def test_kostant_p_cold_warm_and_cleared_match_brute_force(label, monkeypatch):
         assert rs.kostant_p([F(2)] + [0] * (rs.rank - 1)) == 1  # equal key, any spelling
     rs.cache.clear()
     assert [rs.kostant_p(nu) for nu in reversed(box)] == list(reversed(expected.values()))
+
+
+def _staged_kostant(rs, nu, k=0, memo=None):
+    """P(nu) by the staged recursion over the root order, the oracle of
+    ``kostant_p``: P_k(nu) = sum_{j>=0} P_{k+1}(nu - j*beta_k), with
+    P_m(nu) = [nu == 0] and a memo keyed by (nu, k)."""
+    memo = {} if memo is None else memo
+    if not any(nu):
+        return 1
+    if k == rs.num_positive:
+        return 0
+    got = memo.get((nu, k))
+    if got is None:
+        beta, got, rest = rs.positive_roots[k], 0, nu
+        while min(rest) >= 0:
+            got += _staged_kostant(rs, rest, k + 1, memo)
+            rest = tuple(a - b for a, b in zip(rest, beta))
+        memo[(nu, k)] = got
+    return got
+
+
+# one box [0, top] per type: about 100-700 cells
+KOSTANT_BOXES = {
+    "A1": (12,), "A2": (7, 7), "A3": (4, 4, 4), "A4": (3, 3, 3, 3),
+    "B2": (7, 7), "B3": (4, 4, 4), "B4": (3, 3, 3, 3), "C3": (4, 4, 4),
+    "C4": (3, 3, 3, 3), "D4": (3, 3, 3, 3), "G2": (9, 9), "F4": (3, 3, 3, 3),
+    "E6": (2, 1, 2, 2, 1, 1),
+}
+
+
+@pytest.mark.parametrize("label", sorted(KOSTANT_BOXES))
+def test_kostant_p_matches_the_staged_recursion(label):
+    """Cold at the corner of the box, then warm at every cell; cold in
+    height order; cold in reverse lex order: the same numbers as the
+    staged recursion at every cell."""
+    top = KOSTANT_BOXES[label]
+    box = list(itertools.product(*(range(t + 1) for t in top)))
+    memo = {}
+    rs = build_root_system(label)
+    expected = [_staged_kostant(rs, nu, 0, memo) for nu in box]
+    assert rs.kostant_p(top) == expected[-1]  # cold: one fill of the whole box
+    assert len(rs.cache["kostant_p"]) == len(box)
+    assert [rs.kostant_p(nu) for nu in box] == expected  # warm
+    assert len(rs.cache["kostant_p"]) == len(box)
+    by_height = sorted(range(len(box)), key=lambda i: (sum(box[i]), box[i]))
+    rs.cache.clear()
+    assert [rs.kostant_p(box[i]) for i in by_height] == [expected[i] for i in by_height]
+    rs.cache.clear()
+    assert [rs.kostant_p(nu) for nu in reversed(box)] == expected[::-1]
+
+
+@pytest.mark.parametrize("label, nu", [("G2", (40, 25)), ("A4", (8, 8, 8, 8))])
+def test_kostant_p_matches_the_staged_recursion_on_a_deep_box(label, nu):
+    rs = build_root_system(label)
+    assert rs.kostant_p(nu) == _staged_kostant(rs, nu)
+    assert len(rs.cache["kostant_p"]) == prod(c + 1 for c in nu)
+
+
+def test_kostant_memo_holds_one_entry_per_cell_of_the_box():
+    # the staged recursion kept 12,636 (nu, k) entries for this one nu
+    rs = build_root_system("F4")
+    assert rs.kostant_p((4, 4, 4, 4)) == 875
+    table = rs.cache["kostant_p"]
+    assert len(table) <= 625
+    assert set(table) == set(itertools.product(range(5), repeat=4))
+
+
+def test_kostant_fill_refuses_an_inexact_division(monkeypatch):
+    rs = build_root_system("A2")
+    monkeypatch.setattr(rootdata, "_height", lambda root: 2 * sum(root) - 1)
+    with pytest.raises(ConsistencyError, match="height recurrence is not exact"):
+        rs.kostant_p((2, 1))
 
 
 def test_weyl_enumeration_cap_bounds_group_and_orbits(monkeypatch):
