@@ -31,13 +31,13 @@ straightened with the kernel's U(h) window, once per unordered pair.
 Weight-space bases, x_i matrices and Shapovalov polynomials are
 memoized in ``alg.cache``, one table per function name, and are freed
 with the algebra.  Every entry point reads nu through
-``RootSystem.gamma_point`` and every Kostant number P(nu) is
-``RootSystem.kostant_p``.  A block works in integer coordinates: each
+``RootSystem.gamma_point``.  A block works in integer coordinates: each
 member's depth below the top of the block is taken once, the pairwise
 differences are differences of depths, and the box [0, max depth] of
 Kostant numbers is filled once (``RootSystem._kostant_fill``), where the
 Kostant matrix is read; ``block_report`` fills one box that holds every
-nu its tables, Jantzen bounds and Weyl-dimension sums read.
+nu >= 0 its tables, Jantzen bounds and Weyl-dimension sums read, and
+reads P(nu - d) there after one sign test (a negative coordinate is 0).
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 from . import exactla
 from .errors import ConsistencyError, DepthOverflowError, DomainError
 from .liealg import LieAlgebraData, UEAElement
-from .rootdata import RootSystem, Weight
+from .rootdata import Weight
 
 RootVec = Tuple[int, ...]
 YMono = Tuple[int, ...]
@@ -376,11 +376,6 @@ class VermaModule:
                 built[nu] = quotients[nu] = self.alg.rs.kostant_p(nu)
         return built
 
-    def jantzen_bounds(self, nu: RootVec) -> Tuple[int, int]:
-        """(max, sum) over the walls n*beta of P(nu - n*beta): the maximal
-        submodule at lam-nu has a dimension in between (Jantzen, LNM 750)."""
-        return _jantzen_bounds(self.alg.rs, self._walls, nu)
-
     def simple_mult(self, nu) -> int:
         """dim L(lam)_{lam-nu}; 0 off Gamma, as at a non-integral nu."""
         nu = self.alg.rs.gamma_point(nu)
@@ -390,12 +385,6 @@ class VermaModule:
             self._fill([nu])
         quotient = self._quotients[nu]
         return quotient if isinstance(quotient, int) else len(quotient)
-
-
-def _jantzen_bounds(rs: RootSystem, walls, nu: RootVec) -> Tuple[int, int]:
-    """``VermaModule.jantzen_bounds`` read off the module's walls."""
-    below = [rs.kostant_p(tuple(map(sub, nu, wall))) for wall in walls]
-    return max(below, default=0), sum(below)
 
 
 # -- Shapovalov form ---------------------------------------------------------
@@ -688,17 +677,22 @@ def block_report(alg: LieAlgebraData, lam: Weight,
     nus = sorted({d for row in dec.diffs for d in row if d is not None},
                  key=lambda v: (sum(v), v))
     # one box holds every nu >= 0 read below, the Weyl sums' nu included
-    rs._kostant_fill(tuple(max((*column, *map(sum, spans.values())))
-                           for column in zip(*nus)))
+    box = rs._kostant_fill(tuple(max((*column, *map(sum, spans.values())))
+                                 for column in zip(*nus)))
+
+    def kostant_below(nu, d):  # P(nu - d), 0 off Gamma
+        point = tuple(map(sub, nu, d))
+        return box[point] if min(point) >= 0 else 0
 
     def simple_dim(k, nu):  # dim L(mu_k)_{mu_k - nu}
-        return sum(c * rs.kostant_p(tuple(map(sub, nu, diff))) for c, diff in terms[k])
+        return sum(c * kostant_below(nu, diff) for c, diff in terms[k])
 
     columns = [[simple_dim(k, nu) for nu in nus] for k in range(s)]
     for k, (walls, column) in enumerate(zip(dec.walls, columns)):
         for nu, dim in zip(nus, column):
-            low, high = _jantzen_bounds(rs, walls, nu)
-            if not low <= rs.kostant_p(nu) - dim <= high:
+            # dim of M(mu_k)'s maximal submodule at nu (Jantzen, LNM 750)
+            below = [kostant_below(nu, wall) for wall in walls]
+            if not max(below, default=0) <= box[nu] - dim <= sum(below):
                 raise ConsistencyError(f"dim L_{k} at {nu} breaks the Jantzen bounds")
     tables = tuple(zip(nus, zip(*columns)))
 

@@ -451,8 +451,11 @@ class UEAElement:
         """Evaluate an element of U(h) at a weight; h_i goes to lam(h_i).
 
         A term c h^e of degree k is c v^e / s^k, v = s lam in integers.
+        DomainError off U(h) or at a weight of another rank.
         """
         alg = self.alg
+        if len(lam) != alg.l:
+            raise DomainError("weight has wrong rank")
         lo, hi = alg.m, alg.m + alg.l
         scale, v = lam.scaled()
         num, den = 0, 1

@@ -18,11 +18,11 @@ denominators of C^{-1}: an integral weight v has simple-root coordinates
 M v / D.  ``RootSystem.gamma_coords`` is the one test of mu <= lam, that is
 of lam - mu lying in Gamma, the nonnegative integer span of the simple
 roots; ``RootSystem.gamma_point`` is the one test of a vector nu given in
-simple-root coordinates.  ``kostant_p`` memoizes P(nu) keyed by nu, off
-Gamma too, and a miss in Gamma fills the whole box [0, nu] by one height
-recurrence (``_kostant_fill``), so the memo holds every nu of every box
-filled; ``category`` fills a block's box once and reads it back through
-``kostant_p``.  Dot orbits come in block ordering: by decreasing height,
+simple-root coordinates.  ``kostant_p`` is 0 off Gamma and memoizes P(nu)
+in Gamma, where a miss fills the whole box [0, nu] by one height
+recurrence (``_kostant_fill``), so the memo is exactly the union of the
+boxes filled; ``category`` fills a block's box once and reads P off the
+returned table.  Dot orbits come in block ordering: by decreasing height,
 then by coordinates.
 
 The Weyl group rests on one primitive, the simple reflection of a
@@ -36,7 +36,7 @@ orbit needs no words: it is walked as a tree hanging from its one
 dominant point, and two weights are linked when their dominant points
 agree.  An orbit's size is read off the positive roots before any walk,
 so a group or orbit past WEYL_ENUMERATION_CAP elements is refused at
-once.
+once; linkage walks no orbit and has no cap.
 The Bruhat order uses the lifting property (Bjorner-Brenti, GTM 231,
 2.2.7): for a right descent s of w, u <= w iff us <= ws when s is also a
 right descent of u, and iff u <= ws when it is not.
@@ -197,11 +197,17 @@ class Weight:
     def __hash__(self):
         return hash(self.coords)
 
+    def _paired(self, other: "Weight") -> tuple:
+        """other's coordinates; DomainError unless it has this weight's rank."""
+        if len(other.coords) != len(self.coords):
+            raise DomainError("weights of different ranks")
+        return other.coords
+
     def __add__(self, other: "Weight") -> "Weight":
-        return Weight._exact(tuple(map(add, self.coords, other.coords)))
+        return Weight._exact(tuple(map(add, self.coords, self._paired(other))))
 
     def __sub__(self, other: "Weight") -> "Weight":
-        return Weight._exact(tuple(map(sub, self.coords, other.coords)))
+        return Weight._exact(tuple(map(sub, self.coords, self._paired(other))))
 
     def __rmul__(self, scalar) -> "Weight":
         return Weight._exact(tuple(Fraction(scalar) * c for c in self.coords))
@@ -416,13 +422,12 @@ class RootSystem:
     def is_linked(self, lam: Weight, mu: Weight) -> bool:
         """True iff mu lies in the dot orbit of lam (same fiber of pi):
         lam + rho and mu + rho, scaled by one common denominator, have the
-        same dominant point.  DomainError when lam's orbit is past
-        WEYL_ENUMERATION_CAP, as for ``dot_orbit``."""
+        same dominant point.  No orbit is walked, so WEYL_ENUMERATION_CAP
+        does not apply: linkage is decided on E8 as on A1."""
         (a, u), (b, v) = lam.scaled(), mu.scaled()
         scale = lcm(a, b)
-        top = self._dominant(self._ranked((x + a) * (scale // a) for x in u))
-        self._orbit_size(top)
-        return top == self._dominant(self._ranked((x + b) * (scale // b) for x in v))
+        return (self._dominant(self._ranked((x + a) * (scale // a) for x in u))
+                == self._dominant(self._ranked((x + b) * (scale // b) for x in v)))
 
     def integral_pairings(self, lam: Weight):
         """(beta, n) for each positive beta with n = <lam+rho, beta-check> in Z,
@@ -449,22 +454,17 @@ class RootSystem:
     def kostant_p(self, nu) -> int:
         """Number of ways to write nu as a nonnegative sum of positive roots.
 
-        Memo first: P(nu) is kept at key nu of ``cache["kostant_p"]``, 0 off
-        Gamma included, so a repeated nu costs one lookup; a miss goes
-        through ``gamma_point`` and, in Gamma, fills the box [0, nu] with
-        ``_kostant_fill``.  A nu holding a nan is not stored: nan != nan,
-        so its key would never be hit again.
+        Memo first: ``cache["kostant_p"]`` holds P at the cells of the boxes
+        ``_kostant_fill`` has filled, so a repeated nu in Gamma costs one
+        lookup; a miss goes through ``gamma_point``, which gives 0 off Gamma
+        without a memo entry and, in Gamma, fills the box [0, nu].
         """
         key = tuple(nu)
         table = self.cache.get("kostant_p")  # not setdefault: no new dict per hit
         got = None if table is None else table.get(key)
         if got is None:
             point = self.gamma_point(key)
-            if point is not None:
-                return self._kostant_fill(point)[point]
-            got = 0
-            if all(c == c for c in key):
-                self.cache.setdefault("kostant_p", {})[key] = got
+            got = 0 if point is None else self._kostant_fill(point)[point]
         return got
 
     def _kostant_fill(self, top) -> dict:

@@ -134,7 +134,6 @@ def test_shapovalov_rank_disagreement_is_a_consistency_error(capsys, monkeypatch
 
 @pytest.mark.parametrize("argv", [
     ["weyl-orbit", "--weight", "0,0"],
-    ["linked", "--weights", "0,0;-2,1"],
     ["decomp", "--weight", "0,0"],
     ["block", "--weight", "0,0"],
 ], ids=lambda argv: argv[0])
@@ -145,6 +144,20 @@ def test_orbit_past_the_enumeration_cap_is_refused(capsys, monkeypatch, argv):
     code, out, err = run_cli(capsys, *argv[:1], "--type", "A2", *argv[1:])
     assert (code, out, err) == (cli.EXIT_DOMAIN, "",
                                 "error: Weyl group too large to enumerate\n")
+
+
+def test_linked_past_the_enumeration_cap_is_answered(capsys, monkeypatch):
+    # linkage compares dominant points and walks no orbit, so no cap applies
+    monkeypatch.setattr(rootdata, "WEYL_ENUMERATION_CAP", 5)
+    monkeypatch.setattr(cli, "cached_root_system", build_root_system)
+    code, out, err = run_cli(capsys, "linked", "--type", "A2", "--weights", "0,0;-2,1;1,0")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == [[[0, 0], [-2, 1]], [[1, 0]]]
+    # |W(E7)| = 2,903,040: 0 and s_1 . 0 are linked, 0 and omega_1 are not
+    code, out, err = run_cli(capsys, "linked", "--type", "E7",
+                             "--weights", "0,0,0,0,0,0,0;-2,0,1,0,0,0,0;1,0,0,0,0,0,0")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == [[[0] * 7, [-2, 0, 1, 0, 0, 0, 0]], [[1] + [0] * 6]]
 
 
 def test_block_past_the_weyl_cap_walks_only_its_orbit(capsys):

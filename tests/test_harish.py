@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from bggkit import harish, liealg
-from bggkit.category import VermaSlice, VermaVector
+from bggkit.category import VermaSlice, VermaVector, shapovalov_matrix
 from bggkit.errors import DomainError
 from bggkit.harish import (CentralCharacter, central_character, gamma_twist,
                            hc_psi, is_central)
@@ -43,6 +43,24 @@ def test_central_character_examples(a1):
         hc_psi(z).evaluate_at(Weight([0]))
     with pytest.raises(DomainError):
         central_character(Weight([3]), a1.x(0))
+
+
+_A2_WRONG_RANK_WEIGHTS = {
+    "central_character-short": lambda a2: central_character(Weight([2]), casimir(a2)),
+    "central_character-long": lambda a2: central_character(Weight([2, 0, 5]), casimir(a2)),
+    "evaluate_at-constant": lambda a2: a2.one().evaluate_at(Weight([1])),
+    "shapovalov_matrix": lambda a2: shapovalov_matrix(a2, Weight([1]), (1, 1)),
+    "weight_add": lambda a2: Weight([1]) + Weight([1, 2]),
+    "weight_sub": lambda a2: Weight([1, 2]) - Weight([1]),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_A2_WRONG_RANK_WEIGHTS))
+def test_weights_of_the_wrong_rank_are_a_domain_error(a2, call):
+    # each used to drop or ignore coordinates: on A2, chi at (2) read as
+    # 16/9, chi at (2,0,5) as its value at (2,0), and (1) + (1,2) as (2)
+    with pytest.raises(DomainError, match="rank"):
+        _A2_WRONG_RANK_WEIGHTS[call](a2)
 
 
 def test_is_central(a1):

@@ -376,8 +376,9 @@ def test_dot_orbit_is_the_weyl_group_image(label):
     """The orbit, walked as a tree from its dominant point, against
     w . lam over the breadth-first words of the Weyl group: each weight
     once, in the order of Fraction heights, and the cap refusing exactly
-    past the orbit's size.  Its weights keep the Weight contract
-    (Fraction coordinates, hash, eq, integrality)."""
+    past the orbit's size, where linkage, which walks no orbit, still
+    answers.  Its weights keep the Weight contract (Fraction coordinates,
+    hash, eq, integrality)."""
     rs = cached_root_system(label)
     weyl = rs.weyl_group()
     rng = random.Random(label)
@@ -397,9 +398,9 @@ def test_dot_orbit_is_the_weyl_group_image(label):
             patch.setattr(rootdata, "WEYL_ENUMERATION_CAP", len(orbit))
             assert rs.dot_orbit(lam) == orbit and rs.is_linked(lam, orbit[-1])
             patch.setattr(rootdata, "WEYL_ENUMERATION_CAP", len(orbit) - 1)
-            for refused in (rs.dot_orbit, lambda mu: rs.is_linked(mu, mu)):
-                with pytest.raises(DomainError, match="Weyl group too large"):
-                    refused(lam)
+            with pytest.raises(DomainError, match="Weyl group too large"):
+                rs.dot_orbit(lam)
+            assert rs.is_linked(lam, lam) and rs.is_linked(lam, orbit[-1])
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "G2", "C3"])
@@ -422,14 +423,31 @@ def test_is_linked_agrees_with_orbit_membership(label):
 
 
 def test_orbits_past_the_cap_are_refused_before_any_walk():
-    # |W(E8)| = 696,729,600: the refusal costs no enumeration
+    # |W(E8)| = 696,729,600: the refusal costs no enumeration, and linkage,
+    # which walks no orbit, is not refused
     rs = build_root_system("E8")
     lam = Weight([0] * 8)
-    for refused in (rs.dot_orbit, lambda mu: rs.is_linked(mu, mu),
-                    lambda mu: rs.weyl_group()):
+    for refused in (rs.dot_orbit, lambda mu: rs.weyl_group()):
         with pytest.raises(DomainError, match="Weyl group too large to enumerate"):
             refused(lam)
+    assert rs.is_linked(lam, lam)
     assert rs.dot_orbit(Weight([-1] * 8)) == [Weight([-1] * 8)]
+
+
+@pytest.mark.parametrize("label", ["E7", "E8"])
+def test_is_linked_answers_past_the_cap(label):
+    """|W(E7)| = 2,903,040 and |W(E8)| = 696,729,600 are past the cap: a
+    weight and its image under a word of simple reflections (dot action)
+    are linked, and a near miss of that image is not."""
+    rs = build_root_system(label)
+    rng = random.Random(label)
+    lam = Weight([rng.randint(-3, 3) for _ in range(rs.rank)])
+    word = [rng.randrange(rs.rank) for _ in range(12)]
+    image = Weight(rs.reflect(tuple(c + 1 for c in lam.coords), *word)) - rs.rho()
+    near = image + Weight([int(i == 0) for i in range(rs.rank)])
+    assert image != lam
+    assert rs.is_linked(lam, image) and rs.is_linked(image, lam)
+    assert not rs.is_linked(lam, near) and not rs.is_linked(near, lam)
 
 
 _A2_WRONG_RANK = {
@@ -568,17 +586,16 @@ def test_gamma_point_and_kostant_p_reject_wrong_rank(rs_a2, nu):
 
 
 def test_kostant_p_stores_no_entry_for_a_nan():
+    # off Gamma, P is 0 and the memo keeps only the filled box: no entry
+    # for a negative, fractional, nan or infinite nu
     rs = build_root_system("A2")
     rs.kostant_p((2, 2))
-    before = len(rs.cache["kostant_p"])
-    # nan != nan: a stored key would never be hit again
-    assert [rs.kostant_p((float("nan"), 0)) for _ in range(3)] == [0, 0, 0]
-    assert rs.kostant_p((1, float("nan"))) == 0
-    assert len(rs.cache["kostant_p"]) == before
-    # off-Gamma nu that equal themselves are still kept
-    for nu in ((-1, 3), (F(3, 2), 1), (float("inf"), 0)):
-        assert rs.kostant_p(nu) == 0
-    assert len(rs.cache["kostant_p"]) == before + 3
+    box = dict(rs.cache["kostant_p"])
+    assert set(box) == set(itertools.product(range(3), repeat=2))
+    for nu in ((-1, 3), (3, -2), (F(3, 2), 1), (1.5, 0), (float("nan"), 0),
+               (1, float("nan")), (float("inf"), 0), (0, float("-inf"))):
+        assert [rs.kostant_p(nu) for _ in range(2)] == [0, 0]
+    assert rs.cache["kostant_p"] == box
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "G2"])
@@ -588,13 +605,16 @@ def test_kostant_p_cold_warm_and_cleared_match_brute_force(label, monkeypatch):
     expected = {nu: selftest._kostant_brute_force(rs, nu) for nu in box}
     assert expected[(0,) * rs.rank] == 1 and expected[(-1,) + (0,) * (rs.rank - 1)] == 0
     assert [rs.kostant_p(nu) for nu in box] == list(expected.values())  # cold
+    in_gamma = [nu for nu in box if min(nu) >= 0]
     with monkeypatch.context() as patch:
-        # warm: every answer, off-Gamma zeros and P(0) included, is a memo hit
+        # warm: every answer in Gamma, P(0) included, is a memo hit
         def no_validation(nu):
             raise AssertionError(f"kostant_p missed its memo at {nu}")
         patch.setattr(rs, "gamma_point", no_validation)
-        assert [rs.kostant_p(nu) for nu in box] == list(expected.values())
+        assert [rs.kostant_p(nu) for nu in in_gamma] == [expected[nu] for nu in in_gamma]
         assert rs.kostant_p([F(2)] + [0] * (rs.rank - 1)) == 1  # equal key, any spelling
+    # off Gamma: 0 through gamma_point, warm as cold
+    assert [rs.kostant_p(nu) for nu in box] == list(expected.values())
     rs.cache.clear()
     assert [rs.kostant_p(nu) for nu in reversed(box)] == list(reversed(expected.values()))
 
