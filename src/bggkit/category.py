@@ -15,7 +15,8 @@ further: where exactly one wall n*beta reaches nu, the embedding
 M(s_beta . lambda) in M(lambda) and Jantzen's sum formula both give the
 maximal submodule dimension P(nu - n*beta), so the rank there is read,
 not eliminated, and row bases are taken only where walls meet and at
-the wall-reached nu that those stacks read.  The x_i matrices are
+the wall-reached nu that those stacks read; every rank eliminated there
+is checked against Jantzen's bounds.  The x_i matrices are
 affine in lambda.  Block decomposition matrices are then
 solved from the unitriangular character system
 
@@ -28,7 +29,7 @@ The Shapovalov form (whose radical is the same maximal submodule) is
 kept for the ``shapovalov`` subcommand and as an independent oracle;
 its entries are polynomials in U(h), each one word sigma(y^A) y^B
 straightened with the kernel's U(h) window, once per unordered pair.
-Weight-space bases, x_i matrices and Shapovalov polynomials are
+Weight-space bases and x_i matrices are
 memoized in ``alg.cache``, one table per function name, and are freed
 with the algebra.  Every entry point reads nu through
 ``RootSystem.gamma_point``.  A block works in integer coordinates: each
@@ -400,7 +401,7 @@ def _symmetric(size: int, entry) -> List[list]:
 
 
 def shapovalov_polynomial_matrix(alg: LieAlgebraData, nu: RootVec):
-    """Entries <y^A v, y^B v> as elements of U(h); memoized by nu.
+    """Entries <y^A v, y^B v> as elements of U(h).
 
     Entry (A, B) is the Harish-Chandra projection of sigma(y^A) y^B; its
     evaluation at lambda is the contravariant form on M(lambda).  Each
@@ -410,23 +411,17 @@ def shapovalov_polynomial_matrix(alg: LieAlgebraData, nu: RootVec):
     as soon as it appears.  sigma fixes U(h), so the form is symmetric
     and only A <= B is straightened.  Empty off Gamma.
     """
-    cache = alg.cache.setdefault("shapovalov_polynomial_matrix", {})
     nu = alg.rs.gamma_point(nu)
     if nu is None:
         return (), ()
-    got = cache.get(nu)
-    if got is not None:
-        return got
     basis = weight_space_basis(alg, nu)
     window = (alg.m, alg.m + alg.l)  # the h's
     normal_order_word = alg.kernel.normal_order_word
     ys = [tuple((k, e) for k, e in enumerate(mono) if e) for mono in basis]
     # sigma reverses y^A and swaps each y for the x of its root
     xs = [tuple((alg.transpose_index(k), e) for k, e in reversed(y)) for y in ys]
-    matrix = tuple(map(tuple, _symmetric(
+    return basis, tuple(map(tuple, _symmetric(
         len(basis), lambda a, b: UEAElement(alg, normal_order_word(xs[a] + ys[b], window)))))
-    cache[nu] = (basis, matrix)
-    return basis, matrix
 
 
 def shapovalov_matrix(alg: LieAlgebraData, lam: Weight, nu) -> List[List[Fraction]]:
@@ -471,13 +466,14 @@ def verma_is_simple(alg: LieAlgebraData, lam: Weight, depth: int) -> SimplicityR
     submodule's dimension by the sum of P(nu - n*beta) over the walls
     (Jantzen, LNM 750; Humphreys 5.3), the one term here.  The radical
     recursion runs only where two walls meet and at the wall-reached nu
-    that such a nu stacks on, above it; a one-wall nu among those must
-    give the read rank, else ConsistencyError.  An antidominant verdict
-    with a rank drop is impossible and raises ConsistencyError.  A
-    strictly antidominant lam has no walls, so every audited rank is
-    P(nu) and the drop cannot happen by construction; the check stays,
-    and selftest criterion 6 and the Shapovalov-rank test cross-check
-    the walls by other routes.
+    that such a nu stacks on, above it; each rank it gives must satisfy
+    max P(nu - n*beta) <= P(nu) - rank <= sum P(nu - n*beta) over the
+    walls that reach nu (on one wall, the read rank), else
+    ConsistencyError.  An antidominant verdict with a rank drop is
+    impossible and raises ConsistencyError.  A strictly antidominant lam
+    has no walls, so every audited rank is P(nu) and the drop cannot
+    happen by construction; the check stays, and selftest criterion 6
+    and the Shapovalov-rank test cross-check the walls by other routes.
     """
     module = VermaModule(alg, lam)
     verdict = not module._walls
@@ -501,9 +497,9 @@ def verma_is_simple(alg: LieAlgebraData, lam: Weight, depth: int) -> SimplicityR
             rank = dim - kostant_p(below[0])
         else:
             rank = built[nu]
-            if len(below) == 1 and rank != dim - kostant_p(below[0]):
-                raise ConsistencyError(
-                    f"rank {rank} at {nu} is not P(nu) - P(nu - n*beta) on its one wall")
+            bounds = [kostant_p(d) for d in below]  # P(nu - n*beta) per wall
+            if not max(bounds) <= dim - rank <= sum(bounds):
+                raise ConsistencyError(f"rank {rank} at {nu} breaks the Jantzen bounds")
         ranks.append((nu, rank, dim))
     report = SimplicityReport(verdict, depth, tuple(ranks))
     if verdict and not report.nondegenerate:

@@ -195,15 +195,10 @@ def cmd_linked(args) -> int:
              if part]
     if not items:
         raise UsageError("no weights given")
-    classes = []
+    classes = {}  # linkage key -> members, in order of first appearance
     for lam in items:
-        for cls in classes:
-            if rs.is_linked(cls[0], lam):
-                cls.append(lam)
-                break
-        else:
-            classes.append([lam])
-    _emit([[jsonio.weight_to_json(w) for w in cls] for cls in classes])
+        classes.setdefault(rs.linkage_key(lam), []).append(lam)
+    _emit([[jsonio.weight_to_json(w) for w in cls] for cls in classes.values()])
     return EXIT_OK
 
 

@@ -5,12 +5,11 @@ scalar by which a central element acts on a highest weight module of
 weight lambda; the rho-twisted psi = gamma o phi is the version that is
 invariant under the ordinary Weyl action.  The twist gamma, h_i -> h_i - 1,
 is a ring map of U(h) = S(h), so h_substitute multiplies its image out
-with U(g)'s own product.  Linkage classes are Weyl dot
-orbits, and CentralCharacter equality is decided by
-``RootSystem.is_linked``, which compares the dominant points of the
-representatives' orbits.  is_central, re-exported from liealg, commutes
-an element with the 2l Chevalley generators; the Casimir is verified by
-it.
+with U(g)'s own product.  Linkage classes are Weyl dot orbits, and a
+CentralCharacter is compared and hashed by its representative's linkage
+key (``RootSystem.linkage_key``), so it walks its orbit only when
+``orbit`` is read.  is_central, re-exported from liealg, commutes an
+element with the 2l Chevalley generators; the Casimir is verified by it.
 """
 
 from __future__ import annotations
@@ -46,31 +45,37 @@ class CentralCharacter:
 
     Caches the Casimir evaluation, the one central generator bggkit
     constructs explicitly.  (A full topological generating set of the
-    center is not built; linkage decides equality exactly.)  Equal
-    characters have the same orbit and so the same canonical
-    representative, which the hash reads.
+    center is not built; linkage decides equality exactly.)  Equality and
+    the hash read the representative's linkage key, so constructing,
+    comparing and hashing walk no orbit and have no Weyl-group cap; the
+    orbit and the canonical representative, its first member, are walked
+    on each read, which past WEYL_ENUMERATION_CAP raises DomainError.
     """
 
     def __init__(self, alg: LieAlgebraData, lam: Weight):
         self.alg = alg
         self.rs = alg.rs
         self.representative = lam
-        self.orbit = tuple(self.rs.dot_orbit(lam))
         if "casimir_projection" not in alg.cache:  # casimir() checks centrality
             alg.cache["casimir_projection"] = casimir(alg).hc_project()
         self.casimir_value = alg.cache["casimir_projection"].evaluate_at(lam)
 
     @property
+    def orbit(self) -> tuple:
+        return tuple(self.rs.dot_orbit(self.representative))
+
+    @property
     def canonical_representative(self) -> Weight:
         return self.orbit[0]
 
+    def _key(self) -> tuple:
+        return id(self.rs), self.rs.linkage_key(self.representative)
+
     def __eq__(self, other):
-        return (isinstance(other, CentralCharacter)
-                and self.rs is other.rs
-                and self.rs.is_linked(self.representative, other.representative))
+        return isinstance(other, CentralCharacter) and self._key() == other._key()
 
     def __hash__(self):
-        return hash((id(self.rs), self.canonical_representative.coords))
+        return hash(self._key())
 
     def __repr__(self):
         rep = ",".join(str(c) for c in self.representative.coords)

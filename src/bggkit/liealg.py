@@ -164,6 +164,27 @@ def _jacobi_failure(d: int, table) -> Optional[Tuple[int, int, int]]:
     return None
 
 
+def _exponents(exps, d: int) -> Exps:
+    """exps as a tuple of d nonnegative ints; else DomainError.
+
+    A tuple of d ints in 0..255, the usual key, is returned as it is,
+    checked by one bytearray() pass at C speed; any other input is read
+    through operator.index."""
+    if type(exps) is tuple and len(exps) == d:
+        try:
+            bytearray(exps)
+            return exps
+        except (TypeError, ValueError):
+            pass
+    try:
+        exps = tuple(map(index, exps))
+    except TypeError:
+        raise DomainError("bad exponent vector") from None
+    if len(exps) != d or min(exps) < 0:
+        raise DomainError("bad exponent vector")
+    return exps
+
+
 def _in_range(value: int, size: int, what: str) -> int:
     """value as an int, if it is an integer (a bool is not) with
     0 <= value < size; else DomainError."""
@@ -230,7 +251,10 @@ class LieAlgebraData:
         return "x(%s)" % ",".join(map(str, beta))
 
     def monomial_weight(self, exps: Exps) -> Tuple[int, ...]:
-        """Weight of a PBW monomial in simple-root coordinates."""
+        """Weight of a PBW monomial in simple-root coordinates; DomainError
+        unless exps has d entries."""
+        if len(exps) != self.d:
+            raise DomainError("bad exponent vector")
         acc = [0] * self.l
         for e, wvec in zip(exps, self.index_weights):
             if e:
@@ -277,19 +301,13 @@ class LieAlgebraData:
     # -- elements -----------------------------------------------------------
 
     def zero(self) -> "UEAElement":
-        return UEAElement(self, {})
+        return UEAElement._exact(self, {})
 
     def one(self) -> "UEAElement":
-        return UEAElement(self, {self._one_exps: Fraction(1)})
+        return UEAElement._exact(self, {self._one_exps: Fraction(1)})
 
     def monomial(self, exps, coef=1) -> "UEAElement":
-        try:
-            exps = tuple(index(e) for e in exps)
-        except TypeError:
-            raise DomainError("bad exponent vector") from None
-        if len(exps) != self.d or any(e < 0 for e in exps):
-            raise DomainError("bad exponent vector")
-        return UEAElement(self, {exps: Fraction(coef)})
+        return UEAElement._exact(self, {_exponents(exps, self.d): Fraction(coef)})
 
     def basis_element(self, idx: int) -> "UEAElement":
         exps = [0] * self.d
@@ -334,26 +352,40 @@ def build_chevalley(rs: RootSystem) -> LieAlgebraData:
 class UEAElement:
     """Element of U(g) in canonical normal-ordered PBW form.
 
-    Immutable; ``terms`` maps exponent tuples to nonzero Fractions.
+    Immutable; ``terms`` maps exponent tuples to nonzero Fractions.  Each
+    key given to the constructor must be d nonnegative integers, else
+    DomainError; elements built from keys already checked (products,
+    sums, copies, unpickling) skip that through ``_exact``.
     """
 
     __slots__ = ("alg", "terms")
 
     def __init__(self, alg: LieAlgebraData, terms):
+        d = alg.d
         clean = {}
         for exps, coef in terms.items():
+            exps = _exponents(exps, d)
             if type(coef) is not Fraction:
                 coef = Fraction(coef)
             if coef:
-                clean[tuple(exps)] = coef
+                clean[exps] = coef
         object.__setattr__(self, "alg", alg)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _exact(cls, alg: LieAlgebraData, terms) -> "UEAElement":
+        """An element from checked exponent tuples and Fraction
+        coefficients, taken as they are but for the zeros."""
+        u = object.__new__(cls)
+        object.__setattr__(u, "alg", alg)
+        object.__setattr__(u, "terms", {exps: coef for exps, coef in terms.items() if coef})
+        return u
 
     def __setattr__(self, name, value):
         raise AttributeError("UEAElement is immutable")
 
-    def __reduce__(self):
-        return UEAElement, (self.alg, self.terms)
+    def __reduce__(self):  # alg may not be set up yet while it is unpickled
+        return UEAElement._exact, (self.alg, self.terms)
 
     # an element stays in its algebra, unless that algebra is being deep
     # copied: then the copy is an element of the algebra's copy
@@ -362,7 +394,7 @@ class UEAElement:
 
     def __deepcopy__(self, memo):
         alg = memo.get(id(self.alg))
-        return self if alg is None else UEAElement(alg, self.terms)
+        return self if alg is None else UEAElement._exact(alg, self.terms)
 
     # -- ring structure -------------------------------------------------
 
@@ -375,17 +407,17 @@ class UEAElement:
         out = dict(self.terms)
         for exps, coef in other.terms.items():
             out[exps] = out[exps] + coef if exps in out else coef
-        return UEAElement(self.alg, out)
+        return UEAElement._exact(self.alg, out)
 
     def __sub__(self, other: "UEAElement") -> "UEAElement":
         return self + (-other)
 
     def __neg__(self) -> "UEAElement":
-        return UEAElement(self.alg, {e: -c for e, c in self.terms.items()})
+        return UEAElement._exact(self.alg, {e: -c for e, c in self.terms.items()})
 
     def __rmul__(self, scalar) -> "UEAElement":
         scalar = Fraction(scalar)
-        return UEAElement(self.alg, {e: scalar * c for e, c in self.terms.items()})
+        return UEAElement._exact(self.alg, {e: scalar * c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, UEAElement):
@@ -399,7 +431,7 @@ class UEAElement:
                 for mono, c in kernel.multiply_monomials(ea, eb).items():
                     x = scale * c
                     out[mono] = out[mono] + x if mono in out else x
-        return UEAElement(self.alg, out)
+        return UEAElement._exact(self.alg, out)
 
     def __pow__(self, n: int) -> "UEAElement":
         if n < 0:
@@ -437,7 +469,7 @@ class UEAElement:
                          for i, e in reversed(list(enumerate(exps))) if e)
             for mono, c in kernel.normal_order_word(word).items():
                 out[mono] = out.get(mono, Fraction(0)) + coef * c
-        return UEAElement(alg, out)
+        return UEAElement._exact(alg, out)
 
     def hc_project(self) -> "UEAElement":
         """Component in U(h): keep monomials with no x and no y factors."""
@@ -445,7 +477,7 @@ class UEAElement:
         lo, hi = alg.m, alg.m + alg.l
         kept = {e: c for e, c in self.terms.items()
                 if not any(e[:lo]) and not any(e[hi:])}
-        return UEAElement(alg, kept)
+        return UEAElement._exact(alg, kept)
 
     def evaluate_at(self, lam: Weight) -> Fraction:
         """Evaluate an element of U(h) at a weight; h_i goes to lam(h_i).

@@ -33,10 +33,13 @@ right descent of w exactly when the i-th entry of the key is negative.
 The group (the orbit of rho) comes from a breadth-first closure under
 the simple reflections, which gives each element a shortest word.  A dot
 orbit needs no words: it is walked as a tree hanging from its one
-dominant point, and two weights are linked when their dominant points
-agree.  An orbit's size is read off the positive roots before any walk,
-so a group or orbit past WEYL_ENUMERATION_CAP elements is refused at
-once; linkage walks no orbit and has no cap.
+dominant point.  The linkage key of lam is (s, the dominant point of
+s(lam + rho)), s the lcm of lam's denominators; two weights are linked
+exactly when their keys agree, and every linkage question (``is_linked``,
+central characters, ``bggkit linked``) compares keys.  An orbit's size
+is read off the positive roots before any walk, so a group or orbit past
+WEYL_ENUMERATION_CAP elements is refused at once; linkage walks no orbit
+and has no cap.
 The Bruhat order uses the lifting property (Bjorner-Brenti, GTM 231,
 2.2.7): for a right descent s of w, u <= w iff us <= ws when s is also a
 right descent of u, and iff u <= ws when it is not.
@@ -380,14 +383,23 @@ class RootSystem:
             raise DomainError("Weyl group too large to enumerate")
         return size
 
+    def linkage_key(self, lam: Weight) -> Tuple[int, tuple]:
+        """(s, the dominant point of s(lam + rho)), s the lcm of lam's
+        denominators.  W acts by integer matrices with integer inverses, so
+        linked weights share s, and they are linked exactly when their keys
+        agree (Harish-Chandra: chi_lam = chi_mu iff mu in W . lam).  No orbit
+        is walked, so WEYL_ENUMERATION_CAP does not apply."""
+        scale, v = lam.scaled()
+        return scale, self._dominant(self._ranked(x + scale for x in v))
+
     def dot_orbit(self, lam: Weight):
         """{w . lam : w in W}, each weight once, in block ordering.
 
-        lam + rho is scaled by the lcm of its denominators to an integer
-        tuple and reflected to the dominant point of its orbit.  The orbit
-        is the tree that hangs from that point (Bjorner-Brenti, GTM 231,
-        2.4): the parent of u is s_i u for i its first negative coordinate,
-        so from u the child s_i u is taken when u_i > 0 and
+        The walk starts from lam's linkage key: lam + rho scaled to an
+        integer tuple and reflected to the dominant point of its orbit.  The
+        orbit is the tree that hangs from that point (Bjorner-Brenti, GTM
+        231, 2.4): the parent of u is s_i u for i its first negative
+        coordinate, so from u the child s_i u is taken when u_i > 0 and
         u_j >= C[j][i] u_i for every j < i.  A child sits u_i lower than
         its parent (s_i u = u - u_i alpha_i), so sorting by (depth below
         the top, v) sorts the weights v / scale - rho by (-height,
@@ -395,8 +407,7 @@ class RootSystem:
         first.  The walk visits at most ``_orbit_size`` nodes and must find
         exactly that many weights, else ConsistencyError.
         """
-        scale, v = lam.scaled()
-        top = self._dominant(self._ranked(x + scale for x in v))
+        scale, top = self.linkage_key(lam)
         size = self._orbit_size(top)
         columns = self._cartan_columns
         splits = [(i, columns[i], range(i)) for i in range(self.rank)]
@@ -420,14 +431,8 @@ class RootSystem:
         return [Weight._exact(tuple(map(values.__getitem__, u))) for _, u in nodes]
 
     def is_linked(self, lam: Weight, mu: Weight) -> bool:
-        """True iff mu lies in the dot orbit of lam (same fiber of pi):
-        lam + rho and mu + rho, scaled by one common denominator, have the
-        same dominant point.  No orbit is walked, so WEYL_ENUMERATION_CAP
-        does not apply: linkage is decided on E8 as on A1."""
-        (a, u), (b, v) = lam.scaled(), mu.scaled()
-        scale = lcm(a, b)
-        return (self._dominant(self._ranked((x + a) * (scale // a) for x in u))
-                == self._dominant(self._ranked((x + b) * (scale // b) for x in v)))
+        """True iff mu lies in the dot orbit of lam: their linkage keys agree."""
+        return self.linkage_key(lam) == self.linkage_key(mu)
 
     def integral_pairings(self, lam: Weight):
         """(beta, n) for each positive beta with n = <lam+rho, beta-check> in Z,
@@ -579,8 +584,9 @@ class WeylElement:
         return len(self.word)
 
     def act(self, lam: Weight) -> Weight:
-        """Ordinary linear action on H-coordinates."""
-        return Weight(self.group.rs.reflect(lam.coords, *reversed(self.word)))
+        """Ordinary linear action on H-coordinates; DomainError on the wrong rank."""
+        rs = self.group.rs
+        return Weight(rs.reflect(rs._ranked(lam.coords), *reversed(self.word)))
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         # (u v)^{-1} rho = v^{-1} (u^{-1} rho): the word of v, left to right

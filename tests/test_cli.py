@@ -160,6 +160,27 @@ def test_linked_past_the_enumeration_cap_is_answered(capsys, monkeypatch):
     assert json.loads(out) == [[[0] * 7, [-2, 0, 1, 0, 0, 0, 0]], [[1] + [0] * 6]]
 
 
+def test_linked_reads_one_linkage_key_per_weight(capsys, monkeypatch):
+    calls = []
+    linkage_key = rootdata.RootSystem.linkage_key
+
+    def counted(self, lam):
+        calls.append(lam)
+        return linkage_key(self, lam)
+
+    def refused(self, lam, mu):
+        raise AssertionError("linked compares weights pairwise")
+
+    monkeypatch.setattr(rootdata.RootSystem, "linkage_key", counted)
+    monkeypatch.setattr(rootdata.RootSystem, "is_linked", refused)
+    weights = "1/2,0;0,0;-5/2,3;1/3,-2/3;-2,2;1/2,1;0,0"
+    code, out, err = run_cli(capsys, "linked", "--type", "B2", "--weights", weights)
+    assert (code, err) == (0, "")
+    assert len(calls) == 7
+    assert json.loads(out) == [[["1/2", 0], ["-5/2", 3]], [[0, 0], [-2, 2], [0, 0]],
+                               [["1/3", "-2/3"]], [["1/2", 1]]]
+
+
 def test_block_past_the_weyl_cap_walks_only_its_orbit(capsys):
     # |W(E7)| = 2,903,040 is past the cap; the dot orbit of -rho is {-rho}
     code, out, err = run_cli(capsys, "block", "--type", "E7",
@@ -474,6 +495,15 @@ JSON_DIGESTS = {
     # recorded when the table enumerated every PBW monomial to the depth
     "verma-mult --type A3 --weight 0,0,0 --depth 20":
         "5695d7a4129c27825fa2ec6db6fa36677aa65875e7efa6eece2b5b183e130336",
+    # recorded when linked compared each weight with every class so far:
+    # classes in order of first appearance, rational weights among them,
+    # and a pair past the Weyl-group cap
+    "linked --type A1 --weights 3;-5;-4":
+        "a19d6bae085ecef149fda0daf915482faadd16a0589a4ff35c7e18bb95a55261",
+    "linked --type B2 --weights 1/2,0;0,0;-5/2,3;1/3,-2/3;-2,2;1/2,-5;-7/3,2;1/2,1;3/2,-2;0,0":
+        "51d34b02ac48a5ece8d5294051dd13bd00ea66412b164d82bbc0dce9da6f2160",
+    "linked --type E7 --weights 0,0,0,0,0,0,0;-2,0,1,0,0,0,0":
+        "fc8e77242e8ddc54a232363534100c2b417515e2d4faa15ac25e86f133e36dee",
     # recorded when each entry was the U(h) part of the full product
     # sigma(y^A) * y^B
     "shapovalov --type B2 --weight 0,0 --nu 3,3":

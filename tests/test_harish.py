@@ -10,7 +10,7 @@ from bggkit.harish import (CentralCharacter, central_character, gamma_twist,
                            hc_psi, is_central)
 from bggkit.liealg import LieAlgebraData, casimir
 from bggkit.pbw import StraightenKernel
-from bggkit.rootdata import Weight, cached_root_system
+from bggkit.rootdata import RootSystem, Weight, cached_root_system
 
 
 def test_gamma_twist_examples(a1, a2):
@@ -253,3 +253,39 @@ def test_central_character_equality_is_orbit_membership(label):
                 assert psi.canonical_representative == chi.canonical_representative
             answers.add(nu in orbit)
     assert answers == {True, False}
+
+
+def test_central_characters_walk_their_orbit_only_when_asked(monkeypatch, a2):
+    """Constructing, comparing and hashing read the linkage key; only
+    reading ``orbit`` or ``canonical_representative`` walks the orbit."""
+    calls = []
+    dot_orbit = RootSystem.dot_orbit
+
+    def counted(self, lam):
+        calls.append(lam)
+        return dot_orbit(self, lam)
+
+    monkeypatch.setattr(RootSystem, "dot_orbit", counted)
+    chis = [CentralCharacter(a2, Weight(c))
+            for c in ((0, 0), (-2, 1), (1, 0), (F(1, 2), 0), (F(-5, 2), F(3, 2)))]
+    assert chis[0] == chis[1] and chis[3] == chis[4]
+    assert chis[0] != chis[2] and chis[0] != chis[3] and chis[2] != chis[3]
+    assert len(set(chis)) == 3 and hash(chis[0]) == hash(chis[1])
+    assert calls == []
+    assert chis[1].canonical_representative == Weight([0, 0])
+    assert len(chis[3].orbit) == 6
+    assert calls == [Weight([-2, 1]), Weight([F(1, 2), 0])]
+
+
+def test_central_character_past_the_enumeration_cap():
+    """|W(E7)| = 2,903,040 is past the cap: 0 and s_1 . 0 = (-2,0,1,0,0,0,0)
+    construct, compare and hash as one character, with one Casimir value,
+    and reading the orbit is refused."""
+    alg = liealg.build_chevalley(cached_root_system("E7"))
+    zero = CentralCharacter(alg, Weight([0] * 7))
+    image = CentralCharacter(alg, Weight([-2, 0, 1, 0, 0, 0, 0]))
+    omega_1 = CentralCharacter(alg, Weight([1, 0, 0, 0, 0, 0, 0]))
+    assert zero == image and hash(zero) == hash(image) and zero != omega_1
+    assert zero.casimir_value == image.casimir_value == 0
+    with pytest.raises(DomainError, match="Weyl group too large to enumerate"):
+        zero.orbit

@@ -624,6 +624,32 @@ def test_monomial_validation(a1):
         a1.x(a1.root_position((2,)))
 
 
+@pytest.mark.parametrize("label, key", [
+    ("A1", (-1, 0, 0)), ("A1", (1,)), ("A1", (0, 0, 0, 1)), ("A2", (1,)),
+    ("A1", (0.5, 0, 1)), ("A1", (0, F(1), 0)), ("A1", ("1", 0, 0)),
+], ids=["negative", "short", "long", "short-A2", "float", "fraction", "string"])
+def test_element_refuses_malformed_exponent_keys(label, key):
+    # on A1, {(-1, 0, 0): 1} used to print as y(1) and multiply as y
+    alg = build_chevalley(cached_root_system(label))
+    with pytest.raises(DomainError, match="bad exponent vector"):
+        UEAElement(alg, {key: 1})
+    with pytest.raises(DomainError, match="bad exponent vector"):
+        UEAElement(alg, {key: 0})
+
+
+def test_element_keeps_exponents_past_a_byte(a1):
+    u = UEAElement(a1, {(0, 300, 0): 2, (1, 0, 0): 1})
+    assert u == 2 * a1.h(0) ** 300 + a1.y(0)
+
+
+def test_monomial_weight_refuses_the_wrong_length(a2):
+    # on A2, (1,) used to read as y of the highest root, weight (-1, -1)
+    assert a2.monomial_weight((1,) + (0,) * 7) == (-1, -1)
+    for exps in ((1,), (0,) * 9):
+        with pytest.raises(DomainError, match="bad exponent vector"):
+            a2.monomial_weight(exps)
+
+
 @pytest.mark.parametrize("call, arg", [
     ("x", -1), ("x", 3), ("y", -1), ("y", 3), ("h", -1), ("h", 2),
     ("basis_element", -1), ("basis_element", 8),

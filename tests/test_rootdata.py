@@ -459,6 +459,9 @@ _A2_WRONG_RANK = {
     "dot_orbit": lambda rs, v: rs.dot_orbit(Weight(v)),
     "is_linked": lambda rs, v: rs.is_linked(Weight(v), Weight([0, 0])),
     "is_linked_second": lambda rs, v: rs.is_linked(Weight([0, 0]), Weight(v)),
+    "linkage_key": lambda rs, v: rs.linkage_key(Weight(v)),
+    "act_s1": lambda rs, v: rs.weyl_group().simple_reflection(0).act(Weight(v)),
+    "act_s2": lambda rs, v: rs.weyl_group().simple_reflection(1).act(Weight(v)),
 }
 
 
