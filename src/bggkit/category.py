@@ -39,18 +39,20 @@ Kostant numbers is filled once (``RootSystem._kostant_fill``), where the
 Kostant matrix is read; ``block_report`` fills one box that holds every
 nu >= 0 its tables, Jantzen bounds and Weyl-dimension sums read, and
 reads P(nu - d) there after one sign test (a negative coordinate is 0).
+``SimplicityReport``, ``DecompositionMatrix`` and ``BlockReport`` are
+frozen ``record.Record`` classes, compared and printed by their fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, ge, mul, neg, sub
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from . import exactla
 from .errors import ConsistencyError, DepthOverflowError, DomainError
-from .liealg import LieAlgebraData, UEAElement
+from .liealg import LieAlgebraData, UEAElement, _exponents
+from .record import Record
 from .rootdata import Weight
 
 RootVec = Tuple[int, ...]
@@ -106,13 +108,21 @@ def _slot_tails(cache, alg: LieAlgebraData, rest: RootVec, slot: int) -> Tuple[t
 
 
 class VermaVector:
-    """Element of M(lambda): map from y-monomials to scalars."""
+    """Element of M(lambda): map from y-monomials to scalars.
+
+    Each key must be alg.m nonnegative integers (the y-exponents), else
+    DomainError."""
 
     __slots__ = ("alg", "terms")
 
     def __init__(self, alg: LieAlgebraData, terms):
+        clean = {}
+        for mono, c in terms.items():
+            mono = _exponents(mono, alg.m)
+            if c:
+                clean[mono] = Fraction(c)
         self.alg = alg
-        self.terms = {tuple(k): Fraction(v) for k, v in terms.items() if v}
+        self.terms = clean
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -436,11 +446,17 @@ def simple_weight_mult(alg: LieAlgebraData, lam: Weight, nu) -> int:
     return VermaModule(alg, lam).simple_mult(nu)
 
 
-@dataclass(frozen=True)
-class SimplicityReport:
+class SimplicityReport(Record):
     verdict: bool
     depth: int
     ranks: Tuple[Tuple[RootVec, int, int], ...]  # (nu, rank, full dimension)
+
+    # one per verma_is_simple call: faster than Record's generic constructor
+    def __init__(self, verdict, depth, ranks):
+        set_field = object.__setattr__
+        set_field(self, "verdict", verdict)
+        set_field(self, "depth", depth)
+        set_field(self, "ranks", ranks)
 
     @property
     def nondegenerate(self) -> bool:
@@ -512,8 +528,7 @@ def verma_is_simple(alg: LieAlgebraData, lam: Weight, depth: int) -> SimplicityR
 # -- blocks ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DecompositionMatrix:
+class DecompositionMatrix(Record):
     """[M(lam) : L(mu)] over a linkage class, rows and columns in block order.
 
     ``diffs`` holds the table of mu_k - mu_j in simple-root coordinates
@@ -524,8 +539,9 @@ class DecompositionMatrix:
     class_weights: Tuple[Weight, ...]
     entries: Tuple[Tuple[int, ...], ...]
     depth: int
-    diffs: Tuple[tuple, ...] = field(default=(), compare=False, repr=False)
-    walls: Tuple[tuple, ...] = field(default=(), compare=False, repr=False)
+    diffs: Tuple[tuple, ...] = ()
+    walls: Tuple[tuple, ...] = ()
+    _hidden = ("diffs", "walls")
 
     @property
     def size(self) -> int:
@@ -624,8 +640,7 @@ def cartan_matrix(dec: DecompositionMatrix) -> Tuple[Tuple[int, ...], ...]:
     return c
 
 
-@dataclass(frozen=True)
-class BlockReport:
+class BlockReport(Record):
     """Everything finitely checkable about one block."""
 
     representative: Weight

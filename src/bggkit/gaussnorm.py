@@ -14,19 +14,20 @@ with coefficient n/m and degree |A| scores |A| a - b (v_p(n) - v_p(m)).
 the two supports without building u+v or any LogNorm.  A LogNorm is an
 exact integer pair in lowest terms: its sums, shifts and comparisons work
 in integers, and a Fraction is built only when its value is read.  The
-prime is checked once, when the NormParam is made.
+prime is checked once, when the NormParam (a frozen ``record.Record``) is
+made.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Optional
 
 from .errors import DomainError
 from .liealg import UEAElement
+from .record import Record
 
 
 #: the first 13 primes; as Miller-Rabin bases they decide primality
@@ -94,18 +95,17 @@ def vp(c, p: int) -> int:
     return _vp_int(c.numerator, p) - _vp_int(c.denominator, p)
 
 
-@dataclass(frozen=True)
-class NormParam:
+class NormParam(Record):
     """Prime p and log-radius s = log_p r, with r > 1 enforced."""
 
     p: int
     s: Fraction
 
-    def __post_init__(self):
-        object.__setattr__(self, "p", _checked_prime(self.p))
-        object.__setattr__(self, "s", Fraction(self.s))
-        if self.s <= 0:
+    def __init__(self, p, s):
+        p, s = _checked_prime(p), Fraction(s)
+        if s <= 0:
             raise DomainError("log-radius must be positive (r > 1)")
+        super().__init__(p, s)
 
 
 #: the score of the zero element, below every integer term score
@@ -151,11 +151,8 @@ class LogNorm:
     def is_bottom(self) -> bool:
         return not self._den
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    __setattr__ = Record.__setattr__  # FrozenInstanceError, as a record gives
+    __delattr__ = Record.__delattr__
 
     def __reduce__(self):
         return type(self), (self.value,)

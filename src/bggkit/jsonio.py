@@ -55,7 +55,8 @@ def parse_int_vector(text: str):
 
 
 def element_to_json(u: UEAElement):
-    return [{"exps": list(exps), "coef": frac_to_json(coef)}
+    # an exponent may be a bool or another int type, equal to its int
+    return [{"exps": list(map(int, exps)), "coef": frac_to_json(coef)}
             for exps, coef in u.sorted_terms()]
 
 

@@ -169,7 +169,10 @@ def _exponents(exps, d: int) -> Exps:
 
     A tuple of d ints in 0..255, the usual key, is returned as it is,
     checked by one bytearray() pass at C speed; any other input is read
-    through operator.index."""
+    through operator.index, which gives exact ints.  A bool (or another
+    int type) in such a tuple stays, equal and hash-equal to its int:
+    making every key exact would cost a second pass and a new tuple per
+    key, and ``jsonio.element_to_json`` writes ints."""
     if type(exps) is tuple and len(exps) == d:
         try:
             bytearray(exps)

@@ -8,6 +8,9 @@ Conventions used throughout bggkit:
 * the deterministic root order is (height, lexicographic), and every
   downstream matrix inherits its reproducibility from this order.
 
+A Cartan matrix comes in as a ``CartanMatrixInput``, a frozen
+``record.Record`` that checks and normalizes its entries when it is made.
+
 Roots convert to weights through the Cartan matrix: the weight
 coordinates of ``alpha = sum_j c_j alpha_j`` are ``C . c``, one private
 formula that the root closure, ``RootSystem.root_to_weight`` and the
@@ -47,7 +50,6 @@ right descent of u, and iff u <= ws when it is not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, product
@@ -57,6 +59,7 @@ from typing import Iterable, Optional, Tuple
 
 from .errors import ConsistencyError, DomainError, NotARootError, NotFiniteTypeError
 from . import exactla
+from .record import Record
 
 Root = Tuple[int, ...]
 
@@ -135,20 +138,17 @@ def _series_cartan(label: str):
     return c
 
 
-@dataclass(frozen=True)
-class CartanMatrixInput:
+class CartanMatrixInput(Record):
     """Validated integer Cartan matrix, optionally tagged with a series label."""
 
     entries: Tuple[Tuple[int, ...], ...]
-    label: Optional[str] = None
+    label: Optional[str]
 
-    def __post_init__(self):
+    def __init__(self, entries, label: Optional[str] = None):
         try:
-            rows = tuple(tuple(index(x) for x in row)
-                         for row in self.entries)
+            rows = tuple(tuple(index(x) for x in row) for row in entries)
         except TypeError:
             raise DomainError("Cartan matrix entries must be integers") from None
-        object.__setattr__(self, "entries", rows)
         l = len(rows)
         if l == 0 or any(len(row) != l for row in rows):
             raise DomainError("Cartan matrix must be square and nonempty")
@@ -160,6 +160,7 @@ class CartanMatrixInput:
                     raise DomainError(f"off-diagonal C[{i}][{j}] must be <= 0")
                 if (rows[i][j] == 0) != (rows[j][i] == 0):
                     raise DomainError(f"zero pattern must be symmetric at ({i},{j})")
+        super().__init__(rows, label)
 
     @property
     def rank(self) -> int:

@@ -8,32 +8,34 @@ the same seed produce identical output bytes.
 Each criterion is one row of ``CRITERIA``: its name, default types,
 whether it is structure-level, and a check that returns the detail line
 or raises ``_Failed`` with it.  ``run_criterion`` turns a row into a
-``CriterionResult``.
+``CriterionResult``, the one mutable ``record.Record`` class.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from . import category, gaussnorm, harish, liealg
 from .errors import ConsistencyError
 from .liealg import UEAElement, build_chevalley, casimir
+from .record import Record
 from .rootdata import Weight, cached_root_system
 
 DEFAULT_SEED = 0
 
 
-@dataclass
-class CriterionResult:
+class CriterionResult(Record):
     number: int
     name: str
     passed: bool
     detail: str
     skipped: bool = False
+
+    # mutable, so unhashable
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
 
     def line(self) -> str:
         status = "SKIP" if self.skipped else ("PASS" if self.passed else "FAIL")

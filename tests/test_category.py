@@ -1,6 +1,5 @@
 import collections
 import copy
-import dataclasses
 import itertools
 import json
 import pickle
@@ -67,6 +66,23 @@ def test_act_is_linear_and_compatible(a2):
     assert s.act(u1 + u2, v).terms == {
         k: left.terms.get(k, F(0)) + s.act(u2, v).terms.get(k, F(0))
         for k in set(left.terms) | set(s.act(u2, v).terms)}
+
+
+@pytest.mark.parametrize("key", [(-1,), (1, 0), (), (1.5,), (F(1),), ("1",)],
+                         ids=["negative", "long", "empty", "float", "fraction", "string"])
+def test_verma_vector_refuses_malformed_monomials(a1, key):
+    # on A1 with lam = 3, x(0) acting on {(-1,): 1} or {(1, 0): 1} gave 3*1.v,
+    # and {(1.5,): 1} printed as 1*y(1)^1.5.v
+    for coef in (1, 0):
+        with pytest.raises(DomainError, match="bad exponent vector"):
+            VermaVector(a1, {key: coef})
+
+
+def test_verma_vector_keeps_well_formed_monomials(a1, a2):
+    assert VermaVector(a1, {(2,): 3, (300,): F(1, 2), (1,): 0}).terms == {
+        (2,): F(3), (300,): F(1, 2)}
+    v = VermaVector(a2, {(0, 1, 0): 1})
+    assert v.terms == {(0, 1, 0): F(1)} and repr(v) == "1*y(1,0).v"
 
 
 def test_act_depth_overflow(a1):
@@ -671,7 +687,8 @@ def test_block_report_catches_a_corrupted_d(monkeypatch, i, j, delta):
         dec = solve(*args)
         entries = [list(row) for row in dec.entries]
         entries[i][j] += delta
-        return dataclasses.replace(dec, entries=tuple(map(tuple, entries)))
+        return category.DecompositionMatrix(dec.class_weights, tuple(map(tuple, entries)),
+                                            dec.depth, dec.diffs, dec.walls)
 
     assert not any(block_report(alg, lam).finite_dimensional)
     monkeypatch.setattr(category, "decomposition_matrix", corrupted)

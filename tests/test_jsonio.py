@@ -62,3 +62,14 @@ def test_element_parse_errors(a1):
         jsonio.element_from_json(a1, [{"exps": [0, -1, 0], "coef": 1}])
     with pytest.raises(UsageError):
         jsonio.element_from_json(a1, [{"coef": 1}])
+
+
+def test_element_round_trip_with_a_bool_exponent(a1):
+    # a bool exponent equals its int, so the element is y(1); it used to be
+    # written as [true, 0, 0], which the reader refuses
+    u = UEAElement(a1, {(True, 0, 0): 2, (0, False, 1): 1})
+    assert u == 2 * a1.y(0) + a1.x(0)
+    rows = json.loads(json.dumps(jsonio.element_to_json(u)))
+    assert sorted(map(tuple, (row["exps"] for row in rows))) == [(0, 0, 1), (1, 0, 0)]
+    assert all(type(e) is int for row in jsonio.element_to_json(u) for e in row["exps"])
+    assert jsonio.element_from_json(a1, rows) == u

@@ -637,6 +637,12 @@ def test_element_refuses_malformed_exponent_keys(label, key):
         UEAElement(alg, {key: 0})
 
 
+def test_exponents_read_through_index_are_exact_ints(a1):
+    for exps in ([True, 0, 0], (True, 0, 300)):
+        (key,) = a1.monomial(exps).terms
+        assert key == tuple(map(int, exps)) and set(map(type, key)) == {int}
+
+
 def test_element_keeps_exponents_past_a_byte(a1):
     u = UEAElement(a1, {(0, 300, 0): 2, (1, 0, 0): 1})
     assert u == 2 * a1.h(0) ** 300 + a1.y(0)
