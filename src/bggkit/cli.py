@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 domain error (valid syntax, bad mathematics),
-2 usage error, 3 internal consistency failure.  All output is
-deterministic: rationals print exactly, JSON rationals follow the
-integer-or-"p/q" convention, and random suites are seeded.
+2 usage error, 3 internal consistency failure.  A reader that closes
+stdout early (``bggkit ... | head``) ends the command with 1 and nothing
+on stderr.  All output is deterministic: rationals print exactly, JSON
+rationals follow the integer-or-"p/q" convention, and random suites are
+seeded.
 
 Each subcommand is one row of ``COMMANDS``: its name, handler, help line
 and options, so every option and its default is stated once, in that
@@ -19,12 +21,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import category, exactla, gaussnorm, harish, jsonio, liealg, selftest
+from . import category, exactla, gaussnorm, harish, jsonio, liealg
 from .errors import BGGKitError, ConsistencyError, DomainError, UsageError
 from .pbw import KERNEL_IMPL
 from .rootdata import (STRICT, WIDE, CartanMatrixInput, RootSystem, Weight,
@@ -350,8 +353,10 @@ def cmd_block(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    results = selftest.run_selftest(args.types, args.fast, args.seed)
-    print(f"kernel: {KERNEL_IMPL}; seed: {args.seed}")
+    from . import selftest  # only this command pays for the suite's import
+    seed = selftest.DEFAULT_SEED if args.seed is None else args.seed
+    results = selftest.run_selftest(args.types, args.fast, seed)
+    print(f"kernel: {KERNEL_IMPL}; seed: {seed}")
     failed = False
     for res in results:
         print(res.line())
@@ -411,7 +416,7 @@ COMMANDS = (
                         help="restrict to specific root systems (repeatable)")),
         ("--fast", dict(action="store_true",
                         help="structure-constant and Kostant suites only")),
-        ("--seed", dict(type=int, default=selftest.DEFAULT_SEED)))),
+        ("--seed", dict(type=int)))),  # None: selftest.DEFAULT_SEED
 )
 
 # the subcommand choices as argparse spells them in usage lines
@@ -452,7 +457,13 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        return run(argv)
+        code = run(argv)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout becomes /dev/null, so the flush at exit writes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

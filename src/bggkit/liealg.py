@@ -12,13 +12,17 @@ Structure constants follow the extraspecial-pair convention: the
 earliest positive summand of each non-simple root gets coefficient
 p+1 > 0, and every other N_{a,b} follows in closed form from those
 (Carter, *Simple Groups of Lie Type*, 4.1-4.2), one height at a time.
-The bracket table is read once off the index weights: the root's weight
-b(h_k) for [h_k, b], the coroot for [x_a, y_a], and N_{a,b} for two roots
-whose sum is a root.  Root weights come from the root system's integer
-table of them, which ``rootdata`` reads off the Cartan matrix; this module
-never reads that matrix.  The finished table is re-verified against the
-Jacobi identity before use, exhaustively but read off the table, so a
-convention bug cannot escape as silent wrong arithmetic.
+The bracket table is read off the nonzero brackets alone: the root's
+weight b(h_k) for [h_k, b], the coroot for [x_a, y_a], and N_{a,b} for
+two roots whose sum is a root.  Root weights come from the root system's
+integer table of them, which ``rootdata`` reads off the Cartan matrix;
+this module never reads that matrix.  The finished table is re-verified
+against the Jacobi identity before use, so a convention bug cannot escape
+as silent wrong arithmetic.  The check reads the table only: it shows
+that the x_i and y_i generate, and that ad of each is a derivation, which
+then holds for every element (Humphreys, GTM 9, 1.3).  When either step
+fails, the exhaustive search over basis triples names the first triple
+that breaks the identity.
 
 One invariant form, the Killing form's Cartan block K_h, gives the root
 lengths that N_{a,b} reads (only their ratios inside a simple component)
@@ -32,7 +36,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import lcm, prod
-from operator import index, mul
+from operator import add, index, mul, sub
 from typing import Dict, Optional, Tuple
 
 from . import exactla
@@ -146,6 +150,9 @@ def _jacobi_failure(d: int, table) -> Optional[Tuple[int, int, int]]:
 
     Exhaustive, read off the nonzero [b_hi, b_lo] (hi > lo) in table: only
     triples {a, b, c} with a term m of [a, b] and [m, c] != 0 are evaluated.
+    ``LieAlgebraData`` runs it only when ``_jacobi_by_generators`` cannot
+    vouch for the table, so that its error names this first triple; the
+    selftest runs it as the independent route.
     """
     rows = [{} for _ in range(d)]
     for (hi, lo), entries in table.items():
@@ -162,6 +169,84 @@ def _jacobi_failure(d: int, table) -> Optional[Tuple[int, int, int]]:
         if any(acc.values()):
             return i, j, k
     return None
+
+
+def _jacobi_holds_on(d: int, table, generators) -> bool:
+    """True when no triple holding an index in generators has a nonzero
+    Jacobiator.
+
+    For each generator g, ad g must be a derivation: for every b > c,
+    J(g, b, c) = [[g, b], c] - [[g, c], b] - [g, [b, c]] = 0, summed over
+    the nonzero products only.  A triple holding an earlier generator
+    was checked with it and is skipped.
+    """
+    rows = [{} for _ in range(d)]
+    makers = [[] for _ in range(d)]  # makers[m]: (b, c, N) with N b_m in [b_b, b_c]
+    for (hi, lo), entries in table.items():
+        rows[hi][lo] = entries
+        rows[lo][hi] = tuple([(k, -c) for k, c in entries])
+        for m, c in entries:
+            makers[m].append((hi, lo, c))
+    done = set()
+    for g in generators:
+        done.add(g)
+        if len(done) > d - 2:  # no pair b, c is left to check
+            break
+        row = rows[g]
+        acc: Dict[int, int] = {}  # J(g, b, c) at out, keyed (b d + c) d + out
+        get = acc.get
+        for mid, terms in row.items():  # - [g, [b, c]]
+            for b, c, c1 in makers[mid]:
+                if b not in done and c not in done:
+                    key = (b * d + c) * d
+                    for out, c2 in terms:
+                        acc[key + out] = get(key + out, 0) - c1 * c2
+        for u, terms in row.items():  # [[g, u], v], for b = u or for c = u
+            if u in done:
+                continue
+            for mid, c1 in terms:
+                for v, products in rows[mid].items():
+                    if v in done or v == u:
+                        continue
+                    if u > v:
+                        key, sign = (u * d + v) * d, c1
+                    else:
+                        key, sign = (v * d + u) * d, -c1
+                    for out, c2 in products:
+                        acc[key + out] = get(key + out, 0) + sign * c2
+        if any(acc.values()):
+            return False
+    return True
+
+
+def _jacobi_by_generators(alg: "LieAlgebraData", table) -> bool:
+    """True when table satisfies Jacobi, shown from the generators alone.
+
+    The a whose ad is a derivation of the table's bracket form a
+    subalgebra, since ad[a, b] = [ad a, ad b] once ad a is one
+    (Humphreys, GTM 9, 1.3); so Jacobi holds on every triple once it
+    holds on every triple with an x_i or y_i and those generate.  They
+    generate when, in table, [x_i, y_i] = h_i and each non-simple x_beta
+    (y_beta) is the one nonzero term of [x_{alpha_i}, x_{beta - alpha_i}]
+    (of the y's) for some i.  False when either fails.
+    """
+    m, l = alg.m, alg.l
+    generators = []
+    for i, pos in enumerate(alg.simple_positions):
+        x, y = m + l + pos, m - 1 - pos  # x_index(pos), y_index(pos)
+        if table.get((x, y)) != ((m + i, 1),):
+            return False
+        generators += (x, y)
+    roots, index = alg.rs.positive_roots, alg.rs._root_index
+    for pos in range(l, m):  # the non-simple roots: by height, the simple come first
+        splits = [(p, index[rest]) for p in range(l)
+                  for rest in [tuple(map(sub, roots[pos], roots[p]))] if rest in index]
+        for basis in (alg.x_index, alg.y_index):
+            made = ([k for k, c in table.get((max(i, j), min(i, j)), ()) if c]
+                    for i, j in ((basis(p), basis(q)) for p, q in splits))
+            if [basis(pos)] not in made:  # one nonzero term, on basis(pos)
+                return False
+    return _jacobi_holds_on(alg.d, table, generators)
 
 
 def _exponents(exps, d: int) -> Exps:
@@ -224,10 +309,11 @@ class LieAlgebraData:
         self.simple_positions = tuple(map(self.root_position, rs.simple_roots()))
 
         self._table = self._build_table(_structure_constants(rs))
-        failure = _jacobi_failure(self.d, self._table)
-        if failure is not None:
-            raise ConsistencyError(
-                "Jacobi identity fails on basis triple (%d,%d,%d)" % failure)
+        if not _jacobi_by_generators(self, self._table):
+            failure = _jacobi_failure(self.d, self._table)
+            if failure is not None:
+                raise ConsistencyError(
+                    "Jacobi identity fails on basis triple (%d,%d,%d)" % failure)
         self.kernel = StraightenKernel(self.d, self._table)
         self._one_exps = (0,) * self.d
         self.cache = {}
@@ -268,38 +354,27 @@ class LieAlgebraData:
     # -- structure constants ----------------------------------------------
 
     def _build_table(self, n):
-        """Nonzero [b_hi, b_lo] for hi > lo, read off the index weights.
-
-        [h_k, b] = <beta, h_k> b for b of weight beta, [x_a, y_a] = h_a,
-        and [b_a, b_b] = N_{a,b} b_{a+b} when a + b is a root.
+        """Nonzero [b_hi, b_lo] for hi > lo, in (hi, lo) order, read off
+        the nonzero brackets: [h_k, b] = <beta, h_k> b for b of root beta,
+        [x_a, y_a] = h_a, and [b_a, b_b] = N_{a,b} b_{a+b} for (a, b) in n.
         """
-        weights = self.index_weights
-        basis_of = {w: k for k, w in enumerate(weights) if any(w)}
-        pairing = self.rs._root_weight  # pairing[r][k] = r(h_k)
+        basis_of = {w: k for k, w in enumerate(self.index_weights) if any(w)}
         table = {}
-        for hi in range(self.d):
-            a = weights[hi]
-            for lo in range(hi):
-                b = weights[lo]
-                if not any(a):
-                    if not any(b):
-                        continue
-                    entries = [(lo, pairing[b][hi - self.m])]
-                elif not any(b):
-                    entries = [(hi, -pairing[a][lo - self.m])]
-                else:
-                    s = tuple(x + y for x, y in zip(a, b))
-                    if not any(s):  # a is positive: x's follow y's
-                        entries = [(self.h_index(k), c)
-                                   for k, c in enumerate(self.rs.coroot(a))]
-                    elif s in basis_of:
-                        entries = [(basis_of[s], n[(a, b)])]
-                    else:
-                        continue
-                entries = tuple((k, c) for k, c in entries if c)
-                if entries:
-                    table[(hi, lo)] = entries
-        return table
+        for beta, k in basis_of.items():
+            for i, c in enumerate(self.rs._root_weight[beta]):  # beta(h_i)
+                h = self.h_index(i)
+                if c and k < h:
+                    table[(h, k)] = ((k, c),)
+                elif c:
+                    table[(k, h)] = ((k, -c),)
+        for pos, beta in enumerate(self.rs.positive_roots):
+            table[(self.x_index(pos), self.y_index(pos))] = tuple(
+                (self.h_index(i), c) for i, c in enumerate(self.rs.coroot(beta)) if c)
+        for (a, b), c in n.items():
+            hi, lo = basis_of[a], basis_of[b]
+            if hi > lo:
+                table[(hi, lo)] = ((basis_of[tuple(map(add, a, b))], c),)
+        return dict(sorted(table.items()))
 
     # -- elements -----------------------------------------------------------
 

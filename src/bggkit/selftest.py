@@ -75,7 +75,8 @@ def _random_element(alg, rng: random.Random) -> UEAElement:
 
 
 def criterion_1(types: Sequence[str], seed: int) -> str:
-    """Integer constants; Jacobi over all d^3 basis triples, off the table."""
+    """Integer constants; Jacobi over all d^3 basis triples, off the table,
+    by the exhaustive search, which the generator check must agree with."""
     triples = 0
     for label in types:
         alg = _alg(label)
@@ -84,6 +85,8 @@ def criterion_1(types: Sequence[str], seed: int) -> str:
                 if not isinstance(c, int):
                     raise _Failed(f"non-integer constant in {label}")
         failure = liealg._jacobi_failure(alg.d, alg._table)
+        if (failure is None) != liealg._jacobi_by_generators(alg, alg._table):
+            raise _Failed(f"the generator check disagrees in {label}")
         if failure is not None:
             raise _Failed(f"Jacobi fails in {label} at {failure}")
         triples += alg.d ** 3

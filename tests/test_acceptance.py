@@ -3,7 +3,7 @@ pass/fail line each.  Run with -s to see the lines as they complete."""
 
 import pytest
 
-from bggkit import selftest
+from bggkit import liealg, selftest
 
 
 def _run(number):
@@ -16,6 +16,18 @@ def _run(number):
 def test_criterion_01_structure_constants():
     # Jacobi exhaustive over A1, A2, B2, G2; all constants integers
     _run(1)
+
+
+@pytest.mark.parametrize("verdict", [False, True])
+def test_criterion_01_fails_when_the_generator_check_disagrees(monkeypatch, verdict):
+    """A wrong verdict either way: on the true table, and on a table the
+    exhaustive search rejects."""
+    monkeypatch.setattr(liealg, "_jacobi_by_generators", lambda alg, table: verdict)
+    if verdict:
+        monkeypatch.setattr(liealg, "_jacobi_failure", lambda d, table: (0, 1, 2))
+    result = selftest.run_criterion(1, ["A2"])
+    assert not result.passed
+    assert result.detail == "the generator check disagrees in A2"
 
 
 def test_criterion_02_kostant_oracle():

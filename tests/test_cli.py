@@ -3,6 +3,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -804,3 +808,19 @@ def test_module_commands_exit_codes_on_random_input(argv):
             contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
     assert code in (0, 1, 2)
+
+
+def test_a_reader_closing_the_pipe_ends_the_command_quietly():
+    """``bggkit weyl-orbit ... | head -1``: 900 kB of orbit, one line read."""
+    src = str(Path(bggkit.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    argv = [sys.executable, "-m", "bggkit.cli", "weyl-orbit", "--type", "E6",
+            "--weight", "1,0,0,0,0,0"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"dot orbit size 51840; antidominant (strict): False\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert (code, err) == (1, b"")

@@ -346,6 +346,133 @@ def test_jacobi_check_agrees_with_dense_reference(monkeypatch, label):
             LieAlgebraData(alg.rs)
 
 
+def _generators(alg):
+    """Basis indices of the x_i and y_i."""
+    return {f(pos) for pos in alg.simple_positions for f in (alg.x_index, alg.y_index)}
+
+
+def _perturbed(table, key, pos, delta):
+    """table with the pos-th term of [b_hi, b_lo] moved by delta; a term
+    that becomes 0 is dropped, and so is a bracket left empty."""
+    entries = table[key]
+    k, c = entries[pos]
+    changed = entries[:pos] + (((k, c + delta),) if c + delta else ()) + entries[pos + 1:]
+    out = {**table, key: changed}
+    if not changed:
+        del out[key]
+    return out
+
+
+class _Spy:
+    """Wraps a function of liealg and records each call's result."""
+
+    def __init__(self, monkeypatch, name):
+        self.real, self.results = getattr(liealg, name), []
+        monkeypatch.setattr(liealg, name, self)
+
+    def __call__(self, *args):
+        self.results.append(self.real(*args))
+        return self.results[-1]
+
+
+@pytest.mark.parametrize("label", sorted(set(TABLE_DIGESTS) - {"E8"}))
+def test_generator_verdict_matches_the_exhaustive_search(label):
+    alg = build_chevalley(_system(label))
+    exhaustive = liealg._jacobi_failure(alg.d, alg._table) is None
+    assert liealg._jacobi_by_generators(alg, alg._table) == exhaustive
+    assert exhaustive
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "G2", "A3", "B3",
+                                   "A1xA1", "B2xA1"])
+def test_generator_check_flags_every_single_entry_perturbation(label):
+    alg = build_chevalley(_system(label))
+    for table in _single_entry_perturbations(alg._table):
+        assert not liealg._jacobi_by_generators(alg, table)
+
+
+@pytest.mark.parametrize("label", ["A1", "B2", "G2xA2"])
+def test_generator_check_takes_every_x_i_and_y_i(monkeypatch, label):
+    alg = build_chevalley(_system(label))
+    seen = []
+    holds_on = liealg._jacobi_holds_on
+    monkeypatch.setattr(liealg, "_jacobi_holds_on", lambda d, table, generators: (
+        seen.append(sorted(generators)) or holds_on(d, table, generators)))
+    assert liealg._jacobi_by_generators(alg, alg._table)
+    assert seen == [sorted(_generators(alg))]
+
+
+def test_table_keys_run_in_hi_lo_order():
+    for label in TABLE_DIGESTS:
+        keys = list(build_chevalley(_system(label))._table)
+        assert keys == sorted(keys) and all(hi > lo for hi, lo in keys)
+
+
+@pytest.mark.parametrize("label", ["F4", "E6"])
+def test_generator_check_flags_perturbations_off_the_generators(monkeypatch, label):
+    """30 seeded single-entry perturbations, half on a bracket of two
+    basis elements that are neither an x_i nor a y_i: the generator check
+    flags each table by a nonzero Jacobiator, and the error names the
+    exhaustive search's first triple."""
+    alg = build_chevalley(cached_root_system(label))
+    generators = _generators(alg)
+    rng = random.Random(32)
+    keys = sorted(alg._table)
+    off = [key for key in keys if not generators & set(key)]
+    on = [key for key in keys if generators & set(key)]
+    monkeypatch.setattr(liealg, "_structure_constants", lambda rs: None)
+    spies = flags, on_generators, search = [
+        _Spy(monkeypatch, name)
+        for name in ("_jacobi_by_generators", "_jacobi_holds_on", "_jacobi_failure")]
+    for key in rng.sample(off, 15) + rng.sample(on, 15):
+        table = _perturbed(alg._table, key, rng.randrange(len(alg._table[key])),
+                           rng.choice((1, -2)))
+        monkeypatch.setattr(LieAlgebraData, "_build_table",
+                            lambda self, n, table=table: table)
+        for spy in spies:
+            spy.results.clear()
+        with pytest.raises(ConsistencyError) as caught:
+            LieAlgebraData(alg.rs)
+        assert flags.results == [False]
+        if key in off:  # the generators still span: Jacobi itself flagged it
+            assert on_generators.results == [False]
+        [expected] = search.results
+        assert expected is not None
+        assert str(caught.value) == ("Jacobi identity fails on basis triple "
+                                     "(%d,%d,%d)" % expected)
+
+
+def _a2_without_x1_x2(alg):
+    """A2 with [x_{alpha_1}, x_{alpha_2}] = 0: x_{alpha_1+alpha_2} is no
+    longer generated."""
+    x1, x2 = (alg.x_index(pos) for pos in alg.simple_positions)
+    table = dict(alg._table)
+    del table[(max(x1, x2), min(x1, x2))]
+    return table
+
+
+def _b2_with_2h1(alg):
+    """B2 with [x_1, y_1] = 2 h_1."""
+    pos = alg.simple_positions[0]
+    key = (alg.x_index(pos), alg.y_index(pos))
+    return {**alg._table, key: ((alg.h_index(0), 2),)}
+
+
+@pytest.mark.parametrize("label, corrupt", [("A2", _a2_without_x1_x2),
+                                            ("B2", _b2_with_2h1)])
+def test_tables_the_generators_do_not_span_go_to_the_search(monkeypatch, label, corrupt):
+    alg = build_chevalley(cached_root_system(label))
+    table = corrupt(alg)
+    expected = _dense_jacobi_failure(alg.d, table)
+    assert expected is not None
+    monkeypatch.setattr(LieAlgebraData, "_build_table", lambda self, n: table)
+    on_generators = _Spy(monkeypatch, "_jacobi_holds_on")
+    message = "Jacobi identity fails on basis triple (%d,%d,%d)" % expected
+    with pytest.raises(ConsistencyError, match=re.escape(message)):
+        LieAlgebraData(alg.rs)
+    assert on_generators.results == []  # the spanning check sent it on
+
+
 def test_bracket_rejects_higher_degree(a1):
     with pytest.raises(DomainError):
         bracket(a1.x(0) * a1.y(0), a1.h(0))

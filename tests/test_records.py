@@ -246,3 +246,14 @@ def test_a_cold_import_of_the_cli_loads_neither_dataclasses_nor_inspect():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout.splitlines()
     assert out == [bggkit.__file__, ""]
+
+
+def test_a_cold_import_of_the_cli_loads_no_selftest():
+    """Only ``bggkit selftest`` imports the acceptance suite."""
+    src = str(Path(bggkit.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = "import bggkit.cli, sys; print('bggkit.selftest' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out == "False\n"
