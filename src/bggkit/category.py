@@ -16,8 +16,11 @@ M(s_beta . lambda) in M(lambda) and Jantzen's sum formula both give the
 maximal submodule dimension P(nu - n*beta), so the rank there is read,
 not eliminated, and row bases are taken only where walls meet and at
 the wall-reached nu that those stacks read; every rank eliminated there
-is checked against Jantzen's bounds.  The x_i matrices are
-affine in lambda.  Block decomposition matrices are then
+is checked against Jantzen's bounds.  What an audit reads that does not
+depend on lambda, P at every nu up to the depth and the off-wall rows
+(nu, P(nu), P(nu)), is one plan per depth (``audit_plan``), so an audit
+copies the rows and visits only the nu a wall reaches.  The x_i matrices
+are affine in lambda.  Block decomposition matrices are then
 solved from the unitriangular character system
 
     dim M(lam_i)_{mu_j} = sum_k D[i][k] * dim L(mu_k)_{mu_j}
@@ -469,6 +472,26 @@ class SimplicityReport(Record):
         return None
 
 
+def audit_plan(alg: LieAlgebraData, depth: int
+               ) -> Tuple[List[Tuple[RootVec, int, int]], Dict[RootVec, int],
+                          Dict[RootVec, int]]:
+    """The lam-free part of a depth audit, memoized by depth: the triples
+    (nu, P(nu), P(nu)) over the nonzero nu of ``gamma_elements``, each
+    triple's position, and P at every nu of height <= depth.  P is taken
+    from ``kostant_p`` one nu at a time in height order, so every cell the
+    plan adds to that memo has height <= depth; one box [0, (depth,)*l]
+    would fill (depth+1)^l cells."""
+    cache = alg.cache.setdefault("audit_plan", {})
+    got = cache.get(depth)
+    if got is None:
+        nus = gamma_elements(alg, depth)
+        kostant = dict(zip(nus, map(alg.rs.kostant_p, nus)))
+        triples = [(nu, kostant[nu], kostant[nu]) for nu in nus[1:]]  # nus[0] is 0
+        position = {nu: i for i, (nu, _, _) in enumerate(triples)}
+        got = cache[depth] = (triples, position, kostant)
+    return got
+
+
 def verma_is_simple(alg: LieAlgebraData, lam: Weight, depth: int) -> SimplicityReport:
     """Antidominance verdict plus a depth-limited nondegeneracy audit.
 
@@ -485,15 +508,19 @@ def verma_is_simple(alg: LieAlgebraData, lam: Weight, depth: int) -> SimplicityR
     that such a nu stacks on, above it; each rank it gives must satisfy
     max P(nu - n*beta) <= P(nu) - rank <= sum P(nu - n*beta) over the
     walls that reach nu (on one wall, the read rank), else
-    ConsistencyError.  An antidominant verdict with a rank drop is
-    impossible and raises ConsistencyError.  A strictly antidominant lam
+    ConsistencyError.  P is read off the depth's ``audit_plan``, whose
+    rows are the report at a lam with no wall; only the rows of the nu a
+    wall reaches are replaced.  DomainError unless the depth is a
+    nonnegative int (a bool is refused).  An antidominant verdict with a
+    rank drop is impossible and raises ConsistencyError.  A strictly antidominant lam
     has no walls, so every audited rank is P(nu) and the drop cannot
     happen by construction; the check stays, and selftest criterion 6
     and the Shapovalov-rank test cross-check the walls by other routes.
     """
+    if isinstance(depth, bool) or not isinstance(depth, int) or depth < 0:
+        raise DomainError(f"depth must be a nonnegative integer, not {depth!r}")
     module = VermaModule(alg, lam)
     verdict = not module._walls
-    nus = gamma_elements(alg, depth)
     # nu -> [nu - wall for each wall that reaches nu], one region per wall
     reach: Dict[RootVec, List[RootVec]] = {}
     for wall in module._walls:
@@ -502,21 +529,21 @@ def verma_is_simple(alg: LieAlgebraData, lam: Weight, depth: int) -> SimplicityR
             for d in gamma_elements(alg, depth - height):
                 reach.setdefault(tuple(map(add, wall, d)), []).append(d)
     built = module._fill([nu for nu, below in reach.items() if len(below) > 1])
-    kostant_p = alg.rs.kostant_p
-    ranks = []
-    for nu in nus[1:]:  # nus[0] is 0
-        dim = kostant_p(nu)
-        below = reach.get(nu)
-        if below is None:
-            rank = dim
-        elif nu not in built:
-            rank = dim - kostant_p(below[0])
+    triples, position, kostant = audit_plan(alg, depth)
+    ranks = triples.copy()  # off the walls the rank is P(nu)
+    checked = []
+    for nu, below in reach.items():
+        if nu in built:
+            checked.append((position[nu], nu, below))
         else:
-            rank = built[nu]
-            bounds = [kostant_p(d) for d in below]  # P(nu - n*beta) per wall
-            if not max(bounds) <= dim - rank <= sum(bounds):
-                raise ConsistencyError(f"rank {rank} at {nu} breaks the Jantzen bounds")
-        ranks.append((nu, rank, dim))
+            dim = kostant[nu]
+            ranks[position[nu]] = (nu, dim - kostant[below[0]], dim)
+    for i, nu, below in sorted(checked):  # the first broken bound in audit order
+        dim, rank = kostant[nu], built[nu]
+        bounds = [kostant[d] for d in below]  # P(nu - n*beta) per wall
+        if not max(bounds) <= dim - rank <= sum(bounds):
+            raise ConsistencyError(f"rank {rank} at {nu} breaks the Jantzen bounds")
+        ranks[i] = (nu, rank, dim)
     report = SimplicityReport(verdict, depth, tuple(ranks))
     if verdict and not report.nondegenerate:
         raise ConsistencyError(

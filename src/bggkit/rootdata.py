@@ -172,9 +172,13 @@ class CartanMatrixInput(Record):
 
 
 class Weight:
-    """Point of h* given by its exact values on the coroot basis H."""
+    """Point of h* given by its exact values on the coroot basis H.
 
-    __slots__ = ("coords",)
+    ``_scaled`` holds the pair of ``scaled()`` once it has been read; it
+    takes no part in equality, hashing or pickling.
+    """
+
+    __slots__ = ("coords", "_scaled")
 
     def __init__(self, coords: Iterable):
         object.__setattr__(self, "coords", tuple(Fraction(c) for c in coords))
@@ -228,12 +232,35 @@ class Weight:
         return self.is_integral and all(c >= 0 for c in self.coords)
 
     def scaled(self) -> Tuple[int, Tuple[int, ...]]:
-        """(s, s * coords) for s the lcm of the denominators: all integers."""
+        """(s, s * coords) for s the lcm of the denominators: all integers.
+        Computed on the first call and kept."""
+        try:
+            return self._scaled
+        except AttributeError:
+            pass
         s = lcm(*(c.denominator for c in self.coords))
-        return s, tuple(c.numerator * (s // c.denominator) for c in self.coords)
+        pair = s, tuple(c.numerator * (s // c.denominator) for c in self.coords)
+        object.__setattr__(self, "_scaled", pair)
+        return pair
 
     def __repr__(self):
         return "Weight(%s)" % ",".join(str(c) for c in self.coords)
+
+
+class _OrbitValues(dict):
+    """x -> the Fraction (x - s) / s, made the first time x is looked up:
+    one Fraction per distinct orbit value.  At s = 1 it is Fraction(x - 1),
+    the one-int fast path."""
+
+    __slots__ = ("scale",)
+
+    def __init__(self, scale: int):
+        self.scale = scale
+
+    def __missing__(self, x: int) -> Fraction:
+        s = self.scale
+        got = self[x] = Fraction(x - 1) if s == 1 else Fraction(x - s, s)
+        return got
 
 
 def _height(root: Root) -> int:
@@ -406,7 +433,9 @@ class RootSystem:
         the top, v) sorts the weights v / scale - rho by (-height,
         coordinates), as that map is increasing in v; mu < lam puts lam
         first.  The walk visits at most ``_orbit_size`` nodes and must find
-        exactly that many weights, else ConsistencyError.
+        exactly that many weights, else ConsistencyError.  A member's
+        coordinates are the values (x - scale) / scale of its node's
+        entries x, one Fraction per distinct x.
         """
         scale, top = self.linkage_key(lam)
         size = self._orbit_size(top)
@@ -427,9 +456,14 @@ class RootSystem:
             raise ConsistencyError(f"dot orbit walk found {len(nodes)} weights, "
                                    f"the product formula {size}")
         nodes.sort()
-        values = {x: Fraction(x - scale, scale)
-                  for x in {x for _, u in nodes for x in u}}
-        return [Weight._exact(tuple(map(values.__getitem__, u))) for _, u in nodes]
+        value = _OrbitValues(scale).__getitem__
+        new, set_coords = object.__new__, Weight.coords.__set__
+        orbit = []
+        for _, u in nodes:  # Weight._exact inlined: a call per member shows here
+            w = new(Weight)
+            set_coords(w, tuple(map(value, u)))
+            orbit.append(w)
+        return orbit
 
     def is_linked(self, lam: Weight, mu: Weight) -> bool:
         """True iff mu lies in the dot orbit of lam: their linkage keys agree."""

@@ -538,6 +538,25 @@ def test_verma_is_simple_rank_profile(a2):
     assert ranks2[(2, 0)] == (0, 1)  # rho - 2*alpha1 is not an adjoint weight
 
 
+@pytest.mark.parametrize("depth", [-1, 2.5, True])
+def test_verma_is_simple_refuses_a_depth_that_is_not_a_nonnegative_int(depth):
+    alg = build_chevalley(build_root_system("A2"))
+    with pytest.raises(DomainError, match="depth must be a nonnegative integer"):
+        verma_is_simple(alg, Weight([0, 0]), depth)
+    assert "audit_plan" not in alg.cache  # refused before the plan is read
+
+
+def test_a_cold_audit_fills_kostant_numbers_only_up_to_its_depth():
+    """The audit plan takes P one nu at a time, so a cold E8 audit at depth 3
+    leaves the 165 nu of height <= 3 in the Kostant memo, not a cube."""
+    rs = build_root_system("E8")
+    alg = build_chevalley(rs)
+    report = verma_is_simple(alg, Weight([1, 0, 0, 0, 0, 0, 0, 0]), 3)
+    nus = category.gamma_elements(alg, 3)
+    assert len(nus) == 165 and len(report.ranks) == 164
+    assert set(rs.cache["kostant_p"]) == set(nus)
+
+
 # -- blocks -----------------------------------------------------------------------
 
 def test_decomposition_a1(a1):
@@ -880,13 +899,23 @@ def _shapovalov(alg):
             simple_weight_mult(alg, lam, (1, 1)))
 
 
+def _simplicity(alg):
+    # (0, 0) has the walls alpha_1 and alpha_2 below depth 4, (1, 0) the
+    # walls 2 alpha_1 and alpha_2, so both run the radical recursion where
+    # the walls meet; (1/2, 0) has one wall there, alpha_2
+    return [verma_is_simple(alg, Weight(coords), 4)
+            for coords in ((0, 0), (1, 0), (F(1, 2), 0))]
+
+
 @pytest.mark.parametrize("label, run, rs_tables, alg_tables", [
     ("A2", _block, {"build_chevalley", "kostant_p"},
      {"weight_space_basis", "raising_matrix", "gamma_elements"}),
     ("B2", _central_char, {"build_chevalley"}, {"casimir", "is_central"}),
     ("A2", _shapovalov, {"build_chevalley", "kostant_p"},
      {"weight_space_basis", "raising_matrix"}),
-], ids=["block", "central-char", "shapovalov"])
+    ("B2", _simplicity, {"build_chevalley", "kostant_p"},
+     {"audit_plan", "gamma_elements", "weight_space_basis", "raising_matrix"}),
+], ids=["block", "central-char", "shapovalov", "simplicity"])
 def test_memo_tables_live_in_one_cache_per_owner(label, run, rs_tables, alg_tables):
     rs = build_root_system(label)
     rs_attributes = set(vars(rs))
@@ -898,6 +927,8 @@ def test_memo_tables_live_in_one_cache_per_owner(label, run, rs_tables, alg_tabl
     assert set(rs.cache) == rs_tables and set(alg.cache) == alg_tables
     assert run(alg) == cold  # warm
     assert alg.kernel._pair_cache  # the PBW pair products live on the kernel
+    rs.cache.pop("kostant_p", None)  # alg's memos read only cells they stored
+    assert run(alg) == cold
     alg.cache.clear()
     alg.kernel._pair_cache.clear()
     assert run(alg) == cold

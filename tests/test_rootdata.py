@@ -4,7 +4,7 @@ import itertools
 import pickle
 import random
 from fractions import Fraction as F
-from math import prod
+from math import lcm, prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -378,7 +378,7 @@ def test_dot_orbit_is_the_weyl_group_image(label):
     once, in the order of Fraction heights, and the cap refusing exactly
     past the orbit's size, where linkage, which walks no orbit, still
     answers.  Its weights keep the Weight contract (Fraction coordinates,
-    hash, eq, integrality)."""
+    hash, eq, integrality, ``scaled()``)."""
     rs = cached_root_system(label)
     weyl = rs.weyl_group()
     rng = random.Random(label)
@@ -393,6 +393,8 @@ def test_dot_orbit_is_the_weyl_group_image(label):
         for mu in orbit:
             assert all(type(c) is F for c in mu.coords)
             assert mu == Weight(mu.coords) and hash(mu) == hash(Weight(mu.coords))
+            scale = lcm(*(c.denominator for c in mu.coords))
+            assert mu.scaled() == (scale, tuple(int(c * scale) for c in mu.coords))
             assert mu.is_integral == lam.is_integral
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(rootdata, "WEYL_ENUMERATION_CAP", len(orbit))
@@ -800,8 +802,16 @@ def test_weight_arithmetic():
 
 @pytest.mark.parametrize("coords", [(0,), (0, 0), (F(1, 2), -3), (F(-7, 6), F(5, 2), 0)])
 def test_weight_copies_and_pickles_keep_value_and_hash(coords):
+    """A copy keeps value and hash; so does a weight whose ``scaled()`` pair,
+    kept after the first call, has been read, and its pickle is unchanged."""
     w = Weight(coords)
+    before = pickle.dumps(w)
+    pair = w.scaled()
+    assert w.scaled() is pair and pickle.dumps(w) == before
     for back in (copy.copy(w), copy.deepcopy(w), pickle.loads(pickle.dumps(w))):
-        assert back == w and hash(back) == hash(w)
-        with pytest.raises(AttributeError, match="immutable"):
-            back.coords = ()
+        assert back == w and hash(back) == hash(w) and back.scaled() == pair
+        for name in ("coords", "_scaled"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(back, name, ())
+    with pytest.raises(AttributeError, match="immutable"):
+        w._scaled = ()
