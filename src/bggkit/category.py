@@ -30,11 +30,13 @@ follows by reciprocity: (P(mu) : M(lam)) = D[lam][mu] and C = D^T D.
 
 The Shapovalov form (whose radical is the same maximal submodule) is
 kept for the ``shapovalov`` subcommand and as an independent oracle;
-its entries are polynomials in U(h), each one word sigma(y^A) y^B
-straightened with the kernel's U(h) window, once per unordered pair.
-Weight-space bases and x_i matrices are
-memoized in ``alg.cache``, one table per function name, and are freed
-with the algebra.  Every entry point reads nu through
+its entries are polynomials in U(h), read level by level through the
+first PBW factor y_beta of y^A: S_nu is S_{nu-beta} times the x_beta
+matrix, whose entries are affine in h.  One routine (``_raising``)
+builds the x_beta matrix for every positive root beta; ``raising_matrix``
+is that routine at a simple root.  Weight-space bases, x_i matrices and
+Shapovalov levels are memoized in ``alg.cache``, one table per function
+name, and are freed with the algebra.  Every entry point reads nu through
 ``RootSystem.gamma_point``.  A block works in integer coordinates: each
 member's depth below the top of the block is taken once, the pairwise
 differences are differences of depths, and the box [0, max depth] of
@@ -145,12 +147,17 @@ class VermaVector:
         return " + ".join(bits)
 
 
+def _check_depth(depth) -> None:
+    """DomainError unless depth is a nonnegative int (a bool is refused)."""
+    if isinstance(depth, bool) or not isinstance(depth, int) or depth < 0:
+        raise DomainError(f"depth must be a nonnegative integer, not {depth!r}")
+
+
 class VermaSlice:
     """The action of U(g) on the Verma module at lambda down to depth N."""
 
     def __init__(self, alg: LieAlgebraData, lam: Weight, depth: int):
-        if depth < 0:
-            raise DomainError("depth must be nonnegative")
+        _check_depth(depth)
         self.alg = alg
         self.lam = lam
         self.depth = depth
@@ -212,8 +219,11 @@ def maximal_vectors(alg: LieAlgebraData, lam: Weight, nu, depth: Optional[int] =
 
     Killing the simple generators x_i suffices since they generate n, so
     this is the nullspace of the stacked x_i matrices at nu.  Empty off
-    Gamma, whatever the depth; DomainError for a depth below height(nu).
+    Gamma, whatever the depth; DomainError for a depth below height(nu)
+    or one that is not a nonnegative int.
     """
+    if depth is not None:
+        _check_depth(depth)
     nu = alg.rs.gamma_point(nu)
     if nu is None:
         return []
@@ -241,17 +251,56 @@ def _lower(nu: RootVec, i: int) -> Optional[RootVec]:
     return nu[:i] + (nu[i] - 1,) + nu[i + 1:]
 
 
-def raising_matrix(alg: LieAlgebraData, i: int, nu: RootVec):
-    """The simple x_i from M_{lam-nu} to M_{lam-nu+alpha_i}, for every lam.
+def _raising(alg: LieAlgebraData, pos: int, nu: RootVec, target: RootVec,
+             start: int = 0):
+    """The x of the positive root beta at position pos, from M_{lam-nu} to
+    M_{lam-nu+beta}, for every lam; target = nu - beta lies in Gamma.
+    Only the columns from ``start`` on are built; those before it are
+    empty.
 
     Column c is the pair (rows, forms) of the nonzero entries of
-    x_i . y^{A_c} v on the PBW y-bases of ``weight_space_basis``.  Each
+    x_beta . y^{A_c} v on the PBW y-bases of ``weight_space_basis``.  Each
     entry is an affine integer form (f_0, f_1, ..., f_l) standing for
-    f_0 + sum_j f_j lam(h_j).  Affine suffices: x_i y^A is the sum, over
-    the factors y of y^A, of y^A with that factor replaced by [x_i, y],
-    plus y^A x_i, so its U(h) part has degree at most one; a higher
-    degree raises ConsistencyError.  Memoized by (i, nu).  DomainError
-    when nu - alpha_i is not in Gamma.
+    f_0 + sum_j f_j lam(h_j).  Affine suffices: x_beta y^A is the sum,
+    over the factors y of y^A, of y^A with that factor replaced by
+    [x_beta, y], plus y^A x_beta, and a bracket that is an x goes on
+    through the factors after it, so the U(h) part of a term has degree
+    at most one; a higher degree raises ConsistencyError.
+    """
+    m, l = alg.m, alg.l
+    index = {mono: r for r, mono in enumerate(weight_space_basis(alg, target))}
+    x_exps = [0] * alg.d
+    x_exps[alg.x_index(pos)] = 1
+    x_exps = tuple(x_exps)
+    pad = (0,) * (l + m)
+    window = (0, m + l)  # words ending in an x kill the top vector
+    kernel = alg.kernel
+    basis = weight_space_basis(alg, nu)
+    columns = [((), ())] * start
+    for mono in basis[start:]:
+        col: Dict[int, List[int]] = {}
+        for exps, c in kernel.multiply_monomials(x_exps, mono + pad, window).items():
+            h_part = exps[m:m + l]
+            degree = sum(h_part)
+            if degree > 1:
+                raise ConsistencyError(f"{alg.basis_label(alg.x_index(pos))} . y^A "
+                                       f"has U(h) degree {degree} > 1 at {nu}")
+            row = index.get(exps[:m])
+            if row is None:
+                raise ConsistencyError("action left the expected weight space")
+            form = col.setdefault(row, [0] * (l + 1))
+            form[h_part.index(1) + 1 if degree else 0] += c
+        entries = [(row, tuple(form)) for row, form in sorted(col.items())
+                   if any(form)]
+        columns.append((tuple(row for row, _ in entries),
+                        tuple(form for _, form in entries)))
+    return tuple(columns)
+
+
+def raising_matrix(alg: LieAlgebraData, i: int, nu: RootVec):
+    """The simple x_i from M_{lam-nu} to M_{lam-nu+alpha_i}, for every lam,
+    as ``_raising`` builds it at the position of alpha_i.  Memoized by
+    (i, nu).  DomainError when nu - alpha_i is not in Gamma.
     """
     cache = alg.cache.setdefault("raising_matrix", {})
     nu = alg.rs.gamma_point(nu)
@@ -262,34 +311,7 @@ def raising_matrix(alg: LieAlgebraData, i: int, nu: RootVec):
     target = None if nu is None else _lower(nu, i)
     if target is None:
         raise DomainError(f"nu - alpha_{i + 1} is not in Gamma")
-    m, l = alg.m, alg.l
-    index = {mono: r for r, mono in enumerate(weight_space_basis(alg, target))}
-    x_exps = [0] * alg.d
-    x_exps[alg.x_index(alg.simple_positions[i])] = 1
-    x_exps = tuple(x_exps)
-    pad = (0,) * (l + m)
-    window = (0, m + l)  # words ending in an x kill the top vector
-    kernel = alg.kernel
-    columns = []
-    for mono in weight_space_basis(alg, nu):
-        col: Dict[int, List[int]] = {}
-        for exps, c in kernel.multiply_monomials(x_exps, mono + pad, window).items():
-            h_part = exps[m:m + l]
-            degree = sum(h_part)
-            if degree > 1:
-                raise ConsistencyError(
-                    f"x_{i + 1} . y^A has U(h) degree {degree} > 1 at {nu}")
-            row = index.get(exps[:m])
-            if row is None:
-                raise ConsistencyError("action left the expected weight space")
-            form = col.setdefault(row, [0] * (l + 1))
-            form[h_part.index(1) + 1 if degree else 0] += c
-        entries = [(row, tuple(form)) for row, form in sorted(col.items())
-                   if any(form)]
-        columns.append((tuple(row for row, _ in entries),
-                        tuple(form for _, form in entries)))
-    result = tuple(columns)
-    cache[key] = result
+    result = cache[key] = _raising(alg, alg.simple_positions[i], nu, target)
     return result
 
 
@@ -413,28 +435,118 @@ def _symmetric(size: int, entry) -> List[list]:
     return rows
 
 
+#: bits of one h_j exponent in a packed U(h) monomial sum_j e_j << (16 j);
+#: an entry at nu has degree at most height(nu)
+_H_BITS = 16
+
+
 def shapovalov_polynomial_matrix(alg: LieAlgebraData, nu: RootVec):
     """Entries <y^A v, y^B v> as elements of U(h).
 
     Entry (A, B) is the Harish-Chandra projection of sigma(y^A) y^B; its
-    evaluation at lambda is the contravariant form on M(lambda).  Each
-    entry is one word, the x's of sigma(y^A) followed by the y's of y^B,
-    straightened with the kernel's U(h) window: U(g) = U(h) + (n- U(g) +
-    U(g) n+), so a word that starts with a y or ends with an x is dropped
-    as soon as it appears.  sigma fixes U(h), so the form is symmetric
-    and only A <= B is straightened.  Empty off Gamma.
+    evaluation at lambda is the contravariant form on M(lambda).  The
+    matrix at nu is read off a lower level (Shapovalov 1972; Humphreys,
+    GSM 94, 3.14-3.15; Jantzen, LNM 750).  Write y^A = y_beta y^A', with
+    y_beta the first PBW factor of y^A: its lowest y index, so beta is
+    the highest root in A.  Then sigma(y^A) = sigma(y^A') x_beta, and
+    x_beta y^B = sum_C y^C f_C(h) modulo the left ideal U(g) n+, where
+    hc(u f(h)) = hc(u) f(h).  So
+
+        S_nu[A][B] = sum_C S_{nu-beta}[A'][C] R_beta(nu)[C][B],
+
+    R_beta(nu) the x_beta matrix of affine forms in h from ``_raising``
+    (``raising_matrix`` for a simple beta).  sigma fixes U(h), so the form
+    is symmetric and only A <= B is computed.  The levels are memoized in
+    ``alg.cache`` by nu, with the packed integer entries that the next
+    level reads; a cold call at nu builds and keeps nu and the levels
+    nu - beta it reads, in turn, so only levels nu' with nu - nu' in
+    Gamma.  Empty off Gamma; DomainError at a height of 2**16 or more.
     """
     nu = alg.rs.gamma_point(nu)
     if nu is None:
         return (), ()
-    basis = weight_space_basis(alg, nu)
-    window = (alg.m, alg.m + alg.l)  # the h's
-    normal_order_word = alg.kernel.normal_order_word
-    ys = [tuple((k, e) for k, e in enumerate(mono) if e) for mono in basis]
-    # sigma reverses y^A and swaps each y for the x of its root
-    xs = [tuple((alg.transpose_index(k), e) for k, e in reversed(y)) for y in ys]
-    return basis, tuple(map(tuple, _symmetric(
-        len(basis), lambda a, b: UEAElement(alg, normal_order_word(xs[a] + ys[b], window)))))
+    cache = alg.cache.setdefault("shapovalov_polynomial_matrix", {})
+    got = cache.get(nu)
+    if got is None:
+        if sum(nu) >> _H_BITS:
+            raise DomainError(f"nu of height {sum(nu)} is too high for the Shapovalov form")
+        _shapovalov_levels(alg, cache, nu)
+        got = cache[nu]
+    return got[:2]
+
+
+def _shapovalov_levels(alg: LieAlgebraData, cache, nu: RootVec) -> None:
+    """Store (basis, polys, packed rows) at nu and at every level below
+    it that the recursion reads and ``cache`` lacks, in height order.  A
+    packed entry maps sum_j e_j << (_H_BITS j) to the integer coefficient
+    of h^e."""
+    m, l = alg.m, alg.l
+    roots = alg.rs.positive_roots
+    simple = {pos: i for i, pos in enumerate(alg.simple_positions)}
+    plan = {}  # level -> (basis, first y slot of each monomial)
+    todo = [nu]
+    while todo:
+        mu = todo.pop()
+        if mu in cache or mu in plan:
+            continue
+        basis = weight_space_basis(alg, mu)
+        if not any(mu):
+            cache[mu] = (basis, ((alg.one(),),), (({0: 1},),))
+            continue
+        firsts = [next(k for k, e in enumerate(mono) if e) for mono in basis]
+        plan[mu] = (basis, firsts)
+        todo.extend(tuple(map(sub, mu, roots[m - 1 - k])) for k in set(firsts))
+    steps = (0,) + tuple(1 << (_H_BITS * j) for j in range(l))  # 1, h_1, ..., h_l
+    zeros = (0,) * m
+    mask = (1 << _H_BITS) - 1
+    keys: Dict[int, tuple] = {}  # packed -> exponent tuple, shared by the levels
+    coefs: Dict[int, Fraction] = {}
+
+    def element(entry):
+        terms = {}
+        for key, c in entry.items():
+            exps = keys.get(key)
+            if exps is None:
+                exps = keys[key] = zeros + tuple(
+                    (key >> (_H_BITS * j)) & mask for j in range(l)) + zeros
+            coef = coefs.get(c)
+            if coef is None:
+                coef = coefs[c] = Fraction(c)
+            terms[exps] = coef
+        return UEAElement._exact(alg, terms)
+
+    for mu in sorted(plan, key=sum):
+        basis, firsts = plan[mu]
+        size = len(basis)
+        rows = [[None] * size for _ in range(size)]
+        for k in set(firsts):
+            pos = m - 1 - k
+            below = tuple(map(sub, mu, roots[pos]))
+            lower_basis, _, lower = cache[below]
+            index = {mono: r for r, mono in enumerate(lower_basis)}
+            first = firsts.index(k)  # rows A <= B read columns B >= A only
+            matrix = (raising_matrix(alg, simple[pos], mu) if pos in simple
+                      else _raising(alg, pos, mu, below, first))
+            # column B as (C, ((packed h_j, f_j) for f_j != 0)) per nonzero R[C][B]
+            columns = [[(c, tuple((step, f) for step, f in zip(steps, form) if f))
+                        for c, form in zip(*column)] for column in matrix]
+            for a, mono in enumerate(basis):
+                if firsts[a] != k:
+                    continue
+                upper = lower[index[mono[:k] + (mono[k] - 1,) + mono[k + 1:]]]
+                row = rows[a]
+                for b in range(a, size):
+                    acc: Dict[int, int] = {}
+                    get = acc.get
+                    for c, parts in columns[b]:
+                        poly = upper[c]
+                        for step, f in parts:
+                            for key, coef in poly.items():
+                                key += step
+                                acc[key] = get(key, 0) + f * coef
+                    row[b] = rows[b][a] = {key: c for key, c in acc.items() if c}
+        polys = _symmetric(size, lambda a, b: element(rows[a][b]))
+        cache[mu] = (basis, tuple(map(tuple, polys)), tuple(map(tuple, rows)))
 
 
 def shapovalov_matrix(alg: LieAlgebraData, lam: Weight, nu) -> List[List[Fraction]]:
@@ -517,8 +629,7 @@ def verma_is_simple(alg: LieAlgebraData, lam: Weight, depth: int) -> SimplicityR
     happen by construction; the check stays, and selftest criterion 6
     and the Shapovalov-rank test cross-check the walls by other routes.
     """
-    if isinstance(depth, bool) or not isinstance(depth, int) or depth < 0:
-        raise DomainError(f"depth must be a nonnegative integer, not {depth!r}")
+    _check_depth(depth)
     module = VermaModule(alg, lam)
     verdict = not module._walls
     # nu -> [nu - wall for each wall that reaches nu], one region per wall

@@ -561,7 +561,9 @@ class UEAElement:
         """Evaluate an element of U(h) at a weight; h_i goes to lam(h_i).
 
         A term c h^e of degree k is c v^e / s^k, v = s lam in integers.
-        DomainError off U(h) or at a weight of another rank.
+        DomainError off U(h) or at a weight of another rank: exponents are
+        nonnegative, so a term lies in U(h) exactly when its h's carry its
+        whole degree.
         """
         alg = self.alg
         if len(lam) != alg.l:
@@ -570,10 +572,11 @@ class UEAElement:
         scale, v = lam.scaled()
         num, den = 0, 1
         for exps, coef in self.terms.items():
-            if any(exps[:lo]) or any(exps[hi:]):
-                raise DomainError("element is not in U(h)")
             h = exps[lo:hi]
-            d = coef.denominator * scale ** sum(h)
+            degree = sum(h)
+            if sum(exps) != degree:
+                raise DomainError("element is not in U(h)")
+            d = coef.denominator * scale ** degree
             num = num * d + coef.numerator * prod(map(pow, v, h)) * den
             den *= d
         return Fraction(num, den)

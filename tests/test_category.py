@@ -15,7 +15,7 @@ from bggkit.category import (VermaModule, VermaSlice, VermaVector, block_report,
                              raising_matrix, shapovalov_matrix,
                              simple_weight_mult, verma_is_simple)
 from bggkit.errors import ConsistencyError, DepthOverflowError, DomainError
-from bggkit.liealg import LieAlgebraData, build_chevalley, casimir
+from bggkit.liealg import LieAlgebraData, UEAElement, build_chevalley, casimir
 from bggkit.rootdata import Weight, build_root_system, cached_root_system
 
 
@@ -91,6 +91,17 @@ def test_act_depth_overflow(a1):
     deep = a1.monomial((3, 0, 0))
     with pytest.raises(DepthOverflowError):
         s.act(deep, v)
+
+
+@pytest.mark.parametrize("depth", [-1, 2.5, True])
+@pytest.mark.parametrize("call", [
+    lambda alg, depth: VermaSlice(alg, Weight([0, 0]), depth),
+    lambda alg, depth: maximal_vectors(alg, Weight([0, 0]), (1, 0), depth),
+    lambda alg, depth: maximal_vectors(alg, Weight([0, 0]), (-1, 0), depth),
+], ids=["VermaSlice", "maximal_vectors", "maximal_vectors-off-gamma"])
+def test_a_depth_that_is_not_a_nonnegative_int_is_refused(a2, call, depth):
+    with pytest.raises(DomainError, match="depth must be a nonnegative integer"):
+        call(a2, depth)
 
 
 # -- maximal vectors --------------------------------------------------------------
@@ -181,6 +192,20 @@ def _oracle_polynomials(alg, nu):
     return [[(e.transpose() * f).hc_project() for f in elements] for e in elements]
 
 
+def _windowed_polynomials(alg, nu):
+    """Shapovalov polynomials word by word: each entry is the one word
+    sigma(y^A) y^B, the x's of sigma(y^A) followed by the y's of y^B,
+    straightened with the kernel's U(h) window, which drops a word that
+    starts with a y or ends with an x as soon as it appears."""
+    basis = category.weight_space_basis(alg, nu)
+    window = (alg.m, alg.m + alg.l)  # the h's
+    ys = [tuple((k, e) for k, e in enumerate(mono) if e) for mono in basis]
+    # sigma reverses y^A and swaps each y for the x of its root
+    xs = [tuple((alg.transpose_index(k), e) for k, e in reversed(y)) for y in ys]
+    return [[UEAElement(alg, alg.kernel.normal_order_word(x + y, window)) for y in ys]
+            for x in xs]
+
+
 def test_shapovalov_symmetric(a2, b2):
     rng = random.Random(37)
     for alg in (a2, b2):
@@ -197,11 +222,11 @@ def test_shapovalov_symmetric(a2, b2):
 
 
 @pytest.mark.parametrize("label, height", [("A1", 5), ("A2", 5), ("B2", 5), ("G2", 5),
-                                           ("A3", 4)])
+                                           ("A3", 4), ("B3", 3)])
 def test_shapovalov_window_matches_full_product(label, height):
-    """Every entry, in both triangles, against the oracle route.  Each
-    route runs on its own fresh algebra, so neither reads pair products
-    that the other left in the kernel's cache."""
+    """Every entry, in both triangles, against the full-product oracle.
+    Each route runs on its own fresh algebra, so neither reads pair
+    products or levels that the other left in a cache."""
     alg = LieAlgebraData(build_root_system(label))
     ref = LieAlgebraData(build_root_system(label))
     for nu in category.gamma_elements(alg, height):
@@ -210,6 +235,47 @@ def test_shapovalov_window_matches_full_product(label, height):
         expected = _oracle_polynomials(ref, nu)
         assert [[p.terms for p in row] for row in polys] == \
             [[p.terms for p in row] for row in expected], (label, nu)
+
+
+@pytest.mark.parametrize("label, nu", [("A3", (3, 3, 3)), ("G2", (4, 3))] + [
+    ("B3", nu) for nu in itertools.product(range(4), repeat=3) if sum(nu) <= 3],
+    ids=lambda value: ",".join(map(str, value)) if isinstance(value, tuple) else value)
+def test_shapovalov_recursion_matches_the_windowed_words(label, nu):
+    """Every entry, in both triangles, against the windowed words, each
+    route cold on its own fresh algebra: the recursion builds every level
+    below nu that its first factors reach, the words none."""
+    alg = LieAlgebraData(build_root_system(label))
+    ref = LieAlgebraData(build_root_system(label))
+    _, polys = category.shapovalov_polynomial_matrix(alg, nu)
+    assert [[p.terms for p in row] for row in polys] == \
+        [[p.terms for p in row] for row in _windowed_polynomials(ref, nu)]
+
+
+@pytest.mark.parametrize("label, nu", [("A2", (3, 2)), ("B2", (2, 4)), ("G2", (3, 2)),
+                                       ("A3", (1, 2, 1))])
+def test_a_cold_shapovalov_call_keeps_only_levels_below_nu(label, nu):
+    """A cold call keeps nu and levels nu' with nu - nu' in Gamma, the
+    zero level among them, and reads them again when warm."""
+    alg = LieAlgebraData(build_root_system(label))
+    cold = category.shapovalov_polynomial_matrix(alg, nu)
+    kept = alg.cache["shapovalov_polynomial_matrix"]
+    assert nu in kept and (0,) * alg.l in kept
+    assert all(min(a - b for a, b in zip(nu, level)) >= 0 for level in kept), sorted(kept)
+    before = dict(kept)
+    warm = category.shapovalov_polynomial_matrix(alg, nu)
+    assert warm == cold and dict(kept) == before
+    for level in kept:  # a stored level is the one a cold call there builds
+        fresh = LieAlgebraData(build_root_system(label))
+        _, polys = category.shapovalov_polynomial_matrix(fresh, level)
+        assert [[p.terms for p in row] for row in kept[level][1]] == \
+            [[p.terms for p in row] for row in polys]
+
+
+def test_shapovalov_refuses_a_height_past_its_packing():
+    alg = LieAlgebraData(build_root_system("A1"))
+    with pytest.raises(DomainError, match="too high"):
+        category.shapovalov_polynomial_matrix(alg, (1 << 16,))
+    assert "weight_space_basis" not in alg.cache  # refused before any level
 
 
 def _wall_vectors(rs, lam):
@@ -912,7 +978,7 @@ def _simplicity(alg):
      {"weight_space_basis", "raising_matrix", "gamma_elements"}),
     ("B2", _central_char, {"build_chevalley"}, {"casimir", "is_central"}),
     ("A2", _shapovalov, {"build_chevalley", "kostant_p"},
-     {"weight_space_basis", "raising_matrix"}),
+     {"weight_space_basis", "raising_matrix", "shapovalov_polynomial_matrix"}),
     ("B2", _simplicity, {"build_chevalley", "kostant_p"},
      {"audit_plan", "gamma_elements", "weight_space_basis", "raising_matrix"}),
 ], ids=["block", "central-char", "shapovalov", "simplicity"])

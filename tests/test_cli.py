@@ -518,6 +518,11 @@ JSON_DIGESTS = {
         "9290f68aaa84d46befdcc8f99610fa8cb00a8a7588e0a4d5912950549c88bb98",
     "shapovalov --type A2 --weight 1/2,1 --nu 2,2":
         "718e940c3c2bfe510e7fabcd69cdffeb313a9d576b3b1302f7a0bc46088e89da",
+    # recorded when each entry was one straightened word sigma(y^A) y^B
+    "shapovalov --type A3 --weight 1/2,0,1/3 --nu 3,3,3":
+        "7d5c49c5437c6a2ddeca37c580c693639f4db675a3487e44ebe9154834c98631",
+    "shapovalov --type G2 --weight 0,0 --nu 4,3":
+        "f29552fe9d2ab104dc8c009d763b4b54b5dea29b0bff958139e85f61ce0cef8d",
     # recorded when each log norm was a Fraction-valued dataclass: p in
     # {2, 5}, s in {1, 3/2}, p only in a numerator or only in a denominator,
     # the zero element, and a pair (the submultiplicativity verdict)

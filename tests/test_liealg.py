@@ -595,6 +595,20 @@ def test_evaluate_examples(a1):
         a1.x(0).evaluate_at(Weight([3]))
 
 
+def test_evaluate_refuses_every_term_off_u_h(a1, b2):
+    """A term with an x or a y beside h's of any degree is refused, also
+    when the other terms lie in U(h)."""
+    for alg in (a1, b2):
+        lam = Weight([3] * alg.l)
+        h = alg.h(0)
+        for idx in list(range(alg.m)) + list(range(alg.m + alg.l, alg.d)):
+            b = alg.basis_element(idx)
+            for u in (b, h * h + b, h * b, b * h + alg.one()):
+                with pytest.raises(DomainError, match="not in U"):
+                    u.evaluate_at(lam)
+        assert (h * h + alg.one()).evaluate_at(lam) == 10
+
+
 def test_h_substitute_shifts(a2):
     h1, h2 = a2.h(0), a2.h(1)
     p = h1 * h2 + h1
