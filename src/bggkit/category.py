@@ -704,8 +704,11 @@ def decomposition_matrix(alg: LieAlgebraData, lam: Weight,
 
     Only integral weights are accepted: comparability inside a
     non-integral orbit is not resolved here, so D is refused (the orbit
-    itself is still available through the linkage operations).
+    itself is still available through the linkage operations).  depth is
+    None or a nonnegative int, else DomainError.
     """
+    if depth is not None:
+        _check_depth(depth)
     if not lam.is_integral:
         raise DomainError("decomposition matrices are computed for integral "
                           "weights only; use linkage/orbit reporting instead")

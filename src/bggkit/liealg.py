@@ -12,6 +12,13 @@ Structure constants follow the extraspecial-pair convention: the
 earliest positive summand of each non-simple root gets coefficient
 p+1 > 0, and every other N_{a,b} follows in closed form from those
 (Carter, *Simple Groups of Lie Type*, 4.1-4.2), one height at a time.
+There each root r is one int, its code sum_j r_j B^j with B = 4K + 1 and
+K the largest |coefficient| of a root, so a sum, negative or difference
+of roots is one int operation and a root test one dict lookup.  The
+vectors formed are sums and differences of two roots, with entries in
+[-2K, 2K]; two of them differ by entries smaller than B in size, so
+distinct vectors get distinct codes.  Root lengths are integers over
+their common denominator, and every quotient is one exact divmod.
 The bracket table is read off the nonzero brackets alone: the root's
 weight b(h_k) for [h_k, b], the coroot for [x_a, y_a], and N_{a,b} for
 two roots whose sum is a root.  Root weights come from the root system's
@@ -36,7 +43,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import lcm, prod
-from operator import add, index, mul, sub
+from operator import index, mul
 from typing import Dict, Optional, Tuple
 
 from . import exactla
@@ -72,8 +79,25 @@ def _root_lengths(rs: RootSystem) -> Dict[Root, Fraction]:
             for r, w in rs._root_weight.items()}
 
 
-def _structure_constants(rs: RootSystem) -> Dict[Tuple[Root, Root], int]:
-    """N_{a,b} with [x_a, x_b] = N_{a,b} x_{a+b}, for all roots a, b, a+b.
+def _root_codes(rs: RootSystem) -> Tuple[int, Dict[Root, int]]:
+    """(B, code): code[r] = sum_j r_j B^j for every root r, B = 4K + 1 and
+    K the largest |coefficient| of a root.  The code of a + b, -a or a - b
+    is the int sum, negative or difference of the codes, and distinct
+    sums and differences of two roots keep distinct codes: two of them
+    differ by entries in [-4K, 4K], less than B in size."""
+    base = 4 * max(max(map(abs, r)) for r in rs.positive_roots) + 1
+    code = {}
+    for r in rs.roots:
+        c = 0
+        for x in reversed(r):
+            c = c * base + x
+        code[r] = c
+    return base, code
+
+
+def _structure_constants(rs: RootSystem) -> Dict[Tuple[int, int], int]:
+    """N_{a,b} with [x_a, x_b] = N_{a,b} x_{a+b}, for all roots a, b, a+b,
+    keyed by the codes (``_root_codes``) of a and b.
 
     Closed form in the extraspecial-pair convention (Carter, *Simple
     Groups of Lie Type*, 4.1-4.2).  Positive roots xi are taken in the
@@ -89,58 +113,64 @@ def _structure_constants(rs: RootSystem) -> Dict[Tuple[Root, Root], int]:
     out as +-(p+1).  Each value then fixes the rest of its orbit under
     N_{b,a} = -N_{a,b}, N_{-a,-b} = -N_{a,b} and, for a + b + c = 0,
     N_{a,b}/(c,c) = N_{b,c}/(a,a) = N_{c,a}/(b,b); those must be integers.
+    The lengths are taken as integers over their common denominator, and
+    each quotient is one divmod; Fractions and root tuples are made only
+    for an error's message.
     """
-    roots = rs.roots
-    order = rs._root_index
+    _, code = _root_codes(rs)
     norm = _root_lengths(rs)
-    n: Dict[Tuple[Root, Root], int] = {}
-
-    def sub(a, b):
-        return tuple(x - y for x, y in zip(a, b))
-
-    def neg(a):
-        return tuple(-x for x in a)
+    den = lcm(*(v.denominator for v in norm.values()))
+    length = {c: norm[r].numerator * (den // norm[r].denominator)
+              for r, c in code.items()}  # (r, r) den, keyed by code; the root set
+    positive = [code[r] for r in rs.positive_roots]
+    order = {c: i for i, c in enumerate(positive)}
+    n: Dict[Tuple[int, int], int] = {}
 
     def string_p(r, s):
         p = 0
-        while sub(s, r) in roots:
-            s = sub(s, r)
+        while s - r in length:
+            s -= r
             p += 1
         return p
 
-    def term(u, v, w, z, diff):
-        """N_{u,v} N_{w,z} / (diff, diff), zero when diff is not a root."""
-        if diff not in roots:
-            return 0
-        return Fraction(n[(u, v)] * n[(w, z)]) / norm[diff]
+    def root(c):
+        return next(r for r, x in code.items() if x == c)
 
     def record(a, b, value):
-        c = sub(neg(a), b)
+        c = -a - b
         for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
-            rotated = value * norm[w] / norm[c]
-            if rotated.denominator != 1:
+            rotated, rest = divmod(value * length[w], length[c])
+            if rest:
                 raise ConsistencyError(
-                    f"structure constant N_{{{u},{v}}} = {rotated} is not an integer")
-            rotated = int(rotated)
+                    f"structure constant N_{{{root(u)},{root(v)}}} = "
+                    f"{Fraction(value * length[w], length[c])} is not an integer")
             n[(u, v)] = rotated
             n[(v, u)] = -rotated
-            n[(neg(u), neg(v))] = -rotated
-            n[(neg(v), neg(u))] = rotated
+            n[(-u, -v)] = -rotated
+            n[(-v, -u)] = rotated
 
-    for xi in rs.positive_roots:
-        special = [(r, sub(xi, r)) for r in rs.positive_roots
-                   if order.get(sub(xi, r), -1) > order[r]]
+    for k, xi in enumerate(positive):
+        special = [(r, xi - r) for i, r in enumerate(positive[:k])
+                   if order.get(xi - r, -1) > i]
         if not special:
             continue
         (r1, s1), others = special[0], special[1:]
         first = string_p(r1, s1) + 1
-        record(r1, s1, Fraction(first))
+        record(r1, s1, first)
         for r, s in others:
-            value = norm[xi] / first * (term(s, neg(r1), r, neg(s1), sub(s, r1))
-                                        + term(neg(r1), r, s, neg(s1), sub(r, r1)))
-            if abs(value) != string_p(r, s) + 1:
-                raise ConsistencyError(
-                    f"special pair {r},{s} gets {value}, not +-(p+1)")
+            # N_{r,s} = L(xi) (t_s L(r-r1) + t_r L(s-r1)) / (first L(s-r1) L(r-r1)),
+            # L = 1 and t = 0 where the difference is not a root
+            t_s = t_r = 0
+            ls, lr = length.get(s - r1, 1), length.get(r - r1, 1)
+            if s - r1 in length:
+                t_s = n[(s, -r1)] * n[(r, -s1)]
+            if r - r1 in length:
+                t_r = n[(-r1, r)] * n[(s, -s1)]
+            num, div = length[xi] * (t_s * lr + t_r * ls), first * ls * lr
+            value, rest = divmod(num, div)
+            if rest or abs(value) != string_p(r, s) + 1:
+                raise ConsistencyError(f"special pair {root(r)},{root(s)} gets "
+                                       f"{Fraction(num, div)}, not +-(p+1)")
             record(r, s, value)
     return n
 
@@ -237,10 +267,12 @@ def _jacobi_by_generators(alg: "LieAlgebraData", table) -> bool:
         if table.get((x, y)) != ((m + i, 1),):
             return False
         generators += (x, y)
-    roots, index = alg.rs.positive_roots, alg.rs._root_index
+    _, code = _root_codes(alg.rs)
+    roots = [code[r] for r in alg.rs.positive_roots]
+    index = {c: pos for pos, c in enumerate(roots)}
     for pos in range(l, m):  # the non-simple roots: by height, the simple come first
-        splits = [(p, index[rest]) for p in range(l)
-                  for rest in [tuple(map(sub, roots[pos], roots[p]))] if rest in index]
+        splits = [(p, index[roots[pos] - roots[p]]) for p in range(l)
+                  if roots[pos] - roots[p] in index]
         for basis in (alg.x_index, alg.y_index):
             made = ([k for k, c in table.get((max(i, j), min(i, j)), ()) if c]
                     for i, j in ((basis(p), basis(q)) for p, q in splits))
@@ -356,9 +388,12 @@ class LieAlgebraData:
     def _build_table(self, n):
         """Nonzero [b_hi, b_lo] for hi > lo, in (hi, lo) order, read off
         the nonzero brackets: [h_k, b] = <beta, h_k> b for b of root beta,
-        [x_a, y_a] = h_a, and [b_a, b_b] = N_{a,b} b_{a+b} for (a, b) in n.
+        [x_a, y_a] = h_a, and [b_a, b_b] = N_{a,b} b_{a+b} for (a, b) in n,
+        whose roots are given by their codes (``_root_codes``).
         """
+        _, code = _root_codes(self.rs)
         basis_of = {w: k for k, w in enumerate(self.index_weights) if any(w)}
+        coded = {code[w]: k for w, k in basis_of.items()}
         table = {}
         for beta, k in basis_of.items():
             for i, c in enumerate(self.rs._root_weight[beta]):  # beta(h_i)
@@ -371,9 +406,9 @@ class LieAlgebraData:
             table[(self.x_index(pos), self.y_index(pos))] = tuple(
                 (self.h_index(i), c) for i, c in enumerate(self.rs.coroot(beta)) if c)
         for (a, b), c in n.items():
-            hi, lo = basis_of[a], basis_of[b]
+            hi, lo = coded[a], coded[b]
             if hi > lo:
-                table[(hi, lo)] = ((basis_of[tuple(map(add, a, b))], c),)
+                table[(hi, lo)] = ((coded[a + b], c),)
         return dict(sorted(table.items()))
 
     # -- elements -----------------------------------------------------------

@@ -104,6 +104,19 @@ def test_a_depth_that_is_not_a_nonnegative_int_is_refused(a2, call, depth):
         call(a2, depth)
 
 
+@pytest.mark.parametrize("depth", [-1, 2.5, True])
+@pytest.mark.parametrize("call", [decomposition_matrix, block_report])
+def test_a_block_refuses_a_depth_that_is_not_a_nonnegative_int(a1, call, depth):
+    with pytest.raises(DomainError, match="depth must be a nonnegative integer"):
+        call(a1, Weight([-1]), depth)
+
+
+@pytest.mark.parametrize("call", [decomposition_matrix, block_report])
+def test_a_block_takes_no_depth_or_a_nonnegative_int(a1, call):
+    """The block of 1 reaches depth 2 = 1 - (-3); a larger depth is kept."""
+    assert [call(a1, Weight([1]), depth).depth for depth in (None, 0, 2, 3)] == [2, 2, 2, 3]
+
+
 # -- maximal vectors --------------------------------------------------------------
 
 def test_maximal_vector_examples(a1):

@@ -291,6 +291,14 @@ def test_domain_error_exit_code(capsys):
     assert "integral" in err
 
 
+@pytest.mark.parametrize("command", ["decomp", "block"])
+def test_a_negative_block_depth_is_a_domain_error(capsys, command):
+    code, out, err = run_cli(capsys, command, "--type", "A1", "--weight", "-1",
+                             "--depth", "-3")
+    assert (code, out) == (1, "")
+    assert "depth must be a nonnegative integer, not -3" in err
+
+
 def test_non_symmetrizable_cartan_file_is_domain_error(tmp_path, capsys):
     path = tmp_path / "nonsym.json"
     path.write_text(json.dumps({"cartan": [[2, -1, -1], [-2, 2, -1], [-1, -1, 2]]}))

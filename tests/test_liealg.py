@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import itertools
+import operator
 import pickle
 import random
 import re
@@ -180,16 +181,122 @@ def _double_highest(lengths, rs):
     return {**lengths, rs.positive_roots[-1]: 2 * lengths[rs.positive_roots[-1]]}
 
 
+def _halve_highest(lengths, rs):
+    return {**lengths, rs.positive_roots[-1]: lengths[rs.positive_roots[-1]] / 2}
+
+
 @pytest.mark.parametrize("label, corrupt, message", [
     ("G2", _swap_long_and_short, "not an integer"),
     ("A3", _double_highest, r"not \+-\(p\+1\)"),
-], ids=["G2-rotated", "A3-special"])
+    ("A3", _halve_highest, r"gets -1/2, not \+-\(p\+1\)"),
+], ids=["G2-rotated", "A3-special", "A3-special-inexact"])
 def test_closed_form_rejects_inconsistent_root_lengths(monkeypatch, label, corrupt,
                                                        message):
     lengths = liealg._root_lengths
     monkeypatch.setattr(liealg, "_root_lengths", lambda rs: corrupt(lengths(rs), rs))
     with pytest.raises(ConsistencyError, match=message):
         liealg.LieAlgebraData(build_root_system(label))
+
+
+def _carter_reference(rs):
+    """N_{a,b} keyed by root tuples: the closed form of
+    ``liealg._structure_constants`` on tuples and Fractions, without codes."""
+    roots, order, norm = rs.roots, rs._root_index, liealg._root_lengths(rs)
+    n = {}
+
+    def sub(a, b):
+        return tuple(x - y for x, y in zip(a, b))
+
+    def neg(a):
+        return tuple(-x for x in a)
+
+    def string_p(r, s):
+        p = 0
+        while sub(s, r) in roots:
+            s = sub(s, r)
+            p += 1
+        return p
+
+    def term(u, v, w, z, diff):
+        if diff not in roots:
+            return 0
+        return F(n[(u, v)] * n[(w, z)]) / norm[diff]
+
+    def record(a, b, value):
+        c = sub(neg(a), b)
+        for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
+            rotated = value * norm[w] / norm[c]
+            assert rotated.denominator == 1
+            rotated = int(rotated)
+            n[(u, v)], n[(v, u)] = rotated, -rotated
+            n[(neg(u), neg(v))], n[(neg(v), neg(u))] = -rotated, rotated
+
+    for xi in rs.positive_roots:
+        special = [(r, sub(xi, r)) for r in rs.positive_roots
+                   if order.get(sub(xi, r), -1) > order[r]]
+        if not special:
+            continue
+        (r1, s1), others = special[0], special[1:]
+        first = string_p(r1, s1) + 1
+        record(r1, s1, F(first))
+        for r, s in others:
+            value = norm[xi] / first * (term(s, neg(r1), r, neg(s1), sub(s, r1))
+                                        + term(neg(r1), r, s, neg(s1), sub(r, r1)))
+            assert abs(value) == string_p(r, s) + 1
+            record(r, s, value)
+    return n
+
+
+def _by_root_tuples(rs):
+    """``liealg._structure_constants`` with its root codes read back as tuples."""
+    _, code = liealg._root_codes(rs)
+    root = {c: r for r, c in code.items()}
+    return {(root[a], root[b]): c
+            for (a, b), c in liealg._structure_constants(rs).items()}
+
+
+@pytest.mark.parametrize("label", sorted(TABLE_DIGESTS))
+def test_structure_constants_match_the_tuple_reference(label):
+    rs = _system(label)
+    assert _by_root_tuples(rs) == _carter_reference(rs)
+
+
+@pytest.mark.parametrize("label", sorted(TABLE_DIGESTS))
+def test_structure_constants_obey_the_chevalley_basis_theorem(label):
+    """Every pair of roots a, b, without the closed form: N_{a,b} is given
+    exactly when a + b is a root, and then |N_{a,b}| = p + 1, p the largest
+    integer with b - p a a root; N_{b,a} = N_{-a,-b} = -N_{a,b}."""
+    rs = _system(label)
+    n, roots = _by_root_tuples(rs), rs.roots
+    given = set()
+    for a, b in itertools.product(roots, repeat=2):
+        if tuple(map(operator.add, a, b)) not in roots:
+            continue
+        given.add((a, b))
+        p = 0
+        while tuple(y - (p + 1) * x for x, y in zip(a, b)) in roots:
+            p += 1
+        minus_a, minus_b = tuple(-x for x in a), tuple(-x for x in b)
+        assert abs(n[(a, b)]) == p + 1
+        assert n[(b, a)] == n[(minus_a, minus_b)] == -n[(a, b)]
+    assert set(n) == given
+
+
+@pytest.mark.parametrize("label", sorted(TABLE_DIGESTS))
+def test_root_codes_tell_sums_and_differences_of_roots_apart(label):
+    """Each root's code is sum_j r_j B^j, and no two distinct vectors a + b
+    or a - b of roots a, b share the code that sum gives them."""
+    rs = _system(label)
+    base, code = liealg._root_codes(rs)
+    assert set(code) == rs.roots
+
+    def encode(v):
+        return sum(x * base ** j for j, x in enumerate(v))
+
+    assert all(code[r] == encode(r) for r in rs.roots)
+    vectors = {tuple(map(f, a, b)) for a, b in itertools.product(rs.roots, repeat=2)
+               for f in (operator.add, operator.sub)}
+    assert len({encode(v) for v in vectors}) == len(vectors)
 
 
 def _symmetrizer_lengths(rs):
