@@ -9,13 +9,17 @@ only holds for r > 1.
 
 The norm checks work on integers, in units of 1/b for s = a/b: a term
 with coefficient n/m and degree |A| scores |A| a - b (v_p(n) - v_p(m)).
-``log_norm`` reduces the best score over b with one gcd, and
-``check_ultrametric`` scores u, v and u+v in one pass over the union of
-the two supports without building u+v or any LogNorm.  A LogNorm is an
-exact integer pair in lowest terms: its sums, shifts and comparisons work
-in integers, and a Fraction is built only when its value is read.  The
-prime is checked once, when the NormParam (a frozen ``record.Record``) is
-made.
+Both checks read |A|, n and m from the element's term profile
+(``UEAElement._term_profile``), which is computed once per element (a
+product fills it as it builds its terms), so no check sums an exponent
+tuple or reads a Fraction's numerator, apart from the coefficients of v
+on keys that u shares.  ``log_norm`` reduces the best score over b with
+one gcd, and ``check_ultrametric`` scores u, v and u+v in one pass over
+the union of the two supports without building u+v or any LogNorm.  A
+LogNorm is an exact integer pair in lowest terms: its sums, shifts and
+comparisons work in integers, and a Fraction is built only when its value
+is read.  The prime is checked once, when the NormParam (a frozen
+``record.Record``) is made.
 """
 
 from __future__ import annotations
@@ -227,16 +231,15 @@ def _sum(a: int, b: int, c: int, d: int) -> LogNorm:
 _BOTTOM_NORM = LogNorm(None)
 
 
-def _score(deg: int, coef: Fraction, p: int, a: int, b: int) -> int:
-    """deg * a - b * v_p(coef): b times the log norm of one term, for s = a/b.
+def _score(deg: int, num: int, den: int, p: int, a: int, b: int) -> int:
+    """deg * a - b * v_p(num/den): b times the log norm of one term of
+    degree deg and coefficient num/den in lowest terms, for s = a/b.
 
-    Numerator and denominator are coprime, so p divides at most one of
-    them, and a term where it divides neither scores deg * a.
+    num and den are coprime, so p divides at most one of them, and a term
+    where it divides neither scores deg * a.
     """
-    num = coef.numerator
     if not num % p:
         return deg * a - b * _vp_int(num, p)
-    den = coef.denominator
     if den % p:
         return deg * a
     return deg * a + b * _vp_int(den, p)
@@ -244,12 +247,14 @@ def _score(deg: int, coef: Fraction, p: int, a: int, b: int) -> int:
 
 def log_norm(u: UEAElement, np: NormParam) -> LogNorm:
     """max over the support of (-vp(coefficient) + degree * s)."""
-    if u.is_zero():
+    profile = u._term_profile()
+    if not profile:
         return _BOTTOM_NORM
     p, a, b = np.p, np.s.numerator, np.s.denominator
     best = _BOTTOM
-    for exps, coef in u.terms.items():
-        score = _score(sum(exps), coef, p, a, b)
+    it = iter(profile)
+    for deg, num, den in zip(it, it, it):
+        score = _score(deg, num, den, p, a, b)
         if score > best:
             best = score
     g = gcd(best, b)
@@ -275,9 +280,9 @@ def check_ultrametric(u: UEAElement, v: UEAElement, np: NormParam) -> bool:
     p, a, b = np.p, np.s.numerator, np.s.denominator
     uterms, vterms = u.terms, v.terms
     nu = nv = ns = _BOTTOM
-    for exps, cu in uterms.items():
-        deg = sum(exps)
-        su = _score(deg, cu, p, a, b)
+    it = iter(u._term_profile())
+    for exps, deg, num, den in zip(uterms, it, it, it):
+        su = _score(deg, num, den, p, a, b)
         if su > nu:
             nu = su
         cv = vterms.get(exps)
@@ -285,18 +290,19 @@ def check_ultrametric(u: UEAElement, v: UEAElement, np: NormParam) -> bool:
             if su > ns:
                 ns = su
             continue
-        sv = _score(deg, cv, p, a, b)
+        vnum, vden = cv.numerator, cv.denominator
+        sv = _score(deg, vnum, vden, p, a, b)
         if sv > nv:
             nv = sv
-        du, dv = cu.denominator, cv.denominator
-        num = cu.numerator * dv + cv.numerator * du
-        if num:
-            ss = deg * a - b * (_vp_int(num, p) - _vp_int(du * dv, p))
+        total = num * vden + vnum * den
+        if total:
+            ss = deg * a - b * (_vp_int(total, p) - _vp_int(den * vden, p))
             if ss > ns:
                 ns = ss
-    for exps, cv in vterms.items():
+    it = iter(v._term_profile())
+    for exps, deg, num, den in zip(vterms, it, it, it):
         if exps not in uterms:
-            sv = _score(sum(exps), cv, p, a, b)
+            sv = _score(deg, num, den, p, a, b)
             if sv > nv:
                 nv = sv
             if sv > ns:

@@ -469,9 +469,15 @@ class UEAElement:
     key given to the constructor must be d nonnegative integers, else
     DomainError; elements built from keys already checked (products,
     sums, copies, unpickling) skip that through ``_exact``.
+
+    ``_profile`` holds the flat tuple (|A|, n, m, ...) of the degree and
+    the reduced coefficient n/m of each term n/m X^A, in term order, once
+    ``_term_profile()`` has read it.  A product fills it as it builds its
+    terms; every other element fills it on its first read.  It takes no
+    part in equality, hashing, printing, pickling or copies.
     """
 
-    __slots__ = ("alg", "terms")
+    __slots__ = ("alg", "terms", "_profile")
 
     def __init__(self, alg: LieAlgebraData, terms):
         d = alg.d
@@ -509,6 +515,20 @@ class UEAElement:
         alg = memo.get(id(self.alg))
         return self if alg is None else UEAElement._exact(alg, self.terms)
 
+    def _term_profile(self) -> Tuple[int, ...]:
+        """(|A|, n, m) for each term n/m X^A, in term order, as one flat
+        tuple.  Computed on the first call and kept."""
+        try:
+            return self._profile
+        except AttributeError:
+            pass
+        profile = []
+        for exps, coef in self.terms.items():
+            profile += (sum(exps), coef.numerator, coef.denominator)
+        profile = tuple(profile)
+        object.__setattr__(self, "_profile", profile)
+        return profile
+
     # -- ring structure -------------------------------------------------
 
     def _check_same(self, other):
@@ -533,18 +553,29 @@ class UEAElement:
         return UEAElement._exact(self.alg, {e: scalar * c for e, c in self.terms.items()})
 
     def __mul__(self, other):
+        """The product, straightened in one pass in integers.
+
+        Each factor is (1/s) sum n X^A over the lcm s of its denominators;
+        the kernel straightens the sum of all the joined words at once,
+        and each output term gets its key, its reduced Fraction and its
+        degree once.
+        """
         if not isinstance(other, UEAElement):
             return self.__rmul__(other)
         self._check_same(other)
-        kernel = self.alg.kernel
-        out: Dict[Exps, Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                scale = ca * cb
-                for mono, c in kernel.multiply_monomials(ea, eb).items():
-                    x = scale * c
-                    out[mono] = out[mono] + x if mono in out else x
-        return UEAElement._exact(self.alg, out)
+        left, sa = _scaled_terms(self.terms)
+        right, sb = _scaled_terms(other.terms)
+        den = sa * sb
+        terms = {}
+        profile = []
+        for exps, deg, n in self.alg.kernel.multiply_sums(left, right):
+            coef = terms[exps] = Fraction(n, den)
+            profile += (deg, coef.numerator, coef.denominator)
+        u = object.__new__(UEAElement)  # no zero term: the kernel drops them
+        object.__setattr__(u, "alg", self.alg)
+        object.__setattr__(u, "terms", terms)
+        object.__setattr__(u, "_profile", tuple(profile))
+        return u
 
     def __pow__(self, n: int) -> "UEAElement":
         if n < 0:
@@ -642,6 +673,13 @@ class UEAElement:
         return out.replace("+ -", "- ")
 
     __repr__ = __str__
+
+
+def _scaled_terms(terms):
+    """([(exps, n * s / m) for each term n/m X^A], s), s the lcm of the
+    denominators: the element is (1/s) times an integer sum."""
+    s = lcm(*(c.denominator for c in terms.values()))
+    return [(exps, c.numerator * (s // c.denominator)) for exps, c in terms.items()], s
 
 
 # -- module-level operation surface ----------------------------------------

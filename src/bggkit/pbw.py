@@ -7,9 +7,15 @@ stays in that sparse form throughout: a normal-form monomial inside it
 is a run tuple with strictly increasing indices, and the memoized pair
 products are dicts keyed by such runs.  Dense exponent tuples of length
 ``dim`` appear only at the public boundary, as the keys that
-``normal_order_word`` and ``multiply_monomials`` return and the
-monomials that ``multiply_monomials`` takes.  Coefficients stay in Z
-throughout because the structure constants are integers.
+``normal_order_word``, ``multiply_monomials`` and ``multiply_sums``
+return and the monomials that the last two take.
+Coefficients stay in Z throughout because the structure constants are
+integers.
+
+``multiply_sums`` straightens a whole product of two integer sums in one
+pass: each key becomes runs once, every joined word goes into the one
+pending sum of the kernel loop, and each output term comes back with its
+dense key and its degree, both read off its runs once.
 
 The rewrite rule is the leftmost out-of-order adjacent pair.  Products
 of pure powers b_hi^a * b_lo^b are memoized per kernel whatever their
@@ -103,7 +109,7 @@ class StraightenKernel:
         in [lo, hi) are returned, and the other words are dropped as they
         appear; see the module docstring for when that is exact.
         """
-        return self._dense(self._straighten(_squash(runs), window))
+        return self._dense(self._straighten({_squash(runs): 1}, window))
 
     def multiply_monomials(self, exps_a, exps_b, window=None):
         """Normal form of X^A * X^B; returns {monomial exps: int}.
@@ -112,12 +118,37 @@ class StraightenKernel:
         for ``normal_order_word``.
         """
         return self._dense(self._straighten(
-            _join(_sparse(exps_a), _sparse(exps_b)), window))
+            {_join(_sparse(exps_a), _sparse(exps_b)): 1}, window))
 
-    def _straighten(self, word, window=None):
-        """Normal form of a squashed word as {sorted runs: int}, or its
-        window part when ``window=(lo, hi)``."""
-        pending = {word: 1}
+    def multiply_sums(self, left, right):
+        """Normal form of (sum n_A X^A)(sum m_B X^B) as a list of
+        (monomial exps, degree, int), one per nonzero term.
+
+        ``left`` and ``right`` are sequences of (monomial exps, int)
+        pairs.  Each key is turned into runs once, and every joined word
+        goes into one pending sum, so the product is one straightening
+        pass in integers.
+        """
+        right = [(_sparse(eb), nb) for eb, nb in right]
+        pending = {}
+        for ea, na in left:
+            ra = _sparse(ea)
+            for rb, nb in right:
+                _accumulate(pending, _join(ra, rb), na * nb)
+        out = []
+        for runs, c in self._straighten(pending).items():
+            exps = [0] * self.dim
+            deg = 0
+            for idx, exp in runs:
+                exps[idx] = exp
+                deg += exp
+            out.append((tuple(exps), deg, c))
+        return out
+
+    def _straighten(self, pending, window=None):
+        """Normal form of a sum {squashed word: int} as {sorted runs: int},
+        or its window part when ``window=(lo, hi)``.  ``pending`` is
+        consumed."""
         out = {}
         pair_product = self._pair_product
         start, stop = window or (0, self.dim)
@@ -159,7 +190,7 @@ class StraightenKernel:
             left = ((hi, a - 1),) if a > 1 else ()
             right = ((lo, b - 1),) if b > 1 else ()
             for mono, c in self._pair_product(hi, lo, 1, 1).items():
-                for m2, c2 in self._straighten(_join(_join(left, mono), right)).items():
+                for m2, c2 in self._straighten({_join(_join(left, mono), right): 1}).items():
                     _accumulate(res, m2, c * c2)
         self._pair_cache[key] = res
         return res

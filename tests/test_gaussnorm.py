@@ -186,7 +186,15 @@ def _denominator_only_element(alg, rng, p):
     return UEAElement(alg, terms)
 
 
-@pytest.mark.parametrize("label", ["A1", "B2", "G2"])
+def _products_and_multiples(elements, p):
+    """Products of neighbours, whose term profiles come from the product,
+    and scalar multiples and negatives of them."""
+    products = [u * v for u, v in zip(elements, elements[1:])]
+    return (products + [F(p * p, 3) * w for w in products]
+            + [F(-5, 2 * p) * w for w in products] + [-w for w in products])
+
+
+@pytest.mark.parametrize("label", ["A1", "B2", "G2", "F4", "E6"])
 def test_log_norm_matches_division_oracle(label):
     alg = build_chevalley(cached_root_system(label))
     rng = random.Random(17)
@@ -196,6 +204,7 @@ def test_log_norm_matches_division_oracle(label):
         elements += [_random_element(alg, rng, p) for _ in range(12)]
         elements.append(elements[-1] * elements[-2])
         elements += [_denominator_only_element(alg, rng, p) for _ in range(6)]
+        elements += _products_and_multiples(elements[1:5] + elements[-3:], p)
         for s in (F(1, 3), F(1, 2), F(1), F(5, 2), F(7)):
             np = NormParam(p, s)
             for u in elements:
@@ -237,7 +246,7 @@ def _overlapping_pair(alg, rng, p):
     return u, UEAElement(alg, terms)
 
 
-@pytest.mark.parametrize("label", ["A1", "B2", "G2"])
+@pytest.mark.parametrize("label", ["A1", "B2", "G2", "F4", "E6"])
 def test_ultrametric_matches_reference(label):
     alg = build_chevalley(cached_root_system(label))
     rng = random.Random(29)
@@ -253,6 +262,8 @@ def test_ultrametric_matches_reference(label):
     cancelling = 0
     for p in (2, 3, 5):
         pairs = named + [_overlapping_pair(alg, rng, p) for _ in range(25)]
+        made = _products_and_multiples([u for u, _ in pairs[6:10]], p)
+        pairs += list(zip(made, made[3:])) + [(w, -w + v) for w, (_, v) in zip(made, pairs)]
         cancelling += sum(any(v.terms.get(e) == -c for e, c in u.terms.items())
                           for u, v in pairs)
         for s in (F(1, 3), F(1, 2), F(1), F(2)):

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import itertools
+import math
 import operator
 import pickle
 import random
@@ -605,6 +606,115 @@ def test_multiply_associative_random():
             v = random_element(alg, rng)
             w = random_element(alg, rng)
             assert (u * v) * w == u * (v * w)
+
+
+def _pairwise_product(u, v):
+    """u * v one pair of terms at a time, in Fractions, through
+    ``multiply_monomials``: the oracle of the one-pass integer product.
+    Returns the sum with its zero entries, which mark cancelled terms."""
+    kernel = u.alg.kernel
+    out = {}
+    for ea, ca in u.terms.items():
+        for eb, cb in v.terms.items():
+            scale = ca * cb
+            for mono, c in kernel.multiply_monomials(ea, eb).items():
+                x = scale * c
+                out[mono] = out[mono] + x if mono in out else x
+    return out
+
+
+def _sharing_element(alg, rng, max_degree=3):
+    """1 to 4 terms, signs mixed, over denominators built from 2, 3 and 5,
+    so that the denominators of two elements share factors."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        exps = [0] * alg.d
+        for _ in range(rng.randint(0, max_degree)):
+            exps[rng.randrange(alg.d)] += 1
+        den = rng.choice([1, 2, 3, 4, 6, 9, 10, 12, 25, 30])
+        terms[tuple(exps)] = F(rng.choice([-1, 1]) * rng.randint(1, 40), den)
+    return UEAElement(alg, terms)
+
+
+def _cancelling_pair(alg, rng):
+    """(a + b)(a - b) = a^2 - b^2 - [a, b]: the top terms of ab and ba cancel."""
+    a = alg.basis_element(rng.randrange(alg.d)) * alg.basis_element(rng.randrange(alg.d))
+    b = F(rng.randint(1, 5), rng.randint(1, 4)) * alg.basis_element(rng.randrange(alg.d))
+    return a + b, a - b
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "B2", "G2", "F4", "E6"])
+def test_product_matches_pairwise_fraction_oracle(label):
+    alg = build_chevalley(cached_root_system(label))
+    rng = random.Random(41)
+    zero, one = alg.zero(), alg.one()
+    u = _sharing_element(alg, rng)
+    pairs = [(zero, u), (u, zero), (zero, zero), (one, u), (u, one), (one, one)]
+    pairs += [(_sharing_element(alg, rng), _sharing_element(alg, rng)) for _ in range(10)]
+    pairs += [_cancelling_pair(alg, rng) for _ in range(3)]
+    cancelled = shared = 0
+    for u, v in pairs:
+        got = (u * v).terms
+        expected = _pairwise_product(u, v)
+        cancelled += F(0) in expected.values()
+        assert got == {e: c for e, c in expected.items() if c}, (label, u, v)
+        for c in got.values():
+            assert type(c) is F and c and c.denominator > 0
+            assert math.gcd(c.numerator, c.denominator) == 1
+        dens = [lcm(*(c.denominator for c in w.terms.values())) for w in (u, v)]
+        shared += math.gcd(*dens) > 1
+    assert (one * u).terms == u.terms and (u * one).terms == u.terms
+    assert (zero * u).is_zero() and (u * zero).is_zero()
+    assert cancelled >= 3 and shared >= 3
+
+
+def _read_off(u):
+    """The term profile read off ``terms``: (sum(exps), n, m) per term."""
+    return tuple(x for exps, c in u.terms.items()
+                 for x in (sum(exps), c.numerator, c.denominator))
+
+
+def _has_profile(u):
+    return hasattr(u, "_profile")
+
+
+@pytest.mark.parametrize("label", ["A2", "G2", "F4"])
+def test_term_profile_matches_the_terms(label):
+    alg = build_chevalley(cached_root_system(label))
+    rng = random.Random(43)
+    lo, hi = alg.m, alg.m + alg.l
+    uh = UEAElement(alg, {tuple(rng.randint(0, 2) if lo <= i < hi else 0
+                                for i in range(alg.d)): F(rng.randint(1, 9), 4)
+                          for _ in range(3)})
+    for _ in range(4):
+        u, v = _sharing_element(alg, rng), _sharing_element(alg, rng)
+        w = u * v
+        assert _has_profile(w)  # filled by the product
+        w._term_profile()
+        lazy = [u + v, u - v, -u, F(2, 3) * u, 3 * u, F(-6, 35) * w, -w, w * F(-1, 3),
+                0 * w, w.transpose(), w.hc_project(),
+                h_substitute(uh, [F(1, 2), -1][:alg.l] + [0] * (alg.l - 2)),
+                pickle.loads(pickle.dumps(w)), copy.deepcopy((alg, w))[1]]
+        assert not any(map(_has_profile, lazy))
+        for x in [w, w * 0, alg.zero() * w] + lazy:
+            assert x._term_profile() == _read_off(x), (label, x)
+        assert copy.copy(w)._term_profile() == _read_off(w)
+
+
+def test_term_profile_is_not_part_of_the_value(b2):
+    rng = random.Random(47)
+    u, v = random_element(b2, rng), random_element(b2, rng)
+    w = u * v
+    bare = UEAElement._exact(b2, w.terms)
+    assert not _has_profile(bare) and _has_profile(w)
+    assert w == bare and hash(w) == hash(bare) and repr(w) == repr(bare)
+    assert pickle.dumps(w) == pickle.dumps(bare)
+    assert not _has_profile(pickle.loads(pickle.dumps(w)))
+    with pytest.raises(AttributeError):
+        w._profile = ()
+    with pytest.raises(AttributeError):
+        bare._profile = _read_off(bare)
+    assert not _has_profile(bare)
 
 
 def test_uh_is_commutative(a2):
